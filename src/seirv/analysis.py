@@ -21,6 +21,7 @@ from .model import (
     State,
     Trajectory,
     integrate,
+    trapezoid,
 )
 
 __all__ = [
@@ -116,6 +117,16 @@ def sensitivity_indices(p: ModelParams, h_rel: float = 1e-6) -> List[Sensitivity
     return out
 
 
+def _exceeds_threshold(p: ModelParams, s0, c2):
+    """beta * S0 * alpha > (c2 + mu)(alpha + eta2 + mu), i.e. rc > 1.
+
+    Ties within 1e-12 relative go to extinction. Broadcasts over arrays.
+    """
+    lhs = p.beta * s0 * p.alpha
+    rhs = (c2 + p.mu) * (p.alpha + p.eta2 + p.mu)
+    return lhs - rhs > 1e-12 * np.maximum(lhs, rhs)
+
+
 def classify_region(p: ModelParams, c1: float, c2: float) -> str:
     """"growth" when the threshold exceeds one at (c1, c2), else "extinction".
 
@@ -123,13 +134,8 @@ def classify_region(p: ModelParams, c1: float, c2: float) -> str:
     """
     if not (0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0):
         raise ValueError(f"controls must lie in [0, 1]^2, got ({c1!r}, {c2!r})")
-    pc = p.with_controls(c1, c2)
-    s0 = compute_mfe(pc).s0
-    lhs = pc.beta * s0 * pc.alpha
-    rhs = (pc.c2 + pc.mu) * (pc.alpha + pc.eta2 + pc.mu)
-    if lhs - rhs > 1e-12 * max(lhs, rhs):
-        return "growth"
-    return "extinction"
+    s0 = compute_mfe(p.with_controls(c1, c2)).s0
+    return "growth" if _exceeds_threshold(p, s0, c2) else "extinction"
 
 
 def separatrix_c2(p: ModelParams, c1: float) -> float:
@@ -144,16 +150,9 @@ def region_map(p: ModelParams, resolution: int) -> RegionMap:
         raise ValueError("resolution must be >= 2")
     c1_grid = np.linspace(0.0, 1.0, resolution)
     c2_grid = np.linspace(0.0, 1.0, resolution)
-    growth = np.zeros((resolution, resolution), dtype=bool)
-    separatrix = np.empty(resolution)
-    w2 = p.alpha + p.eta2 + p.mu
-    for i, c1 in enumerate(c1_grid):
-        s0 = compute_mfe(p.with_controls(float(c1), 0.0)).s0
-        lhs = p.beta * s0 * p.alpha
-        separatrix[i] = lhs / w2 - p.mu
-        for j, c2 in enumerate(c2_grid):
-            rhs = (float(c2) + p.mu) * w2
-            growth[i, j] = lhs - rhs > 1e-12 * max(lhs, rhs)
+    s0 = np.array([compute_mfe(p.with_controls(float(c1), 0.0)).s0 for c1 in c1_grid])
+    growth = _exceeds_threshold(p, s0[:, None], c2_grid[None, :])
+    separatrix = np.array([separatrix_c2(p, float(c1)) for c1 in c1_grid])
     return RegionMap(c1_grid=c1_grid, c2_grid=c2_grid, growth=growth, separatrix=separatrix)
 
 
@@ -164,10 +163,8 @@ def characteristics(traj: Trajectory, p: ModelParams) -> EpidemicCharacteristics
         raise ValueError("trajectory is empty")
     i = traj.i
     k = int(np.argmax(i))  # argmax returns the first maximal index
-    e = traj.e
-    int_e = traj.dt * (float(np.sum(e)) - 0.5 * (float(e[0]) + float(e[-1])))
     return EpidemicCharacteristics(
-        i_max=float(i[k]), t_m=float(traj.times[k]), i_tot=p.alpha * int_e
+        i_max=float(i[k]), t_m=float(traj.times[k]), i_tot=p.alpha * trapezoid(traj.e, traj.dt)
     )
 
 

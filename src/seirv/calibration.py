@@ -23,6 +23,7 @@ from .model import (
     ModelParams,
     State,
     integrate,
+    trapezoid,
 )
 
 __all__ = [
@@ -277,7 +278,7 @@ def nelder_mead(
         xr = _clip(reflect_point(centroid, simplex[-1], cfg.alpha), lo, hi)
         fr = f(xr)
         if fr < values[0]:
-            xe = _clip(centroid + cfg.gamma * (centroid - simplex[-1]), lo, hi)
+            xe = _clip(reflect_point(centroid, simplex[-1], cfg.gamma), lo, hi)
             fe = f(xe)
             if fe < fr:
                 simplex[-1], values[-1] = xe, fe
@@ -286,16 +287,15 @@ def nelder_mead(
         elif fr < values[-2]:
             simplex[-1], values[-1] = xr, fr
         else:
-            if fr < values[-1]:  # contract outside, toward the reflection
-                xc = _clip(centroid + cfg.rho * (xr - centroid), lo, hi)
-            else:  # contract inside, toward the worst vertex
-                xc = _clip(centroid + cfg.rho * (simplex[-1] - centroid), lo, hi)
+            # contract outside toward the reflection, or inside toward the worst
+            toward = xr if fr < values[-1] else simplex[-1]
+            xc = _clip(reflect_point(centroid, toward, -cfg.rho), lo, hi)
             fc = f(xc)
             if fc < min(fr, values[-1]):
                 simplex[-1], values[-1] = xc, fc
             else:  # shrink everything toward the best vertex
                 simplex = [simplex[0]] + [
-                    _clip(simplex[0] + cfg.sigma * (v - simplex[0]), lo, hi)
+                    _clip(reflect_point(simplex[0], v, -cfg.sigma), lo, hi)
                     for v in simplex[1:]
                 ]
                 values = [values[0]] + [f(v) for v in simplex[1:]]
@@ -305,10 +305,9 @@ def nelder_mead(
 
 
 def _r_squared(y: np.ndarray, yhat: np.ndarray) -> float:
+    """Coefficient of determination of yhat against y; NaN when y is constant."""
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot == 0.0:
-        raise ValueError("R^2 undefined: observations have zero variance")
-    return 1.0 - float(np.sum((y - yhat) ** 2)) / ss_tot
+    return math.nan if ss_tot == 0.0 else 1.0 - float(np.sum((y - yhat) ** 2)) / ss_tot
 
 
 def fit_beta_segments(
@@ -355,7 +354,9 @@ def fit_beta_segments(
 
     start = np.full(n_seg, start_log)
     bounds = [(log_lo, log_hi)] * n_seg
-    argmin, fmin, _ = nelder_mead(objective, start, bounds, nm)
+    argmin, fmin, iters = nelder_mead(objective, start, bounds, nm)
+    if iters >= nm.max_iter:
+        warnings.append(f"not converged: simplex stopped at its cap of {nm.max_iter} iterations")
 
     floor = np.full(n_seg, log_lo)
     if objective(floor) <= fmin + nm.tol_f:
@@ -365,13 +366,11 @@ def fit_beta_segments(
     y = np.asarray(obs.cumulative)
     yhat = model_cumulative(p_fit, schedule, init, obs.times, cfg)
     residuals = y - yhat
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = math.nan if ss_tot == 0.0 else 1.0 - float(np.sum(residuals**2)) / ss_tot
     return FitResult(
         beta_segments=schedule,
         sse=float(np.sum(residuals**2)),
         residuals=tuple(residuals),
-        r_squared=r2,
+        r_squared=_r_squared(y, yhat),
         fitted=tuple(yhat),
         warnings=tuple(warnings),
     )
@@ -386,14 +385,13 @@ def goodness(
     yhat = np.asarray(fit.fitted)
     if y.size != yhat.size:
         raise ValueError("fit is not aligned with the series")
-    residuals = tuple(y - yhat)
-    r2 = _r_squared(y, yhat)
     dy = np.diff(y)
     dyhat = np.diff(yhat)
-    daily = DailyOverlay(
-        observed=tuple(dy), fitted=tuple(dyhat), r_squared=_r_squared(dy, dyhat)
-    )
-    return residuals, r2, daily
+    r2, daily_r2 = _r_squared(y, yhat), _r_squared(dy, dyhat)
+    if math.isnan(r2) or math.isnan(daily_r2):
+        raise ValueError("R^2 undefined: observations have zero variance")
+    daily = DailyOverlay(observed=tuple(dy), fitted=tuple(dyhat), r_squared=daily_r2)
+    return tuple(y - yhat), r2, daily
 
 
 def _exponential_fit(
@@ -420,10 +418,7 @@ def _exponential_fit(
         objective, start, bounds, NelderMeadConfig(tol_f=1e-12, tol_x=1e-12, max_iter=800)
     )
     amp, rate = float(argmin[0]), float(argmin[1])
-    yfit = amp * np.exp(-rate * x)
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = math.nan if ss_tot == 0.0 else 1.0 - float(np.sum((y - yfit) ** 2)) / ss_tot
-    return (amp, rate), r2
+    return (amp, rate), _r_squared(y, amp * np.exp(-rate * x))
 
 
 def averted_cases(
@@ -447,8 +442,7 @@ def averted_cases(
 
     def i_tot(control_schedule: Optional[ControlSchedule]) -> float:
         traj = integrate(p0, init, horizon, cfg, control_schedule=control_schedule)
-        e = traj.e
-        return p.alpha * traj.dt * (float(np.sum(e)) - 0.5 * (float(e[0]) + float(e[-1])))
+        return trapezoid(traj.e, p.alpha * traj.dt)
 
     baseline = i_tot(None)
     averted = []

@@ -6,7 +6,8 @@ optimize | calibrate | avert. Every command reads defaults, then an optional
 results go to CSV, reports to JSON; all floating-point output is printed with
 17 significant digits so reruns are byte-identical.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error (including unknown config keys),
+3 numerical failure (divergence or any ArithmeticError).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Sequence, TextIO
 
 import numpy as np
@@ -37,6 +39,13 @@ EXIT_NUMERICAL = 3
 MODEL_FIELDS = ("lam", "beta", "alpha", "eta1", "eta2", "sigma1", "sigma2", "mu", "c1", "c2")
 STATE_FIELDS = ("s0", "e0", "i0", "r0", "v0")
 DEFAULT_STATE = {"s0": 1e9, "e0": 0.0, "i0": 1.0, "r0": 0.0, "v0": 0.0}
+#: Config-file sections and the keys each accepts; every key is also a flag.
+CONFIG_KEYS = {
+    "model": MODEL_FIELDS,
+    "init": STATE_FIELDS,
+    "integrator": ("dt",),
+    "run": ("horizon", "seed"),
+}
 
 
 def _fmt(x: float) -> str:
@@ -82,32 +91,28 @@ def _json_dump(obj, out: TextIO, indent: int = 0) -> None:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+@contextmanager
 def _open_out(path: Optional[str]):
+    """Stream to write to: stdout for None or "-", else the file at path."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 def _write_json(path: Optional[str], obj) -> None:
-    out, close = _open_out(path)
-    try:
+    with _open_out(path) as out:
         _json_dump(obj, out)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
 
 
 def _write_csv(path: Optional[str], header: Sequence[str], rows) -> None:
-    out, close = _open_out(path)
-    try:
+    with _open_out(path) as out:
         out.write(",".join(header) + "\n")
         for row in rows:
             out.write(",".join(_fmt(x) if isinstance(x, (float, np.floating)) else str(x)
                                for x in row) + "\n")
-    finally:
-        if close:
-            out.close()
 
 
 @dataclass
@@ -130,56 +135,31 @@ def _load_config_file(path: str) -> Dict[str, Dict[str, str]]:
 
 
 def _build_run_config(args: argparse.Namespace, default_controls=(0.0, 0.0)) -> RunConfig:
-    model_vals = {name: getattr(DEFAULT_PARAMS, name) for name in MODEL_FIELDS}
-    model_vals["c1"], model_vals["c2"] = default_controls
-    state_vals = dict(DEFAULT_STATE)
-    dt = 0.01
-    horizon = 2000.0
-    seed = 0
-
+    """Defaults, then the config file, then command-line flags (flags win)."""
+    vals = {name: getattr(DEFAULT_PARAMS, name) for name in MODEL_FIELDS}
+    vals.update(DEFAULT_STATE, dt=0.01, horizon=2000.0, seed=0)
+    vals["c1"], vals["c2"] = default_controls
     if getattr(args, "config", None):
-        sections = _load_config_file(args.config)
-        for key, val in sections.get("model", {}).items():
-            if key not in MODEL_FIELDS:
-                raise ValueError(f"unknown model config key {key!r}")
-            model_vals[key] = float(val)
-        for key, val in sections.get("init", {}).items():
-            if key not in STATE_FIELDS:
-                raise ValueError(f"unknown init config key {key!r}")
-            state_vals[key] = float(val)
-        integ = sections.get("integrator", {})
-        if "dt" in integ:
-            dt = float(integ["dt"])
-        run = sections.get("run", {})
-        if "horizon" in run:
-            horizon = float(run["horizon"])
-        if "seed" in run:
-            seed = int(run["seed"])
-
-    for name in MODEL_FIELDS:
-        flag = getattr(args, name, None)
+        for section, entries in _load_config_file(args.config).items():
+            if section not in CONFIG_KEYS:
+                raise ValueError(f"unknown config section [{section}]")
+            for key, val in entries.items():
+                if key not in CONFIG_KEYS[section]:
+                    raise ValueError(f"unknown {section} config key {key!r}")
+                vals[key] = int(val) if key == "seed" else float(val)
+    for key in vals:
+        flag = getattr(args, key, None)
         if flag is not None:
-            model_vals[name] = flag
-    for name in STATE_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            state_vals[name] = flag
-    if getattr(args, "dt", None) is not None:
-        dt = args.dt
-    if getattr(args, "horizon", None) is not None:
-        horizon = args.horizon
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
+            vals[key] = flag
 
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon!r}")
+    if vals["horizon"] <= 0.0:
+        raise ValueError(f"horizon must be > 0, got {vals['horizon']!r}")
     return RunConfig(
-        params=ModelParams(**model_vals),
-        init=State(state_vals["s0"], state_vals["e0"], state_vals["i0"],
-                   state_vals["r0"], state_vals["v0"]),
-        integrator=IntegratorConfig(dt=dt),
-        horizon=horizon,
-        seed=seed,
+        params=ModelParams(**{name: vals[name] for name in MODEL_FIELDS}),
+        init=State(*(vals[name] for name in STATE_FIELDS)),
+        integrator=IntegratorConfig(dt=vals["dt"]),
+        horizon=vals["horizon"],
+        seed=vals["seed"],
     )
 
 
@@ -272,25 +252,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_equilibria(args: argparse.Namespace) -> int:
     rc = _build_run_config(args)
     p = rc.params
-    mfe = equilibria.compute_mfe(p)
-    thr = equilibria.compute_rc(p, n0=rc.init.total)
-    spectrum = equilibria.mfe_spectrum(p)
     endemic = equilibria.compute_endemic(p)
     report = {
-        "mfe": {"s0": mfe.s0, "e0": mfe.e0, "i0": mfe.i0, "r0": mfe.r0, "v0": mfe.v0,
-                "denominator_d": mfe.denominator_d},
-        "threshold": {"rc": thr.rc, "rc_squared": thr.rc_squared, "n_tilde": thr.n_tilde},
-        "mfe_spectrum": {
-            "l1": spectrum.l1, "l2": spectrum.l2, "l3": spectrum.l3, "l4": spectrum.l4,
-            "eigenvalues": list(spectrum.eigenvalues), "stable": spectrum.stable,
-        },
+        "mfe": asdict(equilibria.compute_mfe(p)),
+        "threshold": asdict(equilibria.compute_rc(p, n0=rc.init.total)),
+        "mfe_spectrum": asdict(equilibria.mfe_spectrum(p)),
         "endemic": None,
         "routh_hurwitz": None,
     }
     if endemic is not None:
-        report["endemic"] = {"se": endemic.se, "ee": endemic.ee, "ie": endemic.ie,
-                             "re": endemic.re, "ve": endemic.ve,
-                             "a0": endemic.a0, "a1": endemic.a1}
+        report["endemic"] = asdict(endemic)
         rh = equilibria.endemic_stability(p)
         report["routh_hurwitz"] = {
             "h1": rh.h1, "h2": rh.h2, "h3": rh.h3, "h4": rh.h4, "h5": rh.h5,
@@ -316,11 +287,8 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 def cmd_region(args: argparse.Namespace) -> int:
     rc = _build_run_config(args)
     rmap = analysis.region_map(rc.params, args.resolution)
-    rows = []
-    for i, c1 in enumerate(rmap.c1_grid):
-        for j, c2 in enumerate(rmap.c2_grid):
-            rows.append((c1, c2, "growth" if rmap.growth[i, j] else "extinction",
-                         rmap.separatrix[i]))
+    rows = ((c1, c2, "growth" if rmap.growth[i, j] else "extinction", rmap.separatrix[i])
+            for i, c1 in enumerate(rmap.c1_grid) for j, c2 in enumerate(rmap.c2_grid))
     _write_csv(args.out, ["c1", "c2", "label", "separatrix_c2"], rows)
     return EXIT_OK
 
@@ -329,7 +297,7 @@ def cmd_characteristics(args: argparse.Namespace) -> int:
     rc = _build_run_config(args)
     traj = integrate(rc.params, rc.init, rc.horizon, rc.integrator)
     ch = analysis.characteristics(traj, rc.params)
-    _write_json(args.out, {"i_max": ch.i_max, "t_m": ch.t_m, "i_tot": ch.i_tot})
+    _write_json(args.out, asdict(ch))
     return EXIT_OK
 
 
@@ -364,17 +332,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         series, rc.params, segment_length=args.segment_length,
         init=rc.init, nm=nm, cfg=rc.integrator,
     )
-    _write_json(args.out, {
-        "beta_segments": {
-            "breakpoints": list(fit.beta_segments.breakpoints),
-            "values": list(fit.beta_segments.values),
-        },
-        "sse": fit.sse,
-        "residuals": list(fit.residuals),
-        "r_squared": fit.r_squared,
-        "fitted": list(fit.fitted),
-        "warnings": list(fit.warnings),
-    })
+    _write_json(args.out, asdict(fit))
     if args.csv_out:
         rows = zip(series.times, series.cumulative, fit.fitted, fit.residuals)
         _write_csv(args.csv_out, ["time", "observed", "fitted", "residual"], rows)
@@ -416,7 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except IntegrationDivergedError as exc:
+    except (IntegrationDivergedError, ArithmeticError) as exc:
         print(f"seirv {args.command}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (SeirvError, ValueError, OSError) as exc:

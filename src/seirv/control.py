@@ -22,6 +22,7 @@ from .model import (
     Trajectory,
     integrate,
     population_bound,
+    trapezoid,
 )
 
 __all__ = [
@@ -150,8 +151,14 @@ def _project(c: Controls) -> Controls:
     return (min(1.0, max(0.0, c[0])), min(1.0, max(0.0, c[1])))
 
 
-def _trapezoid(y: np.ndarray, dt: float) -> float:
-    return dt * (float(np.sum(y)) - 0.5 * (float(y[0]) + float(y[-1])))
+def _forward(
+    p: ModelParams, cp: CostParams, c: Controls, init: State, cfg: IntegratorConfig
+) -> Trajectory:
+    """Forward run over [0, cp.horizon] at constant controls c in [0, 1]^2."""
+    c1, c2 = c
+    if not (0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0):
+        raise ValueError(f"controls must lie in [0, 1]^2, got {c!r}")
+    return integrate(p.with_controls(c1, c2), init, cp.horizon, cfg)
 
 
 def cost(
@@ -162,11 +169,8 @@ def cost(
     cfg: IntegratorConfig,
 ) -> float:
     """Objective J at constant controls c over [0, cp.horizon]."""
-    c1, c2 = c
-    if not (0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0):
-        raise ValueError(f"controls must lie in [0, 1]^2, got {c!r}")
-    traj = integrate(p.with_controls(c1, c2), init, cp.horizon, cfg)
-    return cp.k0 * _trapezoid(traj.i, traj.dt) + cp.k1 * c1 + cp.k2 * c2
+    traj = _forward(p, cp, c, init, cfg)
+    return cp.k0 * trapezoid(traj.i, traj.dt) + cp.k1 * c[0] + cp.k2 * c[1]
 
 
 def solve_adjoint(forward: Trajectory, p: ModelParams, c: Controls) -> AdjointTrajectory:
@@ -258,14 +262,10 @@ def gradient(
     g1 = k1 - k0 * int (H5 - H1) S dt, g2 = k2 - k0 * int (H4 - H3) I dt,
     with trapezoid quadrature on the shared grid.
     """
-    c1, c2 = c
-    if not (0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0):
-        raise ValueError(f"controls must lie in [0, 1]^2, got {c!r}")
-    traj = integrate(p.with_controls(c1, c2), init, cp.horizon, cfg)
-    adj = solve_adjoint(traj, p, c)
-    h = adj.h
-    int_s = _trapezoid((h[:, 4] - h[:, 0]) * traj.s, traj.dt)
-    int_i = _trapezoid((h[:, 3] - h[:, 2]) * traj.i, traj.dt)
+    traj = _forward(p, cp, c, init, cfg)
+    h = solve_adjoint(traj, p, c).h
+    int_s = trapezoid((h[:, 4] - h[:, 0]) * traj.s, traj.dt)
+    int_i = trapezoid((h[:, 3] - h[:, 2]) * traj.i, traj.dt)
     return GradientVector(g1=cp.k1 - cp.k0 * int_s, g2=cp.k2 - cp.k0 * int_i)
 
 
@@ -315,8 +315,7 @@ def _hybrid_minimize(
                 break
 
         # Simulated-annealing phase.
-        for cool in range(sa.n_cool):
-            temp = sa.t0 * sa.cooling**cool
+        for temp in temperature_schedule(sa, sa.n_cool):
             for _ in range(sa.n_perturb):
                 if rng.random() < 0.5:  # re-randomize a single coordinate
                     if rng.random() < 0.5:

@@ -133,6 +133,9 @@ class BetaSchedule:
 
     values[k] is active on the right-open segment [breakpoints[k-1], breakpoints[k]);
     values[0] before the first breakpoint, values[-1] from the last one on.
+    Breakpoints are finite and strictly increasing. integrate snaps them to
+    its grid and rejects two that land on the same grid index inside the run,
+    so keep them at least one grid step apart.
     """
 
     breakpoints: Tuple[float, ...]
@@ -145,13 +148,12 @@ class BetaSchedule:
         object.__setattr__(self, "values", vals)
         if len(vals) != len(bp) + 1:
             raise ValueError("need exactly len(breakpoints) + 1 beta values")
+        if not all(math.isfinite(b) for b in bp):
+            raise ValueError(f"breakpoints must be finite, got {bp!r}")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         for v in vals:
             _require_finite_nonneg("beta segment", v)
-
-    def value_at(self, t: float) -> float:
-        return self.values[bisect_right(self.breakpoints, t)]
 
 
 @dataclass(frozen=True)
@@ -169,9 +171,6 @@ class ControlSchedule:
             pair = getattr(self, pair_name)
             if len(pair) != 2 or any(not (0.0 <= c <= 1.0) for c in pair):
                 raise ValueError(f"{pair_name} controls must lie in [0, 1]^2")
-
-    def controls_at(self, t: float) -> Tuple[float, float]:
-        return self.after if t >= self.onset else self.before
 
 
 @dataclass(frozen=True)
@@ -259,6 +258,11 @@ def total_population(state: State) -> float:
     return state.total
 
 
+def trapezoid(y: np.ndarray, dt: float) -> float:
+    """Trapezoid-rule integral of samples y on a uniform grid of step dt."""
+    return dt * (float(np.sum(y)) - 0.5 * (float(y[0]) + float(y[-1])))
+
+
 def population_bound(p: ModelParams, n0: float) -> float:
     """Upper bound max{N(0), lam/mu} on the total population for all t >= 0."""
     return max(float(n0), p.lam / p.mu)
@@ -281,12 +285,16 @@ def _plan_segments(
 
     Schedule breakpoints are snapped to the nearest grid index so segment
     boundaries are reproducible; the snapped index is also what selects the
-    active segment value (right-open segments).
+    active segment value (right-open segments). Two beta breakpoints that
+    snap to one index inside the run would drop a segment, so they raise.
     """
     snap = lambda t: int(round(t / dt))
     beta_cut_idx = (
         [snap(b) for b in beta_schedule.breakpoints] if beta_schedule is not None else []
     )
+    inside = [k for k in beta_cut_idx if 0 <= k < n_steps]
+    if len(set(inside)) < len(inside):
+        raise ValueError(f"beta breakpoints less than one grid step dt={dt!r} apart")
     onset_idx = snap(control_schedule.onset) if control_schedule is not None else None
 
     cuts = {0, n_steps}

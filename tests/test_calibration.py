@@ -210,6 +210,17 @@ def test_fit_warns_when_under_determined():
     assert any("under-determined" in w for w in fit.warnings)
 
 
+def test_fit_warns_when_simplex_hits_iteration_cap():
+    series = generate_synthetic(DEFAULT_PARAMS, TRUE_SCHEDULE, SEED_STATE, SAMPLE_TIMES,
+                                0.0, seed=0, cfg=CFG)
+    capped = fit_beta_segments(series, DEFAULT_PARAMS, 7.0, SEED_STATE,
+                               NelderMeadConfig(max_iter=1), CFG)
+    assert any("iteration" in w for w in capped.warnings)
+    converged = fit_beta_segments(series, DEFAULT_PARAMS, 7.0, SEED_STATE,
+                                  NelderMeadConfig(), CFG)
+    assert converged.warnings == ()
+
+
 # ---------------------------------------------------------------- goodness
 
 

@@ -210,6 +210,26 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert report["threshold"]["rc"] == pytest.approx(expected, rel=1e-12)
 
 
+def test_arithmetic_error_exits_numerical_with_one_line(capsys):
+    # A 50% difference step breaks the analytic beta-elasticity self-check.
+    assert run_cli(["sensitivity", "--h-rel", "0.5", "--out", "-"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "[integrator]\ndtt = 0.5\n",
+    "[run]\nhorizn = 50\n",
+    "[solver]\ndt = 0.5\n",
+], ids=["integrator-key", "run-key", "unknown-section"])
+def test_unknown_config_keys_are_rejected(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert run_cli(["equilibria", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert "unknown" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_an_error():
     with pytest.raises(SystemExit) as exc_info:
         main(["simulate", "--frobnicate", "1"])

@@ -193,6 +193,25 @@ def test_breakpoints_snap_to_grid(init_state):
     assert np.array_equal(on_grid.states, off_grid.states)
 
 
+def test_beta_schedule_rejects_nonfinite_breakpoints():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            BetaSchedule((bad,), (1e-9, 2e-9))
+
+
+def test_breakpoints_snapping_to_one_grid_index_rejected(init_state):
+    # At dt 0.5 both breakpoints snap to index 2, which would drop the middle segment.
+    cfg = IntegratorConfig(dt=0.5)
+    sched = BetaSchedule((1.0, 1.1), (4e-9, 1.0, 5e-9))
+    with pytest.raises(ValueError, match="grid step"):
+        integrate(DEFAULT_PARAMS, init_state, 10.0, cfg, beta_schedule=sched)
+    # A collision past the end of the run drops nothing and is accepted.
+    late = BetaSchedule((20.0, 20.1), (4e-9, 1.0, 5e-9))
+    direct = integrate(DEFAULT_PARAMS, init_state, 10.0, cfg)
+    assert np.array_equal(integrate(DEFAULT_PARAMS, init_state, 10.0, cfg,
+                                    beta_schedule=late).states, direct.states)
+
+
 def test_positivity(init_state):
     p = DEFAULT_PARAMS.with_controls(0.1, 0.1)
     clamped = integrate(p, init_state, 500.0, IntegratorConfig(dt=0.05))
