@@ -132,8 +132,6 @@ def classify_region(p: ModelParams, c1: float, c2: float) -> str:
 
     Ties within 1e-12 relative go to "extinction".
     """
-    if not (0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0):
-        raise ValueError(f"controls must lie in [0, 1]^2, got ({c1!r}, {c2!r})")
     s0 = compute_mfe(p.with_controls(c1, c2)).s0
     return "growth" if _exceeds_threshold(p, s0, c2) else "extinction"
 
@@ -150,9 +148,9 @@ def region_map(p: ModelParams, resolution: int) -> RegionMap:
         raise ValueError("resolution must be >= 2")
     c1_grid = np.linspace(0.0, 1.0, resolution)
     c2_grid = np.linspace(0.0, 1.0, resolution)
-    s0 = np.array([compute_mfe(p.with_controls(float(c1), 0.0)).s0 for c1 in c1_grid])
+    s0 = np.array([compute_mfe(p.with_controls(c1, 0.0)).s0 for c1 in c1_grid])
     growth = _exceeds_threshold(p, s0[:, None], c2_grid[None, :])
-    separatrix = np.array([separatrix_c2(p, float(c1)) for c1 in c1_grid])
+    separatrix = np.array([separatrix_c2(p, c1) for c1 in c1_grid])
     return RegionMap(c1_grid=c1_grid, c2_grid=c2_grid, growth=growth, separatrix=separatrix)
 
 
@@ -197,18 +195,17 @@ def sweep_control(
 ) -> ControlSweepTable:
     """Characteristics over beta x control-strength, for one control at a time.
 
-    The other control is held at its value in p.
+    The other control is held at its value in p; ModelParams rejects grid
+    values outside [0, 1].
     """
     if which not in ("c1", "c2"):
         raise ValueError(f"which must be 'c1' or 'c2', got {which!r}")
     cvals = [float(c) for c in grid]
-    if any(not 0.0 <= c <= 1.0 for c in cvals):
-        raise ValueError("control grid must lie in [0, 1]")
     rows = []
     for beta in beta_values:
         row = []
         for c in cvals:
-            pb = replace(p, beta=float(beta), **{which: c})
+            pb = replace(p, beta=beta, **{which: c})
             traj = integrate(pb, init, horizon, cfg)
             row.append(characteristics(traj, pb))
         rows.append(tuple(row))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,48 +51,28 @@ BETA_FIT_BOUNDS = (1e-12, 1e-6)
 
 @dataclass(frozen=True)
 class ObservationSeries:
-    """Observed infection counts at strictly increasing times.
-
-    kind is "cumulative" (counts nondecreasing) or "daily" (new counts per
-    observation interval).
+    """Cumulative infection counts (finite, >= 0, nondecreasing) at finite,
+    strictly increasing times. Daily counts are summed on load (load_series).
     """
 
     times: Tuple[float, ...]
     cumulative: Tuple[float, ...]
-    kind: str = "cumulative"
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
         counts = tuple(float(y) for y in self.cumulative)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "cumulative", counts)
-        if self.kind not in ("cumulative", "daily"):
-            raise ValueError(f"kind must be 'cumulative' or 'daily', got {self.kind!r}")
         if len(times) != len(counts) or len(times) == 0:
             raise ValueError("times and counts must be nonempty and equal-length")
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("observation times must be strictly increasing")
+        if not all(map(math.isfinite, times)) or any(
+            t2 <= t1 for t1, t2 in zip(times, times[1:])
+        ):
+            raise ValueError("observation times must be finite and strictly increasing")
         if any(y < 0.0 or not math.isfinite(y) for y in counts):
             raise ValueError("counts must be finite and >= 0")
-        if self.kind == "cumulative" and any(
-            y2 < y1 for y1, y2 in zip(counts, counts[1:])
-        ):
+        if any(y2 < y1 for y1, y2 in zip(counts, counts[1:])):
             raise ValueError("cumulative counts must be nondecreasing")
-
-    def as_cumulative(self) -> "ObservationSeries":
-        """This series with daily counts prefix-summed into cumulative ones."""
-        if self.kind == "cumulative":
-            return self
-        running = np.cumsum(self.cumulative)
-        return ObservationSeries(self.times, tuple(running), kind="cumulative")
-
-    def as_daily(self) -> "ObservationSeries":
-        """Differences of a cumulative series (first value kept as-is)."""
-        if self.kind == "daily":
-            return self
-        y = np.asarray(self.cumulative)
-        daily = np.concatenate(([y[0]], np.diff(y)))
-        return ObservationSeries(self.times, tuple(daily), kind="daily")
 
 
 @dataclass(frozen=True)
@@ -118,6 +99,10 @@ class NelderMeadConfig:
             raise ValueError("shrink sigma must lie in (0, 1)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if not all(math.isfinite(t) and t >= 0.0 for t in (self.tol_f, self.tol_x)):
+            raise ValueError("tolerances tol_f and tol_x must be finite and >= 0")
+        if not (math.isfinite(self.initial_spread) and self.initial_spread > 0.0):
+            raise ValueError("initial_spread must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -155,10 +140,14 @@ class AvertedCurve:
 
 
 def load_series(path, kind: str = "cumulative") -> ObservationSeries:
-    """Read a `time,count` CSV into an observation series.
+    """Read a `time,count` CSV into a cumulative observation series.
 
-    Raises ValueError with the offending line number on malformed rows.
+    kind says what the count column holds: "cumulative" counts, or "daily"
+    new counts per row, which are prefix-summed here. Raises ValueError with
+    the offending line number on malformed rows.
     """
+    if kind not in ("cumulative", "daily"):
+        raise ValueError(f"kind must be 'cumulative' or 'daily', got {kind!r}")
     times: List[float] = []
     counts: List[float] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -176,7 +165,11 @@ def load_series(path, kind: str = "cumulative") -> ObservationSeries:
                 counts.append(float(row[1]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return ObservationSeries(tuple(times), tuple(counts), kind=kind)
+    if kind == "daily":
+        if any(y < 0.0 for y in counts):
+            raise ValueError(f"{path}: daily counts must be >= 0")
+        counts = list(accumulate(counts))
+    return ObservationSeries(tuple(times), tuple(counts))
 
 
 def model_cumulative(
@@ -211,9 +204,8 @@ def sse(
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> float:
     """Sum of squared errors between observed and model cumulative counts."""
-    obs = series.as_cumulative()
-    y = np.asarray(obs.cumulative)
-    yhat = model_cumulative(p, beta_schedule, init, obs.times, cfg)
+    y = np.asarray(series.cumulative)
+    yhat = model_cumulative(p, beta_schedule, init, series.times, cfg)
     return float(np.sum((y - yhat) ** 2))
 
 
@@ -328,8 +320,7 @@ def fit_beta_segments(
     """
     if not segment_length > 0.0:
         raise ValueError("segment_length must be > 0")
-    obs = series.as_cumulative()
-    t_last = obs.times[-1]
+    t_last = series.times[-1]
     if t_last <= 0.0:
         raise ValueError("series must extend past t = 0")
     n_seg = max(1, math.ceil(t_last / segment_length - 1e-12))
@@ -337,7 +328,7 @@ def fit_beta_segments(
 
     warnings = []
     counts_per_seg = np.histogram(
-        obs.times, bins=np.concatenate(([0.0], breakpoints, [t_last + segment_length]))
+        series.times, bins=np.concatenate(([0.0], breakpoints, [t_last + segment_length]))
     )[0]
     if np.any(counts_per_seg < 2):
         warnings.append(
@@ -350,7 +341,7 @@ def fit_beta_segments(
 
     def objective(log_betas: np.ndarray) -> float:
         sched = BetaSchedule(breakpoints, tuple(10.0**b for b in log_betas))
-        return sse(obs, p_fit, sched, init, cfg)
+        return sse(series, p_fit, sched, init, cfg)
 
     start = np.full(n_seg, start_log)
     bounds = [(log_lo, log_hi)] * n_seg
@@ -363,8 +354,8 @@ def fit_beta_segments(
         argmin = floor
 
     schedule = BetaSchedule(breakpoints, tuple(10.0**b for b in argmin))
-    y = np.asarray(obs.cumulative)
-    yhat = model_cumulative(p_fit, schedule, init, obs.times, cfg)
+    y = np.asarray(series.cumulative)
+    yhat = model_cumulative(p_fit, schedule, init, series.times, cfg)
     residuals = y - yhat
     return FitResult(
         beta_segments=schedule,
@@ -380,8 +371,7 @@ def goodness(
     fit: FitResult, series: ObservationSeries
 ) -> Tuple[Tuple[float, ...], float, DailyOverlay]:
     """Residuals and R^2 of a fit, plus the implied daily-count overlay."""
-    obs = series.as_cumulative()
-    y = np.asarray(obs.cumulative)
+    y = np.asarray(series.cumulative)
     yhat = np.asarray(fit.fitted)
     if y.size != yhat.size:
         raise ValueError("fit is not aligned with the series")
@@ -482,5 +472,4 @@ def generate_synthetic(
     y = yhat + rng.normal(0.0, 1.0, size=yhat.size) * scale
     if monotone:
         y = np.maximum.accumulate(np.maximum(y, 0.0))
-    return ObservationSeries(tuple(float(t) for t in sample_times), tuple(y),
-                             kind="cumulative")
+    return ObservationSeries(tuple(sample_times), tuple(y))

@@ -326,7 +326,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     rc = _build_run_config(args)
-    series = calibration.load_series(args.data, kind=args.kind).as_cumulative()
+    series = calibration.load_series(args.data, kind=args.kind)
     nm = calibration.NelderMeadConfig(max_iter=args.nm_max_iter)
     fit = calibration.fit_beta_segments(
         series, rc.params, segment_length=args.segment_length,

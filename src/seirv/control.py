@@ -116,18 +116,19 @@ class SAConfig:
     grad_steps: int = 100
 
     def __post_init__(self):
-        if not self.t0 > 0.0:
-            raise ValueError("t0 must be > 0")
+        if not (math.isfinite(self.t0) and self.t0 > 0.0):
+            raise ValueError("t0 must be finite and > 0")
         if not 0.0 < self.cooling < 1.0:
             raise ValueError("cooling must lie in (0, 1)")
         for name in ("n_cool", "n_perturb", "max_outer", "grad_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("eps_k", "delta_k"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if not self.step_eta > 0.0:
-            raise ValueError("step_eta must be > 0")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not (math.isfinite(self.step_eta) and self.step_eta > 0.0):
+            raise ValueError("step_eta must be finite and > 0")
         if self.accept_rule not in ("scaled", "classical"):
             raise ValueError("accept_rule must be 'scaled' or 'classical'")
 
@@ -151,16 +152,6 @@ def _project(c: Controls) -> Controls:
     return (min(1.0, max(0.0, c[0])), min(1.0, max(0.0, c[1])))
 
 
-def _forward(
-    p: ModelParams, cp: CostParams, c: Controls, init: State, cfg: IntegratorConfig
-) -> Trajectory:
-    """Forward run over [0, cp.horizon] at constant controls c in [0, 1]^2."""
-    c1, c2 = c
-    if not (0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0):
-        raise ValueError(f"controls must lie in [0, 1]^2, got {c!r}")
-    return integrate(p.with_controls(c1, c2), init, cp.horizon, cfg)
-
-
 def cost(
     p: ModelParams,
     cp: CostParams,
@@ -168,8 +159,8 @@ def cost(
     init: State,
     cfg: IntegratorConfig,
 ) -> float:
-    """Objective J at constant controls c over [0, cp.horizon]."""
-    traj = _forward(p, cp, c, init, cfg)
+    """Objective J at constant controls c in [0, 1]^2 over [0, cp.horizon]."""
+    traj = integrate(p.with_controls(*c), init, cp.horizon, cfg)
     return cp.k0 * trapezoid(traj.i, traj.dt) + cp.k1 * c[0] + cp.k2 * c[1]
 
 
@@ -262,7 +253,7 @@ def gradient(
     g1 = k1 - k0 * int (H5 - H1) S dt, g2 = k2 - k0 * int (H4 - H3) I dt,
     with trapezoid quadrature on the shared grid.
     """
-    traj = _forward(p, cp, c, init, cfg)
+    traj = integrate(p.with_controls(*c), init, cp.horizon, cfg)
     h = solve_adjoint(traj, p, c).h
     int_s = trapezoid((h[:, 4] - h[:, 0]) * traj.s, traj.dt)
     int_i = trapezoid((h[:, 3] - h[:, 2]) * traj.i, traj.dt)

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import NoEndemicPointError
-from .model import ModelParams
+from .model import ModelParams, population_bound
 
 __all__ = [
     "MfePoint",
@@ -143,8 +143,6 @@ def _mfe_denominator(p: ModelParams) -> float:
 
 def compute_mfe(p: ModelParams) -> MfePoint:
     """Malware-free equilibrium of the system."""
-    if p.mu <= 0.0:
-        raise ValueError("mu must be > 0 for the equilibrium denominators")
     d = _mfe_denominator(p)
     s0 = p.lam / d
     r0 = p.eta1 * s0 / (p.sigma1 + p.mu)
@@ -160,8 +158,7 @@ def compute_rc(p: ModelParams, n0: Optional[float] = None) -> ThresholdResult:
     """
     s0 = compute_mfe(p).s0
     rc2 = p.beta * s0 * p.alpha / ((p.c2 + p.mu) * (p.alpha + p.eta2 + p.mu))
-    ninf = p.lam / p.mu
-    n_tilde = ninf if n0 is None else max(float(n0), ninf)
+    n_tilde = population_bound(p, 0.0 if n0 is None else n0)
     return ThresholdResult(rc=math.sqrt(rc2), rc_squared=rc2, n_tilde=n_tilde)
 
 
@@ -357,7 +354,7 @@ def bifurcation_scan(
     rc_values = np.empty(n_points)
     flags = []
     for idx, beta in enumerate(beta_grid):
-        pb = replace(p, beta=float(beta))
+        pb = replace(p, beta=beta)
         rc_values[idx] = compute_rc(pb).rc
         point = compute_endemic(pb)
         if point is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +45,7 @@ def _require_finite_nonneg(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Rate constants of the SEIRV system plus the two control rates.
+    """Rate constants of the SEIRV system plus the two control rates, as floats.
 
     lam    new-device influx (devices per time unit)
     beta   transmission rate (per device per time unit)
@@ -71,6 +71,8 @@ class ModelParams:
     c2: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
         for name in ("lam", "beta", "alpha", "eta1", "eta2", "sigma1", "sigma2", "mu"):
             _require_finite_nonneg(name, getattr(self, name))
         if self.mu <= 0.0:
@@ -158,17 +160,20 @@ class BetaSchedule:
 
 @dataclass(frozen=True)
 class ControlSchedule:
-    """Step change of the control pair (c1, c2) at an onset time."""
+    """Step change of the control pair (c1, c2) at an onset time; stored as floats."""
 
     onset: float
     before: Tuple[float, float]
     after: Tuple[float, float]
 
     def __post_init__(self):
-        if not math.isfinite(self.onset) or self.onset < 0.0:
-            raise ValueError(f"onset must be finite and >= 0, got {self.onset!r}")
+        onset = float(self.onset)
+        object.__setattr__(self, "onset", onset)
+        if not math.isfinite(onset) or onset < 0.0:
+            raise ValueError(f"onset must be finite and >= 0, got {onset!r}")
         for pair_name in ("before", "after"):
-            pair = getattr(self, pair_name)
+            pair = tuple(float(c) for c in getattr(self, pair_name))
+            object.__setattr__(self, pair_name, pair)
             if len(pair) != 2 or any(not (0.0 <= c <= 1.0) for c in pair):
                 raise ValueError(f"{pair_name} controls must lie in [0, 1]^2")
 
@@ -241,9 +246,6 @@ def rhs(state: State, p: ModelParams) -> StateDerivative:
     The five component derivatives always sum to lam - mu * N.
     """
     s, e, i, r, v = state.as_tuple()
-    for name, x in zip("seirv", (s, e, i, r, v)):
-        if not math.isfinite(x):
-            raise ValueError(f"state component {name} is not finite: {x!r}")
     force = p.beta * s * i
     ds = p.lam - force - p.eta1 * s + p.sigma1 * r + p.sigma2 * v - p.c1 * s - p.mu * s
     de = force - p.alpha * e - p.eta2 * e - p.mu * e

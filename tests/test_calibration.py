@@ -39,7 +39,6 @@ def test_load_series_roundtrip(tmp_path):
     series = load_series(path)
     assert len(series.times) == 3
     assert series.cumulative == (0.0, 5.0, 8.0)
-    assert series.kind == "cumulative"
 
 
 def test_load_series_errors(tmp_path):
@@ -58,23 +57,36 @@ def test_load_series_errors(tmp_path):
     with pytest.raises(ValueError, match="nondecreasing"):
         load_series(nonmono)
 
-
-def test_daily_to_cumulative_prefix_sum():
-    daily = ObservationSeries((0.0, 1.0, 2.0), (5.0, 3.0, 2.0), kind="daily")
-    cum = daily.as_cumulative()
-    assert cum.cumulative == (5.0, 8.0, 10.0)
-    assert cum.kind == "cumulative"
-    # round trip: cumulative -> daily -> cumulative is the identity
-    assert cum.as_daily().as_cumulative().cumulative == cum.cumulative
+    nan_time = tmp_path / "n.csv"
+    nan_time.write_text("time,count\n0,5\nnan,8\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="times must be finite"):
+        load_series(nan_time)
 
 
-def test_series_validation():
+def test_daily_to_cumulative_prefix_sum(tmp_path):
+    path = tmp_path / "daily.csv"
+    path.write_text("time,count\n0,5\n1,3\n2,2\n", encoding="utf-8")
+    assert load_series(path, kind="daily").cumulative == (5.0, 8.0, 10.0)
+    # the same rows read as cumulative counts decrease, so they are rejected
+    with pytest.raises(ValueError, match="nondecreasing"):
+        load_series(path)
+    negative = tmp_path / "negative.csv"
+    negative.write_text("time,count\n0,5\n1,-3\n2,2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="daily counts must be >= 0"):
+        load_series(negative, kind="daily")
+
+
+def test_series_validation(tmp_path):
     with pytest.raises(ValueError):
         ObservationSeries((0.0, 0.0), (1.0, 2.0))
-    with pytest.raises(ValueError):
-        ObservationSeries((0.0, 1.0), (2.0, 1.0), kind="cumulative")
-    with pytest.raises(ValueError):
-        ObservationSeries((0.0,), (1.0,), kind="weekly")
+    with pytest.raises(ValueError, match="nondecreasing"):
+        ObservationSeries((0.0, 1.0), (2.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        ObservationSeries((0.0, math.inf), (1.0, 2.0))
+    path = tmp_path / "obs.csv"
+    path.write_text("time,count\n0,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="kind"):
+        load_series(path, kind="weekly")
 
 
 # ---------------------------------------------------------------- SSE
@@ -121,6 +133,15 @@ def test_nelder_mead_quadratic_bowl():
     assert np.max(np.abs(argmin - 1.0)) < 1e-6
     assert fmin < 1e-12
     assert iters > 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol_f", math.nan), ("tol_f", -1e-8), ("tol_x", math.inf), ("tol_x", -1.0),
+    ("initial_spread", 0.0), ("initial_spread", -0.1), ("initial_spread", math.nan),
+])
+def test_nelder_mead_config_rejects_bad_tolerances_and_spread(field, value):
+    with pytest.raises(ValueError, match=field):
+        NelderMeadConfig(**{field: value})
 
 
 def test_nelder_mead_rosenbrock():

@@ -114,6 +114,11 @@ def test_characteristics_output(tmp_path):
     assert chars["i_tot"] > 0
 
 
+def test_optimize_rejects_nan_tolerance(capsys):
+    assert run_cli(["optimize", "--eps-k", "nan"]) == EXIT_VALIDATION
+    assert "eps_k" in capsys.readouterr().err
+
+
 def test_optimize_smoke_and_determinism(tmp_path):
     args = ["optimize", "--dt", "0.5", "--horizon", "100", "--seed", "7",
             "--n-cool", "2", "--n-perturb", "3", "--max-outer", "2",

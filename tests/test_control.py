@@ -302,6 +302,13 @@ def test_classical_acceptance_rule_supported():
         SAConfig(accept_rule="other")
 
 
+@pytest.mark.parametrize("field", ["t0", "eps_k", "delta_k", "step_eta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_sa_config_rejects_nonfinite_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        SAConfig(**{field: value})
+
+
 def test_hybrid_optimize_on_short_horizon_moves_downhill():
     # cheap smoke run of the fully wired optimizer
     init = State(1e9, 0, 0, 0, 0)  # no infection: J = k1 c1 + k2 c2

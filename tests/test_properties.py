@@ -1,13 +1,24 @@
-"""Property tests: threshold classification and schedule/chained-run equality."""
+"""Property tests: threshold classification, schedule/chained-run equality,
+float coercion of the value types, and population conservation."""
 
-from dataclasses import replace
+import copy
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import sample_params
 from seirv.analysis import classify_region, region_map, separatrix_c2
-from seirv.model import BetaSchedule, IntegratorConfig, State, DEFAULT_PARAMS, integrate
+from seirv.model import (
+    BetaSchedule,
+    ControlSchedule,
+    IntegratorConfig,
+    ModelParams,
+    State,
+    DEFAULT_PARAMS,
+    integrate,
+    population_closed_form,
+)
 
 SMALL = settings(max_examples=30, deadline=None)
 
@@ -45,3 +56,56 @@ def test_scheduled_run_equals_chained_constant_beta_runs(segments):
         piece = integrate(replace(DEFAULT_PARAMS, beta=beta), state, n * cfg.dt, cfg)
         assert np.array_equal(piece.states, whole.states[k0:k0 + n + 1])
         state, k0 = piece.final_state(), k0 + n
+
+
+@SMALL
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    onset=st.floats(0.0, 20.0),
+    after=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_float64_inputs_are_stored_as_floats_and_integrate_identically(seed, onset, after):
+    p = sample_params(np.random.default_rng(seed), decades=0.5)
+    p64 = ModelParams(**{name: np.float64(v) for name, v in asdict(p).items()})
+    sched64 = ControlSchedule(np.float64(onset), (np.float64(0.0), np.float64(0.0)),
+                              tuple(np.float64(c) for c in after))
+    assert all(type(getattr(p64, f.name)) is float for f in fields(p64))
+    assert type(sched64.onset) is float
+    assert all(type(c) is float for c in sched64.before + sched64.after)
+
+    # numpy scalars forced past the constructor round exactly like floats
+    leaky = copy.copy(p)
+    for f in fields(leaky):
+        object.__setattr__(leaky, f.name, np.float64(getattr(leaky, f.name)))
+    cfg = IntegratorConfig(dt=0.1)
+    init = State(1e9, 0.0, 1.0, 0.0, 0.0)
+    ref = integrate(p, init, 20.0, cfg,
+                    control_schedule=ControlSchedule(onset, (0.0, 0.0), after))
+    for q in (p64, leaky):
+        run = integrate(q, init, 20.0, cfg, control_schedule=sched64)
+        assert np.array_equal(run.states, ref.states)
+
+
+@SMALL
+@given(
+    segments=st.lists(
+        st.tuples(st.integers(1, 300), st.floats(0.0, 1e-8)), min_size=1, max_size=4
+    ),
+    onset_step=st.integers(0, 1200),
+    before=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    after=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    i0=st.floats(1.0, 1e6),
+)
+def test_population_matches_closed_form_under_random_schedules(
+    segments, onset_step, before, after, i0
+):
+    cfg = IntegratorConfig(dt=0.1)
+    init = State(1e9, 0.0, i0, 0.0, 0.0)
+    cuts = np.cumsum([n for n, _ in segments])
+    beta_schedule = BetaSchedule(tuple(float(k) * cfg.dt for k in cuts[:-1]),
+                                 tuple(beta for _, beta in segments))
+    control_schedule = ControlSchedule(onset_step * cfg.dt, before, after)
+    traj = integrate(DEFAULT_PARAMS, init, float(cuts[-1]) * cfg.dt, cfg,
+                     beta_schedule=beta_schedule, control_schedule=control_schedule)
+    exact = population_closed_form(DEFAULT_PARAMS, init.total, traj.times)
+    assert float(np.max(np.abs(traj.n - exact))) / init.total < 1e-8
