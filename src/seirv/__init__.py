@@ -74,7 +74,6 @@ from .model import (
     population_bound,
     population_closed_form,
     rhs,
-    total_population,
 )
 
 __version__ = "0.1.0"

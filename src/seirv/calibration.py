@@ -75,28 +75,20 @@ class ObservationSeries:
             raise ValueError("cumulative counts must be nondecreasing")
 
 
+_NM_REFLECT, _NM_EXPAND, _NM_CONTRACT, _NM_SHRINK = 1.0, 2.0, 0.5, 0.5
+
+
 @dataclass(frozen=True)
 class NelderMeadConfig:
-    """Simplex coefficients and stopping rules."""
+    """Simplex stopping rules and initial size. The simplex coefficients are
+    fixed at reflection 1, expansion 2, contraction 0.5 and shrink 0.5."""
 
-    alpha: float = 1.0      # reflection
-    gamma: float = 2.0      # expansion
-    rho: float = 0.5        # contraction
-    sigma: float = 0.5      # shrink
     tol_f: float = 1e-8
     tol_x: float = 1e-8
     max_iter: int = 2000
     initial_spread: float = 0.1
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError("reflection alpha must be > 0")
-        if not self.gamma > 1.0:
-            raise ValueError("expansion gamma must be > 1")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("contraction rho must lie in (0, 1)")
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("shrink sigma must lie in (0, 1)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not all(math.isfinite(t) and t >= 0.0 for t in (self.tol_f, self.tol_x)):
@@ -178,19 +170,18 @@ def model_cumulative(
     init: State,
     sample_times: Sequence[float],
     cfg: IntegratorConfig = IntegratorConfig(),
-    control_schedule: Optional[ControlSchedule] = None,
 ) -> np.ndarray:
     """Cumulative infections alpha * int_0^t E dt at the requested times.
 
-    The running integral is trapezoidal on the integration grid and linearly
-    interpolated between grid points.
+    sample_times must be nonempty, finite and strictly increasing; the run
+    ends at the last of them. The running integral is trapezoidal on the
+    integration grid and linearly interpolated between grid points.
     """
     ts = np.asarray(sample_times, dtype=float)
-    if ts.size == 0:
-        raise ValueError("sample_times must be nonempty")
+    if ts.size == 0 or not np.all(np.isfinite(ts)) or np.any(np.diff(ts) <= 0.0):
+        raise ValueError("sample_times must be nonempty, finite and strictly increasing")
     horizon = max(float(ts[-1]), cfg.dt)
-    traj = integrate(p, init, horizon, cfg, beta_schedule=beta_schedule,
-                     control_schedule=control_schedule)
+    traj = integrate(p, init, horizon, cfg, beta_schedule=beta_schedule)
     e = traj.e
     running = np.concatenate(([0.0], np.cumsum(0.5 * (e[1:] + e[:-1]) * traj.dt)))
     return p.alpha * np.interp(ts, traj.times, running)
@@ -267,10 +258,10 @@ def nelder_mead(
         iters += 1
 
         centroid = np.mean(simplex[:-1], axis=0)
-        xr = _clip(reflect_point(centroid, simplex[-1], cfg.alpha), lo, hi)
+        xr = _clip(reflect_point(centroid, simplex[-1], _NM_REFLECT), lo, hi)
         fr = f(xr)
         if fr < values[0]:
-            xe = _clip(reflect_point(centroid, simplex[-1], cfg.gamma), lo, hi)
+            xe = _clip(reflect_point(centroid, simplex[-1], _NM_EXPAND), lo, hi)
             fe = f(xe)
             if fe < fr:
                 simplex[-1], values[-1] = xe, fe
@@ -281,13 +272,13 @@ def nelder_mead(
         else:
             # contract outside toward the reflection, or inside toward the worst
             toward = xr if fr < values[-1] else simplex[-1]
-            xc = _clip(reflect_point(centroid, toward, -cfg.rho), lo, hi)
+            xc = _clip(reflect_point(centroid, toward, -_NM_CONTRACT), lo, hi)
             fc = f(xc)
             if fc < min(fr, values[-1]):
                 simplex[-1], values[-1] = xc, fc
             else:  # shrink everything toward the best vertex
                 simplex = [simplex[0]] + [
-                    _clip(reflect_point(simplex[0], v, -cfg.sigma), lo, hi)
+                    _clip(reflect_point(simplex[0], v, -_NM_SHRINK), lo, hi)
                     for v in simplex[1:]
                 ]
                 values = [values[0]] + [f(v) for v in simplex[1:]]

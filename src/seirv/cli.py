@@ -2,7 +2,8 @@
 
 Subcommands: simulate | equilibria | sensitivity | region | characteristics |
 optimize | calibrate | avert. Every command reads defaults, then an optional
-`key = value` config file, then command-line flags (flags win). Tabular
+`key = value` config file, then command-line flags (flags win). Solver flags
+left unset keep the defaults of the library call they feed. Tabular
 results go to CSV, reports to JSON; all floating-point output is printed with
 17 significant digits so reruns are byte-identical.
 
@@ -17,7 +18,7 @@ import configparser
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Dict, Optional, Sequence, TextIO
 
 import numpy as np
@@ -137,7 +138,7 @@ def _load_config_file(path: str) -> Dict[str, Dict[str, str]]:
 def _build_run_config(args: argparse.Namespace, default_controls=(0.0, 0.0)) -> RunConfig:
     """Defaults, then the config file, then command-line flags (flags win)."""
     vals = {name: getattr(DEFAULT_PARAMS, name) for name in MODEL_FIELDS}
-    vals.update(DEFAULT_STATE, dt=0.01, horizon=2000.0, seed=0)
+    vals.update(DEFAULT_STATE, dt=IntegratorConfig.dt, horizon=2000.0, seed=0)
     vals["c1"], vals["c2"] = default_controls
     if getattr(args, "config", None):
         for section, entries in _load_config_file(args.config).items():
@@ -152,8 +153,8 @@ def _build_run_config(args: argparse.Namespace, default_controls=(0.0, 0.0)) -> 
         if flag is not None:
             vals[key] = flag
 
-    if vals["horizon"] <= 0.0:
-        raise ValueError(f"horizon must be > 0, got {vals['horizon']!r}")
+    if not (math.isfinite(vals["horizon"]) and vals["horizon"] > 0.0):
+        raise ValueError(f"horizon must be finite and > 0, got {vals['horizon']!r}")
     return RunConfig(
         params=ModelParams(**{name: vals[name] for name in MODEL_FIELDS}),
         init=State(*(vals[name] for name in STATE_FIELDS)),
@@ -163,11 +164,18 @@ def _build_run_config(args: argparse.Namespace, default_controls=(0.0, 0.0)) -> 
     )
 
 
+def _given(args: argparse.Namespace, names) -> Dict[str, object]:
+    """The set flags among names, or among a dataclass's fields; the callee
+    keeps its own defaults for the rest."""
+    names = [f.name for f in fields(names)] if is_dataclass(names) else names
+    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+
+
 def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="key = value config file (sections: model, init, integrator, run)")
     sp.add_argument("--seed", type=int, help="global RNG seed (default 0)")
     sp.add_argument("--out", help="output path (default: stdout)")
-    sp.add_argument("--dt", type=float, help="integration step size (default 0.01)")
+    sp.add_argument("--dt", type=float, help=f"integration step size (default {IntegratorConfig.dt})")
     sp.add_argument("--horizon", type=float, help="simulation horizon (default 2000)")
     for name in MODEL_FIELDS:
         flag = "--lambda" if name == "lam" else f"--{name}"
@@ -191,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sensitivity", help="threshold elasticities per parameter (CSV)")
     _add_shared_flags(sp)
-    sp.add_argument("--h-rel", type=float, default=1e-6, help="relative finite-difference step")
+    sp.add_argument("--h-rel", type=float, help="relative finite-difference step")
 
     sp = sub.add_parser("region", help="extinction/growth map over the control plane (CSV)")
     _add_shared_flags(sp)
@@ -207,15 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k2", type=float, default=0.3, help="treatment cost weight")
     sp.add_argument("--start-c1", type=float, default=0.1, help="initial vaccination rate")
     sp.add_argument("--start-c2", type=float, default=0.1, help="initial treatment rate")
-    sp.add_argument("--t0-temp", type=float, default=0.02, help="initial annealing temperature")
-    sp.add_argument("--cooling", type=float, default=0.9, help="temperature decay factor")
-    sp.add_argument("--n-cool", type=int, default=30, help="cooling steps per annealing phase")
-    sp.add_argument("--n-perturb", type=int, default=20, help="perturbations per cooling step")
-    sp.add_argument("--eps-k", type=float, default=1e-6, help="gradient-phase acceptance tolerance")
-    sp.add_argument("--delta-k", type=float, default=1e-6, help="annealing acceptance tolerance")
-    sp.add_argument("--step-eta", type=float, default=0.05, help="initial descent step size")
-    sp.add_argument("--max-outer", type=int, default=20, help="outer-loop cap")
-    sp.add_argument("--accept-rule", choices=("scaled", "classical"), default="scaled",
+    sp.add_argument("--t0-temp", dest="t0", type=float, help="initial annealing temperature")
+    sp.add_argument("--cooling", type=float, help="temperature decay factor")
+    sp.add_argument("--n-cool", type=int, help="cooling steps per annealing phase")
+    sp.add_argument("--n-perturb", type=int, help="perturbations per cooling step")
+    sp.add_argument("--eps-k", type=float, help="gradient-phase acceptance tolerance")
+    sp.add_argument("--delta-k", type=float, help="annealing acceptance tolerance")
+    sp.add_argument("--step-eta", type=float, help="initial descent step size")
+    sp.add_argument("--max-outer", type=int, help="outer-loop cap")
+    sp.add_argument("--accept-rule", choices=("scaled", "classical"),
                     help="annealing acceptance probability form")
 
     sp = sub.add_parser("calibrate", help="fit piecewise beta to observed counts (JSON)")
@@ -223,9 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True, help="input CSV with header time,count")
     sp.add_argument("--kind", choices=("cumulative", "daily"), default="cumulative",
                     help="how to interpret the count column")
-    sp.add_argument("--segment-length", type=float, default=7.0,
-                    help="length of each constant-beta segment")
-    sp.add_argument("--nm-max-iter", type=int, default=2000, help="simplex iteration cap")
+    sp.add_argument("--segment-length", type=float, help="length of each constant-beta segment")
+    sp.add_argument("--nm-max-iter", dest="max_iter", type=int, help="simplex iteration cap")
     sp.add_argument("--csv-out", help="also write an observed/fitted/residual CSV here")
 
     sp = sub.add_parser("avert", help="averted cases vs intervention onset (JSON)")
@@ -278,7 +285,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     # Elasticities are undefined at zero, so this command defaults the
     # controls to 0.1, the reference operating point of the index table.
     rc = _build_run_config(args, default_controls=(0.1, 0.1))
-    indices = analysis.sensitivity_indices(rc.params, h_rel=args.h_rel)
+    indices = analysis.sensitivity_indices(rc.params, **_given(args, ("h_rel",)))
     _write_csv(args.out, ["parameter", "value"],
                ((ix.parameter, ix.value) for ix in indices))
     return EXIT_OK
@@ -305,12 +312,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     rc = _build_run_config(args)
     cp = control.CostParams.for_run(rc.params, rc.init, m0=args.m0, k1=args.k1,
                                     k2=args.k2, horizon=rc.horizon)
-    sa = control.SAConfig(
-        t0=args.t0_temp, cooling=args.cooling, n_cool=args.n_cool,
-        n_perturb=args.n_perturb, eps_k=args.eps_k, delta_k=args.delta_k,
-        step_eta=args.step_eta, rng_seed=rc.seed, max_outer=args.max_outer,
-        accept_rule=args.accept_rule,
-    )
+    sa = control.SAConfig(rng_seed=rc.seed, **_given(args, control.SAConfig))
     run = control.hybrid_optimize(rc.params, cp, (args.start_c1, args.start_c2),
                                   sa, rc.init, rc.integrator)
     share1, share2 = control.effort_split(run.optimum)
@@ -327,10 +329,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     rc = _build_run_config(args)
     series = calibration.load_series(args.data, kind=args.kind)
-    nm = calibration.NelderMeadConfig(max_iter=args.nm_max_iter)
+    nm = calibration.NelderMeadConfig(**_given(args, calibration.NelderMeadConfig))
     fit = calibration.fit_beta_segments(
-        series, rc.params, segment_length=args.segment_length,
-        init=rc.init, nm=nm, cfg=rc.integrator,
+        series, rc.params, init=rc.init, nm=nm, cfg=rc.integrator,
+        **_given(args, ("segment_length",)),
     )
     _write_json(args.out, asdict(fit))
     if args.csv_out:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -83,13 +83,9 @@ class AdjointTrajectory:
     h: np.ndarray  # shape (n_points, 5)
 
 
-@dataclass(frozen=True)
-class GradientVector:
+class GradientVector(NamedTuple):
     g1: float
     g2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.g1, self.g2])
 
 
 @dataclass(frozen=True)
@@ -267,6 +263,8 @@ def _hybrid_minimize(
     sa: SAConfig,
 ) -> OptimRun:
     """Generic hybrid driver over [0, 1]^2; see hybrid_optimize for the rules."""
+    if not all(math.isfinite(x) for x in start):
+        raise ValueError(f"start controls must be finite, got {start!r}")
     rng = random.Random(sa.rng_seed)
     c = _project(start)
     j = cost_fn(c)
@@ -358,15 +356,15 @@ def hybrid_optimize(
     accepting improvements beyond delta_k and otherwise accepting against a
     uniform draw with the configured temperature rule. The outer loop stops
     when neither phase improves the best J by more than eps_k, or after
-    max_outer rounds. Deterministic for a fixed rng_seed.
+    max_outer rounds. Deterministic for a fixed rng_seed. The start controls
+    must be finite (ValueError otherwise); they are projected into [0, 1]^2.
     """
 
     def cost_fn(c: Controls) -> float:
         return cost(p, cp, c, init, cfg)
 
     def grad_fn(c: Controls) -> Controls:
-        g = gradient(p, cp, c, init, cfg)
-        return (g.g1, g.g2)
+        return gradient(p, cp, c, init, cfg)
 
     return _hybrid_minimize(cost_fn, grad_fn, start, sa)
 

@@ -32,7 +32,6 @@ __all__ = [
     "DEFAULT_PARAMS",
     "rhs",
     "integrate",
-    "total_population",
     "population_bound",
     "population_closed_form",
 ]
@@ -178,24 +177,22 @@ class ControlSchedule:
                 raise ValueError(f"{pair_name} controls must lie in [0, 1]^2")
 
 
+_CLAMP_REL = 1e-12  # integrate's clamp band, relative to the initial population
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 settings.
+    """Fixed-step RK4 settings: the step size dt.
 
-    tolerance is the acceptable negative undershoot, relative to the initial
-    population; undershoots inside (-tolerance * N0, 0) are clamped to zero
-    when positivity_clamp is on.
+    The integrator always clamps negative undershoots inside
+    (-1e-12 * N0, 0) to zero, N0 being the initial population.
     """
 
     dt: float = 0.01
-    positivity_clamp: bool = True
-    tolerance: float = 1e-12
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
-            raise ValueError(f"tolerance must be >= 0, got {self.tolerance!r}")
 
 
 class Trajectory(NamedTuple):
@@ -253,11 +250,6 @@ def rhs(state: State, p: ModelParams) -> StateDerivative:
     dr = p.eta1 * s + p.eta2 * e + p.c2 * i - p.sigma1 * r - p.mu * r
     dv = p.c1 * s - p.sigma2 * v - p.mu * v
     return StateDerivative(ds, de, di, dr, dv)
-
-
-def total_population(state: State) -> float:
-    """N = S + E + I + R + V."""
-    return state.total
 
 
 def trapezoid(y: np.ndarray, dt: float) -> float:
@@ -333,8 +325,9 @@ def integrate(
 
     Schedules, when given, override p.beta and (p.c1, p.c2) piecewise in
     time; the active values are sampled at each step's start time and held
-    constant across the RK4 substeps. Raises IntegrationDivergedError naming
-    the first bad step if the state stops being finite.
+    constant across the RK4 substeps. After each step, components inside
+    (-1e-12 * N0, 0) are clamped to zero. Raises IntegrationDivergedError
+    naming the first bad step if the state stops being finite.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be > 0, got {horizon!r}")
@@ -345,7 +338,7 @@ def integrate(
 
     s, e, i, r, v = init.as_tuple()
     n0 = s + e + i + r + v
-    clamp_floor = -cfg.tolerance * n0 if cfg.positivity_clamp else None
+    clamp_floor = -_CLAMP_REL * n0
 
     s_arr = np.empty(n_steps + 1)
     e_arr = np.empty(n_steps + 1)
@@ -404,12 +397,11 @@ def integrate(
             i += h6 * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
             r += h6 * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
             v += h6 * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
-            if clamp_floor is not None:
-                if clamp_floor < s < 0.0: s = 0.0
-                if clamp_floor < e < 0.0: e = 0.0
-                if clamp_floor < i < 0.0: i = 0.0
-                if clamp_floor < r < 0.0: r = 0.0
-                if clamp_floor < v < 0.0: v = 0.0
+            if clamp_floor < s < 0.0: s = 0.0
+            if clamp_floor < e < 0.0: e = 0.0
+            if clamp_floor < i < 0.0: i = 0.0
+            if clamp_floor < r < 0.0: r = 0.0
+            if clamp_floor < v < 0.0: v = 0.0
             tot = s + e + i + r + v
             if not (-1e308 < tot < 1e308):  # catches NaN and overflow at once
                 raise IntegrationDivergedError(k + 1, (k + 1) * dt)

@@ -119,6 +119,15 @@ def test_sse_quadratic_shift_identity():
     assert moved == pytest.approx(base + n * 100.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("times", [[], [10.0, 5.0], [5.0, 5.0], [1.0, math.nan]],
+                         ids=["empty", "descending", "repeated", "nan"])
+def test_model_cumulative_rejects_bad_sample_times(times):
+    # the run ends at the last sample time, so a later one out of order
+    # would be read off the clamped end of the interpolation
+    with pytest.raises(ValueError, match="sample_times"):
+        model_cumulative(DEFAULT_PARAMS, None, SEED_STATE, times, CFG)
+
+
 # ---------------------------------------------------------------- Nelder-Mead
 
 
@@ -175,17 +184,6 @@ def test_nelder_mead_respects_bounds():
 def test_nelder_mead_degenerate_objective():
     with pytest.raises(DegenerateObjectiveError):
         nelder_mead(lambda x: math.nan, [0.5], [(0.0, 1.0)])
-
-
-def test_nelder_mead_config_validation():
-    with pytest.raises(ValueError):
-        NelderMeadConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        NelderMeadConfig(gamma=1.0)
-    with pytest.raises(ValueError):
-        NelderMeadConfig(rho=1.0)
-    with pytest.raises(ValueError):
-        NelderMeadConfig(sigma=0.0)
 
 
 # ---------------------------------------------------------------- fitting

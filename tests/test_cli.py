@@ -1,14 +1,16 @@
 """Command-line interface tests: outputs, exit codes, determinism, config."""
 
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from seirv import analysis, calibration, control
 from seirv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from seirv.model import DEFAULT_PARAMS, population_closed_form
+from seirv.model import BetaSchedule, DEFAULT_PARAMS, population_closed_form
 
 FAST = ["--dt", "0.1", "--horizon", "200"]
 
@@ -39,6 +41,12 @@ def test_simulate_writes_trajectory_with_conserved_population(tmp_path):
 def test_simulate_rejects_zero_horizon(tmp_path, capsys):
     code = run_cli(["simulate", "--horizon", "0", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_VALIDATION
+    assert "horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_equilibria_rejects_nonfinite_horizon(capsys, value):
+    assert run_cli(["equilibria", "--horizon", value]) == EXIT_VALIDATION
     assert "horizon" in capsys.readouterr().err
 
 
@@ -117,6 +125,56 @@ def test_characteristics_output(tmp_path):
 def test_optimize_rejects_nan_tolerance(capsys):
     assert run_cli(["optimize", "--eps-k", "nan"]) == EXIT_VALIDATION
     assert "eps_k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_optimize_rejects_nonfinite_start(capsys, value):
+    code = run_cli(["optimize", "--dt", "0.5", "--horizon", "50", "--n-cool", "1",
+                    "--n-perturb", "1", "--max-outer", "1",
+                    "--start-c1", value, "--start-c2", "0.3"])
+    assert code == EXIT_VALIDATION
+    assert "start" in capsys.readouterr().err
+
+
+def test_unset_solver_flags_keep_library_defaults(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_optimize(p, cp, start, sa, init, cfg):
+        seen["sa"] = sa
+        return control.OptimRun(((0.1, 0.1, 1.0),), ("start",), (0.1, 0.1), 1.0)
+
+    def fake_fit(series, p, **kwargs):
+        seen["fit"] = kwargs
+        return calibration.FitResult(BetaSchedule((), (1e-9,)), 0.0, (0.0,), math.nan, (1.0,))
+
+    def fake_sensitivity(p, **kwargs):
+        seen["sensitivity"] = kwargs
+        return []
+
+    monkeypatch.setattr(control, "hybrid_optimize", fake_optimize)
+    monkeypatch.setattr(calibration, "fit_beta_segments", fake_fit)
+    monkeypatch.setattr(analysis, "sensitivity_indices", fake_sensitivity)
+    data = tmp_path / "obs.csv"
+    data.write_text("time,count\n1,1\n", encoding="utf-8")
+    out = ["--out", str(tmp_path / "out")]
+
+    assert run_cli(["optimize", *out]) == EXIT_OK
+    assert run_cli(["calibrate", "--data", str(data), *out]) == EXIT_OK
+    assert run_cli(["sensitivity", *out]) == EXIT_OK
+    assert seen["sa"] == control.SAConfig(rng_seed=0)
+    assert seen["fit"]["nm"] == calibration.NelderMeadConfig()
+    assert "segment_length" not in seen["fit"]
+    assert seen["sensitivity"] == {}
+
+    assert run_cli(["optimize", "--t0-temp", "0.03", "--accept-rule", "classical",
+                    "--seed", "4", *out]) == EXIT_OK
+    assert run_cli(["calibrate", "--data", str(data), "--nm-max-iter", "5",
+                    "--segment-length", "3", *out]) == EXIT_OK
+    assert run_cli(["sensitivity", "--h-rel", "1e-4", *out]) == EXIT_OK
+    assert seen["sa"] == control.SAConfig(t0=0.03, accept_rule="classical", rng_seed=4)
+    assert seen["fit"]["nm"] == calibration.NelderMeadConfig(max_iter=5)
+    assert seen["fit"]["segment_length"] == 3.0
+    assert seen["sensitivity"] == {"h_rel": 1e-4}
 
 
 def test_optimize_smoke_and_determinism(tmp_path):

@@ -204,7 +204,7 @@ def test_gradient_directional_derivative_identity():
     cp = reference_cost_params()
     rng = np.random.default_rng(5)
     c = (0.02, 0.07)
-    g = gradient(DEFAULT_PARAMS, cp, c, INIT, CFG).as_array()
+    g = gradient(DEFAULT_PARAMS, cp, c, INIT, CFG)
     for _ in range(3):
         theta = rng.normal(size=2)
         theta /= np.linalg.norm(theta)
@@ -317,6 +317,16 @@ def test_hybrid_optimize_on_short_horizon_moves_downhill():
     run = hybrid_optimize(DEFAULT_PARAMS, cp, (0.5, 0.5), sa, init, IntegratorConfig(dt=0.5))
     assert run.j_star < 0.02  # descent drives both controls to ~0
     assert run.optimum[0] < 0.05 and run.optimum[1] < 0.05
+
+
+@pytest.mark.parametrize("start", [(math.nan, 0.3), (0.3, math.inf)])
+def test_hybrid_optimize_rejects_nonfinite_start(start):
+    # projection would turn NaN into 0 and inf into 1 and search from there
+    init = State(1e9, 0, 0, 0, 0)
+    cp = CostParams.for_run(DEFAULT_PARAMS, init, 1.0, 0.2, 0.3, 50.0)
+    sa = SAConfig(n_cool=1, n_perturb=1, max_outer=1, grad_steps=1)
+    with pytest.raises(ValueError, match="start"):
+        hybrid_optimize(DEFAULT_PARAMS, cp, start, sa, init, IntegratorConfig(dt=0.5))
 
 
 # ---------------------------------------------------------------- effort split
