@@ -8,7 +8,8 @@ results go to CSV, reports to JSON; all floating-point output is printed with
 17 significant digits so reruns are byte-identical.
 
 Exit codes: 0 success, 2 validation error (including unknown config keys),
-3 numerical failure (divergence or any ArithmeticError).
+3 numerical failure (divergence, any ArithmeticError, or running out of
+memory).
 """
 
 from __future__ import annotations
@@ -315,7 +316,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     sa = control.SAConfig(rng_seed=rc.seed, **_given(args, control.SAConfig))
     run = control.hybrid_optimize(rc.params, cp, (args.start_c1, args.start_c2),
                                   sa, rc.init, rc.integrator)
-    share1, share2 = control.effort_split(run.optimum)
+    # effort shares are undefined at the zero-effort optimum (0, 0)
+    share1, share2 = control.effort_split(run.optimum) if any(run.optimum) else (None, None)
     _write_json(args.out, {
         "optimum": {"c1": run.optimum[0], "c2": run.optimum[1]},
         "j_star": run.j_star,
@@ -376,8 +378,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (IntegrationDivergedError, ArithmeticError) as exc:
-        print(f"seirv {args.command}: numerical failure: {exc}", file=sys.stderr)
+    except (IntegrationDivergedError, ArithmeticError, MemoryError) as exc:
+        detail = str(exc) or type(exc).__name__  # a bare MemoryError has no message
+        print(f"seirv {args.command}: numerical failure: {detail}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (SeirvError, ValueError, OSError) as exc:
         print(f"seirv {args.command}: {exc}", file=sys.stderr)

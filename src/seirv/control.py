@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -154,10 +154,18 @@ def cost(
     c: Controls,
     init: State,
     cfg: IntegratorConfig,
+    forward: Optional[Trajectory] = None,
 ) -> float:
-    """Objective J at constant controls c in [0, 1]^2 over [0, cp.horizon]."""
-    traj = integrate(p.with_controls(*c), init, cp.horizon, cfg)
-    return cp.k0 * trapezoid(traj.i, traj.dt) + cp.k1 * c[0] + cp.k2 * c[1]
+    """Objective J at constant controls c in [0, 1]^2 over [0, cp.horizon].
+
+    forward, when given, must be integrate(p.with_controls(*c), init,
+    cp.horizon, cfg); it is read instead of integrating again, with the same
+    result to the bit. J is summed as (k0 * int I + k1 * c1) + k2 * c2, so
+    it never falls below k1 * c1 + k2 * c2 while the run keeps I >= 0.
+    """
+    if forward is None:
+        forward = integrate(p.with_controls(*c), init, cp.horizon, cfg)
+    return cp.k0 * trapezoid(forward.i, forward.dt) + cp.k1 * c[0] + cp.k2 * c[1]
 
 
 def solve_adjoint(forward: Trajectory, p: ModelParams, c: Controls) -> AdjointTrajectory:
@@ -174,8 +182,8 @@ def solve_adjoint(forward: Trajectory, p: ModelParams, c: Controls) -> AdjointTr
     if abs((forward.times[-1] - forward.times[0]) - n * dt) > 1e-9 * max(1.0, n * dt):
         raise ValueError("forward trajectory grid is not uniform with step dt")
     c1, c2 = c
-    s_arr = forward.s
-    i_arr = forward.i
+    s_arr = forward.s.tolist()  # float lists index several times faster than arrays
+    i_arr = forward.i.tolist()
 
     beta, alpha = p.beta, p.alpha
     eta1, eta2, sig1, sig2, mu = p.eta1, p.eta2, p.sigma1, p.sigma2, p.mu
@@ -243,17 +251,27 @@ def gradient(
     c: Controls,
     init: State,
     cfg: IntegratorConfig,
+    forward: Optional[Trajectory] = None,
 ) -> GradientVector:
     """Adjoint-based gradient of the objective at constant controls c.
 
     g1 = k1 - k0 * int (H5 - H1) S dt, g2 = k2 - k0 * int (H4 - H3) I dt,
-    with trapezoid quadrature on the shared grid.
+    with trapezoid quadrature on the shared grid. forward, when given, must
+    be integrate(p.with_controls(*c), init, cp.horizon, cfg); it is read
+    instead of integrating again, with the same result to the bit.
     """
-    traj = integrate(p.with_controls(*c), init, cp.horizon, cfg)
-    h = solve_adjoint(traj, p, c).h
-    int_s = trapezoid((h[:, 4] - h[:, 0]) * traj.s, traj.dt)
-    int_i = trapezoid((h[:, 3] - h[:, 2]) * traj.i, traj.dt)
+    if forward is None:
+        forward = integrate(p.with_controls(*c), init, cp.horizon, cfg)
+    h = solve_adjoint(forward, p, c).h
+    int_s = trapezoid((h[:, 4] - h[:, 0]) * forward.s, forward.dt)
+    int_i = trapezoid((h[:, 3] - h[:, 2]) * forward.i, forward.dt)
     return GradientVector(g1=cp.k1 - cp.k0 * int_s, g2=cp.k2 - cp.k0 * int_i)
+
+
+def _accepts(r: float, delta: float, temp: float, rule: str) -> bool:
+    """Annealing test of a move that changes J by delta against the draw r."""
+    weight = math.exp(-delta / temp)
+    return r < (temp * weight if rule == "scaled" else weight)
 
 
 def _hybrid_minimize(
@@ -261,8 +279,18 @@ def _hybrid_minimize(
     grad_fn: Callable[[Controls], Controls],
     start: Controls,
     sa: SAConfig,
+    floor_fn: Callable[[Controls], float] = lambda c: -math.inf,
+    on_best: Callable[[Controls], None] = lambda c: None,
 ) -> OptimRun:
-    """Generic hybrid driver over [0, 1]^2; see hybrid_optimize for the rules."""
+    """Generic hybrid driver over [0, 1]^2; see hybrid_optimize for the rules.
+
+    floor_fn(c) must never exceed cost_fn(c) in floating point. An annealing
+    candidate whose floor is no clear improvement draws its acceptance
+    number first and is rejected unscored when even the floor fails the
+    test; the run is the same as without the floor (-inf never prunes).
+    on_best(c) is called whenever c, the point cost_fn scored last, becomes
+    the incumbent.
+    """
     if not all(math.isfinite(x) for x in start):
         raise ValueError(f"start controls must be finite, got {start!r}")
     rng = random.Random(sa.rng_seed)
@@ -271,6 +299,7 @@ def _hybrid_minimize(
     history: List[Tuple[float, float, float]] = [(c[0], c[1], j)]
     tags: List[str] = ["start"]
     best_c, best_j = c, j
+    on_best(c)
 
     def record(point: Controls, value: float, tag: str) -> None:
         nonlocal best_c, best_j
@@ -278,6 +307,7 @@ def _hybrid_minimize(
         tags.append(tag)
         if value < best_j:
             best_c, best_j = point, value
+            on_best(point)
 
     for _ in range(sa.max_outer):
         best_before = best_j
@@ -314,16 +344,22 @@ def _hybrid_minimize(
                 else:  # re-randomize both
                     cand = (rng.random(), rng.random())
                 cand = _project(cand)
+                r = None
+                floor_delta = floor_fn(cand) - j
+                if floor_delta >= -sa.delta_k:
+                    # cost_fn(cand) - j >= floor_delta: the draw alone decides,
+                    # and a draw that fails at the floor fails at the cost too.
+                    r = rng.random()
+                    if not _accepts(r, floor_delta, temp, sa.accept_rule):
+                        continue
                 jc = cost_fn(cand)
                 delta = jc - j
                 if delta < -sa.delta_k:
                     accept = True
                 else:
-                    r = rng.random()
-                    if sa.accept_rule == "scaled":
-                        accept = r < temp * math.exp(-delta / temp)
-                    else:
-                        accept = r < math.exp(-delta / temp)
+                    if r is None:
+                        r = rng.random()
+                    accept = _accepts(r, delta, temp, sa.accept_rule)
                 if accept:
                     c, j = cand, jc
                     record(c, j, "anneal")
@@ -358,15 +394,34 @@ def hybrid_optimize(
     when neither phase improves the best J by more than eps_k, or after
     max_outer rounds. Deterministic for a fixed rng_seed. The start controls
     must be finite (ValueError otherwise); they are projected into [0, 1]^2.
+
+    Each scored point is integrated once. J >= k1 * c1 + k2 * c2 (see cost),
+    so an annealing candidate whose control cost alone already fails the
+    acceptance draw is rejected without being integrated. At most two
+    forward runs are held, those of the last scored point and of the
+    incumbent, and a gradient at either reuses its run. The result is the
+    same to the bit as scoring and integrating every point.
     """
+    last = best = (None, None)  # (controls, forward run)
 
     def cost_fn(c: Controls) -> float:
-        return cost(p, cp, c, init, cfg)
+        nonlocal last
+        traj = integrate(p.with_controls(*c), init, cp.horizon, cfg)
+        last = (c, traj)
+        return cost(p, cp, c, init, cfg, forward=traj)
+
+    def keep_best(c: Controls) -> None:
+        nonlocal best
+        best = last if last[0] == c else (None, None)
 
     def grad_fn(c: Controls) -> Controls:
-        return gradient(p, cp, c, init, cfg)
+        forward = next((traj for key, traj in (last, best) if key == c), None)
+        return gradient(p, cp, c, init, cfg, forward=forward)
 
-    return _hybrid_minimize(cost_fn, grad_fn, start, sa)
+    def floor_fn(c: Controls) -> float:
+        return cp.k1 * c[0] + cp.k2 * c[1]
+
+    return _hybrid_minimize(cost_fn, grad_fn, start, sa, floor_fn, keep_best)
 
 
 def effort_split(opt: Controls) -> Tuple[float, float]:

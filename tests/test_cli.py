@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from seirv import analysis, calibration, control
+from seirv import analysis, calibration, cli, control
 from seirv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from seirv.model import BetaSchedule, DEFAULT_PARAMS, population_closed_form
 
@@ -175,6 +175,29 @@ def test_unset_solver_flags_keep_library_defaults(tmp_path, monkeypatch):
     assert seen["fit"]["nm"] == calibration.NelderMeadConfig(max_iter=5)
     assert seen["fit"]["segment_length"] == 3.0
     assert seen["sensitivity"] == {"h_rel": 1e-4}
+
+
+def test_zero_effort_optimum_reports_null_shares(tmp_path, monkeypatch):
+    def fake_optimize(p, cp, start, sa, init, cfg):
+        return control.OptimRun(((0.0, 0.0, 0.5),), ("start",), (0.0, 0.0), 0.5)
+
+    monkeypatch.setattr(control, "hybrid_optimize", fake_optimize)
+    out = tmp_path / "opt.json"
+    assert run_cli(["optimize", "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["optimum"] == {"c1": 0.0, "c2": 0.0}
+    assert report["effort_split"] == {"share1": None, "share2": None}
+
+
+def test_memory_error_exits_numerical_with_one_line(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "integrate", out_of_memory)
+    assert run_cli(["simulate", "--dt", "0.5", "--horizon", "10"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("seirv simulate: numerical failure: MemoryError")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_optimize_smoke_and_determinism(tmp_path):

@@ -1,7 +1,9 @@
 """Property tests: threshold classification, schedule/chained-run equality,
-float coercion of the value types, and population conservation."""
+float coercion of the value types, population conservation, and the
+optimizer's early rejection and forward-run reuse."""
 
 import copy
+import math
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import sample_params
 from seirv.analysis import classify_region, region_map, separatrix_c2
+from seirv.control import CostParams, SAConfig, _hybrid_minimize, cost, gradient
 from seirv.model import (
     BetaSchedule,
     ControlSchedule,
@@ -109,3 +112,66 @@ def test_population_matches_closed_form_under_random_schedules(
                      beta_schedule=beta_schedule, control_schedule=control_schedule)
     exact = population_closed_form(DEFAULT_PARAMS, init.total, traj.times)
     assert float(np.max(np.abs(traj.n - exact))) / init.total < 1e-8
+
+
+K1, K2 = 0.2, 0.3
+controls = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+@SMALL
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    accept_rule=st.sampled_from(["scaled", "classical"]),
+    t0=st.floats(1e-3, 0.5),
+    start=controls,
+)
+def test_early_rejection_changes_no_run(seed, accept_rule, t0, start):
+    events = []
+
+    # A synthetic cost summed like control.cost: (k0 * T + k1 c1) + k2 c2, T >= 0.
+    def cost_fn(c):
+        events.append(("cost", c))
+        return 0.05 * (math.sin(7.0 * c[0]) * math.cos(5.0 * c[1])) ** 2 + K1 * c[0] + K2 * c[1]
+
+    def grad_fn(c):
+        return (K1, K2)
+
+    def floor_fn(c):
+        events.append(("floor", c))
+        return K1 * c[0] + K2 * c[1]
+
+    sa = SAConfig(t0=t0, n_cool=4, n_perturb=6, max_outer=3, grad_steps=5,
+                  rng_seed=seed, accept_rule=accept_rule)
+    plain = _hybrid_minimize(cost_fn, grad_fn, start, sa)
+    plain_calls = len(events)
+    events.clear()
+    pruned = _hybrid_minimize(cost_fn, grad_fn, start, sa, floor_fn)
+    assert pruned == plain
+    # a floor not followed by scoring the same point is a skipped cost_fn call
+    skipped = sum(1 for k, (kind, c) in enumerate(events)
+                  if kind == "floor" and events[k + 1:k + 2] != [("cost", c)])
+    calls = sum(1 for kind, _ in events if kind == "cost")
+    assert calls == plain_calls - skipped
+
+
+@SMALL
+@given(c=controls, i0=st.floats(0.0, 1e6), horizon=st.floats(1.0, 200.0))
+def test_cost_never_falls_below_control_cost(c, i0, horizon):
+    init = State(1e9, 0.0, i0, 0.0, 0.0)
+    cp = CostParams.for_run(DEFAULT_PARAMS, init, m0=1.0, k1=K1, k2=K2, horizon=horizon)
+    j = cost(DEFAULT_PARAMS, cp, c, init, IntegratorConfig(dt=0.5))
+    assert j >= K1 * c[0] + K2 * c[1]
+
+
+@SMALL
+@given(c=controls, horizon=st.floats(1.0, 200.0))
+def test_precomputed_forward_run_gives_identical_cost_and_gradient(c, horizon):
+    init = State(1e9, 0.0, 1.0, 0.0, 0.0)
+    cfg = IntegratorConfig(dt=0.5)
+    cp = CostParams.for_run(DEFAULT_PARAMS, init, m0=1.0, k1=K1, k2=K2, horizon=horizon)
+    forward = integrate(DEFAULT_PARAMS.with_controls(*c), init, horizon, cfg)
+    j = cost(DEFAULT_PARAMS, cp, c, init, cfg)
+    assert float.hex(cost(DEFAULT_PARAMS, cp, c, init, cfg, forward=forward)) == float.hex(j)
+    g = gradient(DEFAULT_PARAMS, cp, c, init, cfg)
+    g_reused = gradient(DEFAULT_PARAMS, cp, c, init, cfg, forward=forward)
+    assert [float.hex(x) for x in g_reused] == [float.hex(x) for x in g]
