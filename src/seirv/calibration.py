@@ -414,11 +414,16 @@ def averted_cases(
 
     averted(t0) = i_tot(never intervened) - i_tot(controls from t0 on), with
     i_tot = alpha * int_0^horizon E dt. The curve is summarized by a
-    least-squares exponential-decay fit.
+    least-squares exponential-decay fit. Onsets must be nonempty, strictly
+    increasing and inside [0, horizon]; an onset at the horizon averts nothing.
     """
     ts = [float(t) for t in onsets]
-    if any(t < 0.0 for t in ts) or any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
-        raise ValueError("onsets must be nonnegative and strictly increasing")
+    if not ts:
+        raise ValueError("need at least one onset")
+    if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
+        raise ValueError("onsets must be strictly increasing")
+    if not all(0.0 <= t <= horizon for t in ts):
+        raise ValueError(f"onsets must lie in [0, horizon={horizon!r}], got {ts!r}")
     p0 = p.with_controls(0.0, 0.0)
 
     def i_tot(control_schedule: Optional[ControlSchedule]) -> float:

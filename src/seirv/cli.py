@@ -8,8 +8,8 @@ results go to CSV, reports to JSON; all floating-point output is printed with
 17 significant digits so reruns are byte-identical.
 
 Exit codes: 0 success, 2 validation error (including unknown config keys),
-3 numerical failure (divergence, any ArithmeticError, or running out of
-memory).
+3 numerical failure (divergence, any ArithmeticError, a failed linear-algebra
+routine, or running out of memory).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass
-from typing import Dict, Optional, Sequence, TextIO
+from typing import Dict, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -109,12 +109,27 @@ def _write_json(path: Optional[str], obj) -> None:
         out.write("\n")
 
 
-def _write_csv(path: Optional[str], header: Sequence[str], rows) -> None:
+def _write_csv(path: Optional[str], header: Sequence[str], rows: Iterable[tuple]) -> None:
+    """Header, then one line per row tuple. Each column keeps the kind of its
+    first-row cell: floats as 17-digit decimals (as _fmt), the rest via str."""
+    rows = iter(rows)
     with _open_out(path) as out:
         out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(x) if isinstance(x, (float, np.floating)) else str(x)
-                               for x in row) + "\n")
+        first = next(rows, None)
+        if first is None:
+            return
+        fmt = ",".join("%.17g" if isinstance(x, (float, np.floating)) else "%s"
+                       for x in first) + "\n"
+        out.write(fmt % first)
+        out.writelines(fmt % row for row in rows)
+
+
+def _chunked_rows(columns: Sequence[np.ndarray], chunk: int = 4096) -> Iterator[tuple]:
+    """Rows of equal-length columns as tuples of Python floats. Converting
+    chunk rows at a time keeps memory flat; whole columns as lists would
+    hold every row's floats at once."""
+    for lo in range(0, len(columns[0]), chunk):
+        yield from zip(*(col[lo:lo + chunk].tolist() for col in columns))
 
 
 @dataclass
@@ -248,12 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args: argparse.Namespace) -> int:
     rc = _build_run_config(args)
     traj = integrate(rc.params, rc.init, rc.horizon, rc.integrator)
-    n = traj.n
-    rows = (
-        (traj.times[k], traj.s[k], traj.e[k], traj.i[k], traj.r[k], traj.v[k], n[k])
-        for k in range(len(traj.times))
-    )
-    _write_csv(args.out, ["time", "S", "E", "I", "R", "V", "N"], rows)
+    columns = (traj.times, traj.s, traj.e, traj.i, traj.r, traj.v, traj.n)
+    _write_csv(args.out, ["time", "S", "E", "I", "R", "V", "N"], _chunked_rows(columns))
     return EXIT_OK
 
 
@@ -378,7 +389,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (IntegrationDivergedError, ArithmeticError, MemoryError) as exc:
+    except (IntegrationDivergedError, ArithmeticError, MemoryError,
+            np.linalg.LinAlgError) as exc:  # LinAlgError before ValueError, its base
         detail = str(exc) or type(exc).__name__  # a bare MemoryError has no message
         print(f"seirv {args.command}: numerical failure: {detail}", file=sys.stderr)
         return EXIT_NUMERICAL

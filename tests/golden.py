@@ -1,11 +1,12 @@
-"""Golden digests of the simulation and control layers.
+"""Golden digests of the simulation and control layers and of CLI output.
 
 Each case computes one output at small sizes and reduces it to a SHA-256:
-arrays through ``.tobytes()``, scalars through ``float.hex``, so -0.0, NaN
-and the last bit all count. ``tests/test_golden.py`` recomputes every case
-and compares it with ``golden_digests.json``. The digests pin the numpy and
-Python builds named in the table, because libm and numpy kernels may round
-differently elsewhere.
+arrays through ``.tobytes()``, scalars through ``float.hex``, CLI output
+files through their text, so -0.0, NaN and the last bit all count.
+``tests/test_golden.py`` recomputes every case and compares it with
+``golden_digests.json``. The digests pin the numpy and Python builds named
+in the table, because libm and numpy kernels may round differently
+elsewhere.
 
 Re-record the table only for a change that is meant to alter outputs (and
 say so in CHANGES.md):
@@ -19,11 +20,13 @@ import hashlib
 import json
 import platform
 import sys
+import tempfile
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
+from seirv import cli
 from seirv.control import CostParams, SAConfig, cost, gradient, hybrid_optimize, solve_adjoint
 from seirv.model import (
     BetaSchedule,
@@ -42,6 +45,8 @@ COARSE = IntegratorConfig(dt=0.5)
 HORIZON = 2000.0
 CP = CostParams.for_run(DEFAULT_PARAMS, INIT, m0=1.0, k1=0.2, k2=0.3, horizon=HORIZON)
 CONTROLS = ((0.1, 0.35), (0.01, 0.08))
+#: The same controls as numpy scalars, as rng.uniform draws hand them over.
+CONTROLS_F64 = tuple(tuple(np.float64(x) for x in c) for c in CONTROLS)
 #: A shorter horizon keeps the two optimizer cases near one second each.
 OPT_CP = CostParams.for_run(DEFAULT_PARAMS, INIT, m0=1.0, k1=0.2, k2=0.3, horizon=500.0)
 
@@ -87,8 +92,7 @@ def _integrate_chained() -> str:
     return _digest(first.states, second.times, second.states)
 
 
-def _adjoint() -> str:
-    c = CONTROLS[0]
+def _adjoint(c) -> str:
     forward = integrate(DEFAULT_PARAMS.with_controls(*c), INIT, HORIZON, COARSE)
     return _digest(solve_adjoint(forward, DEFAULT_PARAMS, c).h)
 
@@ -97,8 +101,8 @@ def _cost() -> str:
     return _digest(*(cost(DEFAULT_PARAMS, CP, c, INIT, COARSE) for c in CONTROLS))
 
 
-def _gradient() -> str:
-    return _digest(*(g for c in CONTROLS for g in gradient(DEFAULT_PARAMS, CP, c, INIT, COARSE)))
+def _gradient(controls) -> str:
+    return _digest(*(g for c in controls for g in gradient(DEFAULT_PARAMS, CP, c, INIT, COARSE)))
 
 
 def _optimize(accept_rule: str) -> Callable[[], str]:
@@ -111,16 +115,36 @@ def _optimize(accept_rule: str) -> Callable[[], str]:
     return case
 
 
+def _cli(argv: Sequence[str], outputs: Sequence[str] = ("--out",)) -> Callable[[], str]:
+    """Run seirv in-process with each output flag pointing at a file; hash the files."""
+    def case() -> str:
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [str(Path(tmp) / f"out{k}") for k in range(len(outputs))]
+            flags = [x for pair in zip(outputs, paths) for x in pair]
+            if cli.main([*argv, *flags]) != 0:
+                raise RuntimeError(f"seirv {' '.join(argv)} failed")
+            return _digest(*(Path(path).read_bytes().decode("utf-8") for path in paths))
+    return case
+
+
 CASES: Dict[str, Callable[[], str]] = {
     "integrate_plain": _integrate_plain,
     "integrate_beta_schedule": _integrate_beta_schedule,
     "integrate_control_schedule": _integrate_control_schedule,
     "integrate_chained_from_final_state": _integrate_chained,
-    "solve_adjoint_h": _adjoint,
+    "solve_adjoint_h": lambda: _adjoint(CONTROLS[0]),
+    "solve_adjoint_h_f64_controls": lambda: _adjoint(CONTROLS_F64[0]),
     "cost": _cost,
-    "gradient": _gradient,
+    "gradient": lambda: _gradient(CONTROLS),
+    "gradient_f64_controls": lambda: _gradient(CONTROLS_F64),
     "hybrid_optimize_scaled": _optimize("scaled"),
     "hybrid_optimize_classical": _optimize("classical"),
+    "cli_simulate": _cli(["simulate", "--dt", "0.5", "--horizon", "200"]),
+    "cli_region": _cli(["region", "--resolution", "11"]),
+    "cli_sensitivity": _cli(["sensitivity"]),
+    "cli_avert": _cli(["avert", "--dt", "0.5", "--horizon", "400", "--c1", "0.1",
+                       "--c2", "0.1", "--onset-grid", "0,50,100,200"],
+                      outputs=("--out", "--csv-out")),
 }
 
 

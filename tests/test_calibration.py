@@ -352,6 +352,14 @@ def test_averted_validation():
         averted_cases(DEFAULT_PARAMS, (0.1, 0.1), [10.0, 5.0], SEED_STATE, 100.0)
 
 
+@pytest.mark.parametrize("onsets", [[], [5.0, 100.0, 200.0], [0.0, 40.5], [-1.0, 5.0],
+                                    [0.0, math.nan, 20.0]])
+def test_averted_rejects_empty_or_out_of_horizon_onsets(onsets):
+    with pytest.raises(ValueError, match="onset"):
+        averted_cases(DEFAULT_PARAMS, (0.1, 0.1), onsets, SEED_STATE, 40.0,
+                      IntegratorConfig(dt=0.5))
+
+
 # ---------------------------------------------------------------- synthetic data
 
 

@@ -273,6 +273,23 @@ def test_avert_output(tmp_path):
     assert len(rows) == 5
 
 
+@pytest.mark.parametrize("grid", ["5,100,200", ""])
+def test_avert_rejects_onsets_past_horizon_or_none(tmp_path, capsys, grid):
+    out = tmp_path / "avert.json"
+    code = run_cli(["avert", "--c1", "0.1", "--c2", "0.1", "--dt", "0.5",
+                    "--horizon", "40", "--onset-grid", grid, "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("seirv avert: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--beta", "1e308", "--c1", "0.1"],
+                                   ["--sigma1", "1e308", "--sigma2", "1e308"]])
+def test_linalg_failure_exits_numerical(capsys, flags):
+    assert run_cli(["equilibria", *flags]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("seirv equilibria: numerical failure: ")
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

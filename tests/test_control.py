@@ -161,13 +161,6 @@ def test_adjoint_self_convergence_on_varying_trajectory():
     assert e2 / e3 > 2.5  # at least second-order decay continues
 
 
-def test_adjoint_rejects_mismatched_grid():
-    times = np.array([0.0, 0.1, 0.35])
-    traj = Trajectory(times=times, states=np.zeros((3, 5)), dt=0.1)
-    with pytest.raises(ValueError):
-        solve_adjoint(traj, DEFAULT_PARAMS, (0.0, 0.0))
-
-
 # ---------------------------------------------------------------- gradient
 
 

@@ -1,8 +1,11 @@
 """Property tests: threshold classification, schedule/chained-run equality,
-float coercion of the value types, population conservation, and the
-optimizer's early rejection and forward-run reuse."""
+float coercion of the value types and of the hot loops' inputs, population
+conservation, the optimizer's early rejection and forward-run reuse, and the
+CSV writer's cell format."""
 
+import contextlib
 import copy
+import io
 import math
 from dataclasses import asdict, fields, replace
 
@@ -11,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import sample_params
 from seirv.analysis import classify_region, region_map, separatrix_c2
-from seirv.control import CostParams, SAConfig, _hybrid_minimize, cost, gradient
+from seirv.cli import _chunked_rows, _write_csv
+from seirv.control import CostParams, SAConfig, _hybrid_minimize, cost, gradient, solve_adjoint
 from seirv.model import (
     BetaSchedule,
     ControlSchedule,
@@ -81,12 +85,15 @@ def test_float64_inputs_are_stored_as_floats_and_integrate_identically(seed, ons
     for f in fields(leaky):
         object.__setattr__(leaky, f.name, np.float64(getattr(leaky, f.name)))
     cfg = IntegratorConfig(dt=0.1)
+    cfg64 = IntegratorConfig(dt=np.float64(0.1))
+    assert type(cfg64.dt) is float
     init = State(1e9, 0.0, 1.0, 0.0, 0.0)
+    init64 = State(*(np.float64(x) for x in init.as_tuple()))  # as final_state() returns
     ref = integrate(p, init, 20.0, cfg,
                     control_schedule=ControlSchedule(onset, (0.0, 0.0), after))
-    for q in (p64, leaky):
-        run = integrate(q, init, 20.0, cfg, control_schedule=sched64)
-        assert np.array_equal(run.states, ref.states)
+    for q, start, c in ((p64, init, cfg), (leaky, init, cfg), (leaky, init64, cfg64)):
+        run = integrate(q, start, 20.0, c, control_schedule=sched64)
+        assert run.states.tobytes() == ref.states.tobytes()
 
 
 @SMALL
@@ -175,3 +182,46 @@ def test_precomputed_forward_run_gives_identical_cost_and_gradient(c, horizon):
     g = gradient(DEFAULT_PARAMS, cp, c, init, cfg)
     g_reused = gradient(DEFAULT_PARAMS, cp, c, init, cfg, forward=forward)
     assert [float.hex(x) for x in g_reused] == [float.hex(x) for x in g]
+
+
+@SMALL
+@given(c=controls, horizon=st.floats(1.0, 200.0))
+def test_adjoint_identical_with_float64_controls(c, horizon):
+    forward = integrate(DEFAULT_PARAMS.with_controls(*c), State(1e9, 0.0, 1.0, 0.0, 0.0),
+                        horizon, IntegratorConfig(dt=0.5))
+    h = solve_adjoint(forward, DEFAULT_PARAMS, c).h
+    h64 = solve_adjoint(forward, DEFAULT_PARAMS, tuple(np.float64(x) for x in c)).h
+    assert h64.tobytes() == h.tobytes()
+
+
+float_cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+).flatmap(lambda x: st.sampled_from([x, np.float64(x)]))
+other_cells = st.one_of(st.text(max_size=8), st.integers(-10**6, 10**6))
+
+
+def _old_csv_line(row) -> str:
+    return ",".join(format(float(x), ".17g") if isinstance(x, (float, np.floating)) else str(x)
+                    for x in row) + "\n"
+
+
+@SMALL
+@given(data=st.data(), kinds=st.lists(st.booleans(), min_size=1, max_size=5),
+       n_rows=st.integers(0, 12))
+def test_csv_writer_matches_per_cell_format(data, kinds, n_rows):
+    # each column holds floats (float or np.float64) or other cells (str, int)
+    rows = [tuple(data.draw(float_cells if is_float else other_cells) for is_float in kinds)
+            for _ in range(n_rows)]
+    header = [f"col{k}" for k in range(len(kinds))]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _write_csv(None, header, rows)
+    assert buf.getvalue() == ",".join(header) + "\n" + "".join(map(_old_csv_line, rows))
+
+
+@SMALL
+@given(n=st.integers(0, 30), chunk=st.integers(1, 8))
+def test_chunked_rows_equal_whole_columns(n, chunk):
+    columns = [np.arange(n, dtype=float) * 0.1, np.linspace(-1.0, 1.0, n)]
+    assert list(_chunked_rows(columns, chunk)) == list(zip(*(c.tolist() for c in columns)))
