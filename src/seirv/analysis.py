@@ -41,6 +41,8 @@ __all__ = [
 
 #: Parameters with defined threshold elasticities, in reporting order.
 SENSITIVITY_PARAMETERS = ("sigma1", "sigma2", "c1", "c2", "beta", "eta1", "eta2")
+#: Most grid cells region_map builds; a finer grid is refused before it is allocated.
+MAX_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,8 @@ def region_map(p: ModelParams, resolution: int) -> RegionMap:
     """Full extinction/growth grid over [0, 1]^2 plus the separatrix curve."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    if resolution**2 > MAX_CELLS:
+        raise ValueError(f"resolution {resolution} needs more than {MAX_CELLS} grid cells")
     c1_grid = np.linspace(0.0, 1.0, resolution)
     c2_grid = np.linspace(0.0, 1.0, resolution)
     s0 = np.array([compute_mfe(p.with_controls(c1, 0.0)).s0 for c1 in c1_grid])

@@ -307,13 +307,15 @@ def fit_beta_segments(
     in log space over BETA_FIT_BOUNDS by minimizing the total SSE; controls
     are held at zero during fitting. Ties in SSE (within tol_f) resolve
     toward the lower beta bound, the parsimonious no-transmission reading of
-    flat data.
+    flat data. More segments than observations is refused (ValueError).
     """
     if not segment_length > 0.0:
         raise ValueError("segment_length must be > 0")
     t_last = series.times[-1]
     if t_last <= 0.0:
         raise ValueError("series must extend past t = 0")
+    if t_last / segment_length > len(series.times):
+        raise ValueError(f"segment_length {segment_length!r} gives more segments than observations")
     n_seg = max(1, math.ceil(t_last / segment_length - 1e-12))
     breakpoints = tuple(segment_length * k for k in range(1, n_seg))
 
@@ -361,18 +363,17 @@ def fit_beta_segments(
 def goodness(
     fit: FitResult, series: ObservationSeries
 ) -> Tuple[Tuple[float, ...], float, DailyOverlay]:
-    """Residuals and R^2 of a fit, plus the implied daily-count overlay."""
-    y = np.asarray(series.cumulative)
-    yhat = np.asarray(fit.fitted)
-    if y.size != yhat.size:
+    """The fit's own residuals and R^2, plus the implied daily-count overlay;
+    series must be the one the fit was made to."""
+    if len(series.cumulative) != len(fit.fitted):
         raise ValueError("fit is not aligned with the series")
-    dy = np.diff(y)
-    dyhat = np.diff(yhat)
-    r2, daily_r2 = _r_squared(y, yhat), _r_squared(dy, dyhat)
-    if math.isnan(r2) or math.isnan(daily_r2):
+    dy = np.diff(series.cumulative)
+    dyhat = np.diff(fit.fitted)
+    daily_r2 = _r_squared(dy, dyhat)
+    if math.isnan(fit.r_squared) or math.isnan(daily_r2):
         raise ValueError("R^2 undefined: observations have zero variance")
     daily = DailyOverlay(observed=tuple(dy), fitted=tuple(dyhat), r_squared=daily_r2)
-    return tuple(y - yhat), r2, daily
+    return fit.residuals, fit.r_squared, daily
 
 
 def _exponential_fit(

@@ -56,7 +56,8 @@ def _fmt(x: float) -> str:
 
 
 def _json_dump(obj, out: TextIO, indent: int = 0) -> None:
-    """Minimal JSON writer with fixed float formatting (NaN becomes null)."""
+    """Minimal JSON writer with fixed float formatting (NaN becomes null);
+    a complex number becomes {"re": ..., "im": ...}."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -85,6 +86,8 @@ def _json_dump(obj, out: TextIO, indent: int = 0) -> None:
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
         out.write("null" if math.isnan(x) else _fmt(x))
+    elif isinstance(obj, complex):
+        _json_dump({"re": obj.real, "im": obj.imag}, out, indent)
     elif obj is None:
         out.write("null")
     elif isinstance(obj, str):
@@ -272,24 +275,13 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     rc = _build_run_config(args)
     p = rc.params
     endemic = equilibria.compute_endemic(p)
-    report = {
+    _write_json(args.out, {
         "mfe": asdict(equilibria.compute_mfe(p)),
         "threshold": asdict(equilibria.compute_rc(p, n0=rc.init.total)),
         "mfe_spectrum": asdict(equilibria.mfe_spectrum(p)),
-        "endemic": None,
-        "routh_hurwitz": None,
-    }
-    if endemic is not None:
-        report["endemic"] = asdict(endemic)
-        rh = equilibria.endemic_stability(p)
-        report["routh_hurwitz"] = {
-            "h1": rh.h1, "h2": rh.h2, "h3": rh.h3, "h4": rh.h4, "h5": rh.h5,
-            "conditions": list(rh.conditions),
-            "stable": rh.stable,
-            "marginal": rh.marginal,
-            "eigenvalues": [{"re": z.real, "im": z.imag} for z in rh.eigenvalues],
-        }
-    _write_json(args.out, report)
+        "endemic": None if endemic is None else asdict(endemic),
+        "routh_hurwitz": None if endemic is None else asdict(equilibria.endemic_stability(p)),
+    })
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -275,39 +275,39 @@ def _accepts(r: float, delta: float, temp: float, rule: str) -> bool:
 
 
 def _hybrid_minimize(
-    cost_fn: Callable[[Controls], float],
-    grad_fn: Callable[[Controls], Controls],
+    score: Callable[[Controls], Tuple[float, Any]],
+    grad_fn: Callable[[Controls, Any], Controls],
     start: Controls,
     sa: SAConfig,
     floor_fn: Callable[[Controls], float] = lambda c: -math.inf,
-    on_best: Callable[[Controls], None] = lambda c: None,
 ) -> OptimRun:
     """Generic hybrid driver over [0, 1]^2; see hybrid_optimize for the rules.
 
-    floor_fn(c) must never exceed cost_fn(c) in floating point. An annealing
-    candidate whose floor is no clear improvement draws its acceptance
-    number first and is rejected unscored when even the floor fails the
-    test; the run is the same as without the floor (-inf never prunes).
-    on_best(c) is called whenever c, the point cost_fn scored last, becomes
-    the incumbent.
+    score(c) returns (J, aux), where aux is whatever grad_fn needs besides c.
+    The incumbent's aux is kept next to its controls and J, and grad_fn is
+    called only at the incumbent: the gradient phase starts there, and each
+    step it accepts lowers J by more than eps_k >= 0, so it becomes the
+    incumbent. floor_fn(c) must never exceed score(c)[0] in
+    floating point. An annealing candidate whose floor is no clear
+    improvement draws its acceptance number first and is rejected unscored
+    when even the floor fails the test; the run is the same as without the
+    floor (-inf never prunes).
     """
     if not all(math.isfinite(x) for x in start):
         raise ValueError(f"start controls must be finite, got {start!r}")
     rng = random.Random(sa.rng_seed)
     c = _project(start)
-    j = cost_fn(c)
+    j, aux = score(c)
     history: List[Tuple[float, float, float]] = [(c[0], c[1], j)]
     tags: List[str] = ["start"]
-    best_c, best_j = c, j
-    on_best(c)
+    best_c, best_j, best_aux = c, j, aux
 
-    def record(point: Controls, value: float, tag: str) -> None:
-        nonlocal best_c, best_j
+    def record(point: Controls, value: float, point_aux: Any, tag: str) -> None:
+        nonlocal best_c, best_j, best_aux
         history.append((point[0], point[1], value))
         tags.append(tag)
         if value < best_j:
-            best_c, best_j = point, value
-            on_best(point)
+            best_c, best_j, best_aux = point, value, point_aux
 
     for _ in range(sa.max_outer):
         best_before = best_j
@@ -315,7 +315,7 @@ def _hybrid_minimize(
         # Gradient-based local search, restarted from the incumbent.
         c, j = best_c, best_j
         for _ in range(sa.grad_steps):
-            g1, g2 = grad_fn(c)
+            g1, g2 = grad_fn(c, best_aux)  # c is the incumbent
             eta = sa.step_eta
             moved = False
             for _ in range(20):
@@ -323,10 +323,10 @@ def _hybrid_minimize(
                 if cand == c:
                     eta *= 0.5
                     continue
-                jc = cost_fn(cand)
+                jc, aux = score(cand)
                 if j - jc > sa.eps_k:
                     c, j = cand, jc
-                    record(c, j, "gradient")
+                    record(c, j, aux, "gradient")
                     moved = True
                     break
                 eta *= 0.5
@@ -347,12 +347,12 @@ def _hybrid_minimize(
                 r = None
                 floor_delta = floor_fn(cand) - j
                 if floor_delta >= -sa.delta_k:
-                    # cost_fn(cand) - j >= floor_delta: the draw alone decides,
+                    # score(cand)[0] - j >= floor_delta: the draw alone decides,
                     # and a draw that fails at the floor fails at the cost too.
                     r = rng.random()
                     if not _accepts(r, floor_delta, temp, sa.accept_rule):
                         continue
-                jc = cost_fn(cand)
+                jc, aux = score(cand)
                 delta = jc - j
                 if delta < -sa.delta_k:
                     accept = True
@@ -362,7 +362,7 @@ def _hybrid_minimize(
                     accept = _accepts(r, delta, temp, sa.accept_rule)
                 if accept:
                     c, j = cand, jc
-                    record(c, j, "anneal")
+                    record(c, j, aux, "anneal")
 
         if best_before - best_j <= sa.eps_k:
             break
@@ -397,31 +397,22 @@ def hybrid_optimize(
 
     Each scored point is integrated once. J >= k1 * c1 + k2 * c2 (see cost),
     so an annealing candidate whose control cost alone already fails the
-    acceptance draw is rejected without being integrated. At most two
-    forward runs are held, those of the last scored point and of the
-    incumbent, and a gradient at either reuses its run. The result is the
-    same to the bit as scoring and integrating every point.
+    acceptance draw is rejected without being integrated. Gradients are
+    taken only at the incumbent, whose forward run _hybrid_minimize keeps,
+    so no gradient integrates again. The result is the same to the bit as
+    scoring and integrating every point.
     """
-    last = best = (None, None)  # (controls, forward run)
+    def score(c: Controls) -> Tuple[float, Trajectory]:
+        forward = integrate(p.with_controls(*c), init, cp.horizon, cfg)
+        return cost(p, cp, c, init, cfg, forward=forward), forward
 
-    def cost_fn(c: Controls) -> float:
-        nonlocal last
-        traj = integrate(p.with_controls(*c), init, cp.horizon, cfg)
-        last = (c, traj)
-        return cost(p, cp, c, init, cfg, forward=traj)
-
-    def keep_best(c: Controls) -> None:
-        nonlocal best
-        best = last if last[0] == c else (None, None)
-
-    def grad_fn(c: Controls) -> Controls:
-        forward = next((traj for key, traj in (last, best) if key == c), None)
+    def grad_fn(c: Controls, forward: Trajectory) -> Controls:
         return gradient(p, cp, c, init, cfg, forward=forward)
 
     def floor_fn(c: Controls) -> float:
         return cp.k1 * c[0] + cp.k2 * c[1]
 
-    return _hybrid_minimize(cost_fn, grad_fn, start, sa, floor_fn, keep_best)
+    return _hybrid_minimize(score, grad_fn, start, sa, floor_fn)
 
 
 def effort_split(opt: Controls) -> Tuple[float, float]:

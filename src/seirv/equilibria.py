@@ -115,8 +115,8 @@ class RouthHurwitzReport:
     h5: float
     conditions: Tuple[bool, bool, bool, bool, bool]
     stable: bool
-    eigenvalues: Tuple[complex, ...]
     marginal: bool
+    eigenvalues: Tuple[complex, ...]
 
 
 @dataclass(frozen=True)
@@ -306,7 +306,7 @@ def endemic_stability(p: ModelParams) -> RouthHurwitzReport:
     Refuses (NoEndemicPointError) when rc <= 1, since there is no endemic
     point to analyze. The quintic coefficients come from the Jacobian matrix
     itself, and the eigenvalues are recomputed from the polynomial as an
-    independent cross-check.
+    independent cross-check. ArithmeticError when the polynomial overflows.
     """
     point = compute_endemic(p)
     if point is None:
@@ -314,8 +314,10 @@ def endemic_stability(p: ModelParams) -> RouthHurwitzReport:
         raise NoEndemicPointError(
             f"no endemic equilibrium: rc = {rc:.6g} <= 1 at these parameters"
         )
-    jac = endemic_jacobian(p, point)
-    coeffs = characteristic_polynomial(jac)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        coeffs = characteristic_polynomial(endemic_jacobian(p, point))
+    if not np.all(np.isfinite(coeffs)):
+        raise ArithmeticError("characteristic polynomial of the endemic Jacobian is not finite")
     h = coeffs[1:]
     conditions = _routh_hurwitz_conditions(h)
     roots = polynomial_roots(coeffs)
@@ -324,8 +326,8 @@ def endemic_stability(p: ModelParams) -> RouthHurwitzReport:
         h1=float(h[0]), h2=float(h[1]), h3=float(h[2]), h4=float(h[3]), h5=float(h[4]),
         conditions=conditions,
         stable=all(conditions),
-        eigenvalues=tuple(complex(z) for z in roots),
         marginal=marginal,
+        eigenvalues=tuple(complex(z) for z in roots),
     )
 
 

@@ -178,6 +178,7 @@ class ControlSchedule:
 
 
 _CLAMP_REL = 1e-12  # integrate's clamp band, relative to the initial population
+MAX_STEPS = 10**7  # integrate refuses longer plans (50x dt=0.01 over horizon 2000)
 
 
 @dataclass(frozen=True)
@@ -328,11 +329,14 @@ def integrate(
     time; the active values are sampled at each step's start time and held
     constant across the RK4 substeps. After each step, components inside
     (-1e-12 * N0, 0) are clamped to zero. Raises IntegrationDivergedError
-    naming the first bad step if the state stops being finite.
+    naming the first bad step if the state stops being finite, and
+    ValueError for a plan of more than MAX_STEPS steps.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be > 0, got {horizon!r}")
     dt = cfg.dt
+    if horizon / dt > MAX_STEPS:
+        raise ValueError(f"horizon {horizon!r} at dt={dt!r} needs more than {MAX_STEPS} steps")
     n_steps = int(round(horizon / dt))
     if n_steps < 1:
         raise ValueError(f"horizon {horizon!r} shorter than one step dt={dt!r}")

@@ -1,4 +1,5 @@
-"""Golden digests of the simulation and control layers and of CLI output.
+"""Golden digests of the simulation, control, calibration and analysis
+layers and of CLI output.
 
 Each case computes one output at small sizes and reduces it to a SHA-256:
 arrays through ``.tobytes()``, scalars through ``float.hex``, CLI output
@@ -26,7 +27,7 @@ from typing import Callable, Dict, Sequence
 
 import numpy as np
 
-from seirv import cli
+from seirv import analysis, calibration, cli, equilibria
 from seirv.control import CostParams, SAConfig, cost, gradient, hybrid_optimize, solve_adjoint
 from seirv.model import (
     BetaSchedule,
@@ -115,6 +116,59 @@ def _optimize(accept_rule: str) -> Callable[[], str]:
     return case
 
 
+def _fit_goodness() -> str:
+    truth = BetaSchedule((7.0, 14.0), (2e-9, 6e-9, 3.5e-9))
+    init = State(1e9, 0.0, 1e4, 0.0, 0.0)
+    series = calibration.generate_synthetic(DEFAULT_PARAMS, truth, init, tuple(range(22)),
+                                            0.01, seed=7, relative=True, cfg=FINE)
+    fit = calibration.fit_beta_segments(series, DEFAULT_PARAMS, 7.0, init,
+                                        calibration.NelderMeadConfig(max_iter=30), FINE)
+    residuals, r2, daily = calibration.goodness(fit, series)
+    return _digest(*fit.beta_segments.values, fit.sse, *fit.residuals, fit.r_squared,
+                   *fit.fitted, *fit.warnings, *residuals, r2, *daily.observed,
+                   *daily.fitted, daily.r_squared)
+
+
+def _averted() -> str:
+    curve = calibration.averted_cases(DEFAULT_PARAMS, (0.1, 0.1), (0.0, 50.0, 100.0, 200.0),
+                                      INIT, 400.0, COARSE)
+    return _digest(*curve.onsets, *curve.averted, *curve.decay_fit, curve.decay_r2)
+
+
+def _region_map() -> str:
+    rmap = analysis.region_map(DEFAULT_PARAMS, 21)
+    return _digest(rmap.c1_grid, rmap.c2_grid, rmap.growth, rmap.separatrix)
+
+
+def _sensitivity() -> str:
+    indices = analysis.sensitivity_indices(DEFAULT_PARAMS.with_controls(0.1, 0.1))
+    return _digest(*(x for ix in indices for x in (ix.parameter, ix.value)))
+
+
+def _bifurcation() -> str:
+    # rc = 1 at beta ~ 1.13e-8 for these controls, inside the scanned range
+    branch = equilibria.bifurcation_scan(DEFAULT_PARAMS.with_controls(0.1, 0.1),
+                                         (1e-9, 4e-8), 9)
+    return _digest(branch.beta_grid, branch.ie_values, *branch.stability_flags,
+                   branch.rc_values)
+
+
+def _characteristics(rows) -> list:
+    return [x for ch in rows for x in (ch.i_max, ch.t_m, ch.i_tot)]
+
+
+def _sweep_beta() -> str:
+    rows = analysis.sweep_beta(DEFAULT_PARAMS, (2e-9, 4e-9, 6e-9), INIT, 200.0, COARSE)
+    return _digest(*_characteristics(rows))
+
+
+def _sweep_control() -> str:
+    table = analysis.sweep_control(DEFAULT_PARAMS, "c2", (0.0, 0.1, 0.3), (2e-9, 6e-9),
+                                   INIT, 200.0, COARSE)
+    return _digest(table.which, *table.beta_values, *table.control_values,
+                   *(x for row in table.cells for x in _characteristics(row)))
+
+
 def _cli(argv: Sequence[str], outputs: Sequence[str] = ("--out",)) -> Callable[[], str]:
     """Run seirv in-process with each output flag pointing at a file; hash the files."""
     def case() -> str:
@@ -139,9 +193,19 @@ CASES: Dict[str, Callable[[], str]] = {
     "gradient_f64_controls": lambda: _gradient(CONTROLS_F64),
     "hybrid_optimize_scaled": _optimize("scaled"),
     "hybrid_optimize_classical": _optimize("classical"),
+    "fit_beta_segments_goodness": _fit_goodness,
+    "averted_cases": _averted,
+    "region_map": _region_map,
+    "sensitivity_indices": _sensitivity,
+    "bifurcation_scan": _bifurcation,
+    "sweep_beta": _sweep_beta,
+    "sweep_control": _sweep_control,
     "cli_simulate": _cli(["simulate", "--dt", "0.5", "--horizon", "200"]),
     "cli_region": _cli(["region", "--resolution", "11"]),
     "cli_sensitivity": _cli(["sensitivity"]),
+    "cli_equilibria": _cli(["equilibria"]),
+    "cli_equilibria_no_endemic": _cli(["equilibria", "--c1", "0.1", "--c2", "0.1"]),
+    "cli_characteristics": _cli(["characteristics", "--dt", "0.5", "--horizon", "200"]),
     "cli_avert": _cli(["avert", "--dt", "0.5", "--horizon", "400", "--c1", "0.1",
                        "--c2", "0.1", "--onset-grid", "0,50,100,200"],
                       outputs=("--out", "--csv-out")),

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from seirv import analysis
 from seirv.analysis import (
     SENSITIVITY_PARAMETERS,
     characteristics,
@@ -131,6 +132,13 @@ def test_region_map_validation():
         region_map(DEFAULT_PARAMS, 1)
     with pytest.raises(ValueError):
         classify_region(DEFAULT_PARAMS, 1.2, 0.0)
+
+
+def test_region_map_refuses_grids_over_the_cell_cap(monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_CELLS", 100)
+    assert region_map(DEFAULT_PARAMS, 10).growth.shape == (10, 10)
+    with pytest.raises(ValueError, match="more than 100 grid cells"):
+        region_map(DEFAULT_PARAMS, 11)
 
 
 # ---------------------------------------------------------------- characteristics

@@ -283,11 +283,28 @@ def test_avert_rejects_onsets_past_horizon_or_none(tmp_path, capsys, grid):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would escape main
 @pytest.mark.parametrize("flags", [["--beta", "1e308", "--c1", "0.1"],
                                    ["--sigma1", "1e308", "--sigma2", "1e308"]])
-def test_linalg_failure_exits_numerical(capsys, flags):
+def test_overflowing_rates_exit_numerical_with_one_line(capsys, flags):
     assert run_cli(["equilibria", *flags]) == EXIT_NUMERICAL
-    assert capsys.readouterr().err.startswith("seirv equilibria: numerical failure: ")
+    err = capsys.readouterr().err
+    assert err.startswith("seirv equilibria: numerical failure: characteristic polynomial")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--dt", "1e-300"],
+                                  ["simulate", "--dt", "1e-5", "--horizon", "2000"],
+                                  ["region", "--resolution", "200000"]])
+def test_huge_plans_are_refused_before_they_allocate(monkeypatch, capsys, argv):
+    def allocate(*args, **kwargs):
+        raise AssertionError("a huge plan reached allocation")
+
+    monkeypatch.setattr(np, "empty", allocate)
+    monkeypatch.setattr(np, "linspace", allocate)
+    assert run_cli([*argv, "--out", "-"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"seirv {argv[0]}: ") and "more than" in err
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from seirv import control
 from seirv.control import (
     CostParams,
     SAConfig,
@@ -217,9 +218,9 @@ def test_gradient_phase_solves_quadratic_surrogate():
     target = np.array([0.3, 0.6])
 
     def cost_fn(c):
-        return (c[0] - target[0]) ** 2 + 2.0 * (c[1] - target[1]) ** 2
+        return (c[0] - target[0]) ** 2 + 2.0 * (c[1] - target[1]) ** 2, None
 
-    def grad_fn(c):
+    def grad_fn(c, aux):
         return (2.0 * (c[0] - target[0]), 4.0 * (c[1] - target[1]))
 
     sa = SAConfig(t0=1e-9, n_cool=1, n_perturb=1, eps_k=1e-14, delta_k=1e-14,
@@ -232,9 +233,9 @@ def test_gradient_phase_solves_quadratic_surrogate():
 
 def test_optimizer_history_invariants():
     def cost_fn(c):
-        return (c[0] - 0.4) ** 2 + (c[1] - 0.2) ** 2 + 0.1 * math.sin(9 * c[0])
+        return (c[0] - 0.4) ** 2 + (c[1] - 0.2) ** 2 + 0.1 * math.sin(9 * c[0]), None
 
-    def grad_fn(c):
+    def grad_fn(c, aux):
         return (2 * (c[0] - 0.4) + 0.9 * math.cos(9 * c[0]), 2 * (c[1] - 0.2))
 
     sa = SAConfig(t0=0.05, n_cool=5, n_perturb=8, rng_seed=11, max_outer=6)
@@ -257,9 +258,9 @@ def test_optimizer_history_invariants():
 
 def test_optimizer_deterministic_per_seed():
     def cost_fn(c):
-        return (c[0] - 0.25) ** 2 + (c[1] - 0.75) ** 2
+        return (c[0] - 0.25) ** 2 + (c[1] - 0.75) ** 2, None
 
-    def grad_fn(c):
+    def grad_fn(c, aux):
         return (2 * (c[0] - 0.25), 2 * (c[1] - 0.75))
 
     sa = SAConfig(t0=0.05, n_cool=4, n_perturb=6, rng_seed=77, max_outer=4)
@@ -282,9 +283,9 @@ def test_temperature_schedule_identity():
 
 def test_classical_acceptance_rule_supported():
     def cost_fn(c):
-        return c[0] + c[1]
+        return c[0] + c[1], None
 
-    def grad_fn(c):
+    def grad_fn(c, aux):
         return (1.0, 1.0)
 
     sa = SAConfig(t0=0.5, n_cool=3, n_perturb=5, rng_seed=5, max_outer=2,
@@ -310,6 +311,29 @@ def test_hybrid_optimize_on_short_horizon_moves_downhill():
     run = hybrid_optimize(DEFAULT_PARAMS, cp, (0.5, 0.5), sa, init, IntegratorConfig(dt=0.5))
     assert run.j_star < 0.02  # descent drives both controls to ~0
     assert run.optimum[0] < 0.05 and run.optimum[1] < 0.05
+
+
+def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
+    # every gradient is taken at the incumbent and reads its held forward run
+    calls = {"integrate": 0, "cost": 0, "gradient": 0}
+    forwards = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "gradient":
+                forwards.append(kwargs.get("forward"))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(control, name, counted(name, getattr(control, name)))
+    cp = CostParams.for_run(DEFAULT_PARAMS, INIT, 1.0, 0.2, 0.3, 200.0)
+    sa = SAConfig(n_cool=3, n_perturb=4, rng_seed=9, max_outer=2)
+    hybrid_optimize(DEFAULT_PARAMS, cp, (0.1, 0.35), sa, INIT, IntegratorConfig(dt=0.5))
+    assert calls["cost"] > 0 and calls["gradient"] > 0
+    assert calls["integrate"] == calls["cost"]
+    assert all(isinstance(f, Trajectory) for f in forwards)
 
 
 @pytest.mark.parametrize("start", [(math.nan, 0.3), (0.3, math.inf)])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seirv import model
 from seirv.errors import IntegrationDivergedError
 from seirv.model import (
     BetaSchedule,
@@ -239,6 +240,15 @@ def test_integrate_validation(init_state):
         BetaSchedule((5.0,), (1e-9,))
     with pytest.raises(ValueError):
         ControlSchedule(10.0, (0.0, 0.0), (1.2, 0.0))
+
+
+def test_integrate_refuses_plans_over_the_step_cap(init_state, monkeypatch):
+    # a lowered cap shows the refusal without ever planning a huge run
+    monkeypatch.setattr(model, "MAX_STEPS", 100)
+    cfg = IntegratorConfig(dt=0.5)
+    assert len(integrate(DEFAULT_PARAMS, init_state, 50.0, cfg).times) == 101
+    with pytest.raises(ValueError, match="more than 100 steps"):
+        integrate(DEFAULT_PARAMS, init_state, 50.5, cfg)
 
 
 def test_trajectory_grid_structure(init_state):

@@ -1,12 +1,14 @@
 """Property tests: threshold classification, schedule/chained-run equality,
 float coercion of the value types and of the hot loops' inputs, population
-conservation, the optimizer's early rejection and forward-run reuse, and the
-CSV writer's cell format."""
+conservation, the optimizer's early rejection and forward-run reuse, the
+CSV writer's cell format, and the CLI's exit codes under extreme flag values."""
 
 import contextlib
 import copy
 import io
 import math
+import tempfile
+from pathlib import Path
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import sample_params
 from seirv.analysis import classify_region, region_map, separatrix_c2
+from seirv import cli
 from seirv.cli import _chunked_rows, _write_csv
 from seirv.control import CostParams, SAConfig, _hybrid_minimize, cost, gradient, solve_adjoint
 from seirv.model import (
@@ -138,9 +141,9 @@ def test_early_rejection_changes_no_run(seed, accept_rule, t0, start):
     # A synthetic cost summed like control.cost: (k0 * T + k1 c1) + k2 c2, T >= 0.
     def cost_fn(c):
         events.append(("cost", c))
-        return 0.05 * (math.sin(7.0 * c[0]) * math.cos(5.0 * c[1])) ** 2 + K1 * c[0] + K2 * c[1]
+        return 0.05 * (math.sin(7.0 * c[0]) * math.cos(5.0 * c[1])) ** 2 + K1 * c[0] + K2 * c[1], None
 
-    def grad_fn(c):
+    def grad_fn(c, aux):
         return (K1, K2)
 
     def floor_fn(c):
@@ -225,3 +228,51 @@ def test_csv_writer_matches_per_cell_format(data, kinds, n_rows):
 def test_chunked_rows_equal_whole_columns(n, chunk):
     columns = [np.arange(n, dtype=float) * 0.1, np.linspace(-1.0, 1.0, n)]
     assert list(_chunked_rows(columns, chunk)) == list(zip(*(c.tolist() for c in columns)))
+
+
+STRESS_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-300", "", "x")
+SHARED_FLAGS = ("--seed", "--dt", "--horizon", "--lambda", "--beta", "--alpha", "--eta1",
+                "--eta2", "--sigma1", "--sigma2", "--mu", "--c1", "--c2",
+                "--s0", "--e0", "--i0", "--r0", "--v0")
+COMMAND_FLAGS = {
+    "simulate": (),
+    "equilibria": (),
+    "sensitivity": ("--h-rel",),
+    "region": ("--resolution",),
+    "characteristics": (),
+    "optimize": ("--m0", "--k1", "--k2", "--start-c1", "--start-c2", "--t0-temp", "--cooling",
+                 "--n-cool", "--n-perturb", "--eps-k", "--delta-k", "--step-eta",
+                 "--max-outer", "--accept-rule"),
+    "calibrate": ("--kind", "--segment-length", "--nm-max-iter"),
+    "avert": ("--onset-grid",),
+}
+#: Small runs: eight steps, a short optimizer, a coarse region grid.
+STRESS_BASE = {
+    "optimize": ("--n-cool", "2", "--n-perturb", "2", "--max-outer", "2"),
+    "region": ("--resolution", "11"),
+    "avert": ("--onset-grid", "0,2,4"),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_cli_exits_cleanly_on_extreme_flag_values(data):
+    command = data.draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flag = data.draw(st.sampled_from(SHARED_FLAGS + COMMAND_FLAGS[command]))
+    value = data.draw(st.sampled_from(STRESS_VALUES))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        series = Path(tmp) / "series.csv"
+        series.write_text("time,count\n0,1\n1,5\n2,20\n3,60\n", encoding="utf-8")
+        # the drawn flag comes last, so it overrides the small-run defaults
+        argv = [command, "--horizon", "4", "--dt", "0.5", *STRESS_BASE.get(command, ()),
+                *(("--data", str(series)) if command == "calibrate" else ()),
+                "--out", str(Path(tmp) / "out"), f"{flag}={value}"]
+        with contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejected the value itself
+                code = exc.code
+    assert code in (0, 2, 3)
+    if code:
+        assert any(line.startswith(f"seirv {command}: ") for line in err.getvalue().splitlines())
