@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .equilibria import compute_mfe, compute_rc
+from .equilibria import compute_mfe, compute_rc, threshold_sides
 from .model import (
     IntegratorConfig,
     ModelParams,
@@ -103,6 +103,8 @@ def sensitivity_indices(p: ModelParams, h_rel: float = 1e-6) -> List[Sensitivity
             f"sensitivity index undefined for zero-valued parameter(s): {', '.join(zero)}"
         )
     rc0 = compute_rc(p).rc
+    if rc0 == 0.0:  # lam or alpha is zero, or rc underflowed
+        raise ValueError(f"sensitivity index undefined at rc = 0 (lam = {p.lam!r}, alpha = {p.alpha!r})")
     out = []
     for name in SENSITIVITY_PARAMETERS:
         x = getattr(p, name)
@@ -112,7 +114,7 @@ def sensitivity_indices(p: ModelParams, h_rel: float = 1e-6) -> List[Sensitivity
         value = (hi - lo) / (2.0 * step) * (x / rc0)
         out.append(SensitivityIndex(parameter=name, value=value))
     beta_idx = next(ix.value for ix in out if ix.parameter == "beta")
-    if abs(beta_idx - 0.5) > 1e-9:
+    if not abs(beta_idx - 0.5) <= 1e-9:  # also catches NaN
         raise ArithmeticError(
             f"beta elasticity {beta_idx!r} deviates from the analytic value 0.5"
         )
@@ -120,28 +122,28 @@ def sensitivity_indices(p: ModelParams, h_rel: float = 1e-6) -> List[Sensitivity
 
 
 def _exceeds_threshold(p: ModelParams, s0, c2):
-    """beta * S0 * alpha > (c2 + mu)(alpha + eta2 + mu), i.e. rc > 1.
+    """gain > loss of threshold_sides, i.e. rc > 1. Broadcasts over arrays.
 
-    Ties within 1e-12 relative go to extinction. Broadcasts over arrays.
+    Ties within 1e-12 relative go to extinction. ArithmeticError when a side
+    overflows, since inf against inf decides nothing.
     """
-    lhs = p.beta * s0 * p.alpha
-    rhs = (c2 + p.mu) * (p.alpha + p.eta2 + p.mu)
-    return lhs - rhs > 1e-12 * np.maximum(lhs, rhs)
+    with np.errstate(over="ignore"):
+        gain, loss = threshold_sides(p, s0, c2)
+    if not np.all(np.isfinite(gain) & np.isfinite(loss)):
+        raise ArithmeticError("threshold overflows: a side of rc^2 = gain / loss is not finite")
+    return gain - loss > 1e-12 * np.maximum(gain, loss)
 
 
 def classify_region(p: ModelParams, c1: float, c2: float) -> str:
-    """"growth" when the threshold exceeds one at (c1, c2), else "extinction".
-
-    Ties within 1e-12 relative go to "extinction".
-    """
+    """"growth" when rc > 1 at (c1, c2), else "extinction" (also for ties within 1e-12)."""
     s0 = compute_mfe(p.with_controls(c1, c2)).s0
     return "growth" if _exceeds_threshold(p, s0, c2) else "extinction"
 
 
 def separatrix_c2(p: ModelParams, c1: float) -> float:
     """Treatment rate on the rc = 1 curve at vaccination rate c1 (unclipped)."""
-    s0 = compute_mfe(p.with_controls(c1, p.c2)).s0
-    return p.beta * s0 * p.alpha / (p.alpha + p.eta2 + p.mu) - p.mu
+    gain, _ = threshold_sides(p, compute_mfe(p.with_controls(c1, p.c2)).s0, p.c2)
+    return gain / (p.alpha + p.eta2 + p.mu) - p.mu
 
 
 def region_map(p: ModelParams, resolution: int) -> RegionMap:

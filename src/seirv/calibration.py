@@ -76,25 +76,22 @@ class ObservationSeries:
 
 
 _NM_REFLECT, _NM_EXPAND, _NM_CONTRACT, _NM_SHRINK = 1.0, 2.0, 0.5, 0.5
+_NM_SPREAD = 0.1  # initial simplex edge relative to each start coordinate
 
 
 @dataclass(frozen=True)
 class NelderMeadConfig:
-    """Simplex stopping rules and initial size. The simplex coefficients are
-    fixed at reflection 1, expansion 2, contraction 0.5 and shrink 0.5."""
+    """Simplex stopping rules. The simplex moves and initial spread are the _NM_ constants."""
 
     tol_f: float = 1e-8
     tol_x: float = 1e-8
     max_iter: int = 2000
-    initial_spread: float = 0.1
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not all(math.isfinite(t) and t >= 0.0 for t in (self.tol_f, self.tol_x)):
             raise ValueError("tolerances tol_f and tol_x must be finite and >= 0")
-        if not (math.isfinite(self.initial_spread) and self.initial_spread > 0.0):
-            raise ValueError("initial_spread must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -197,7 +194,8 @@ def sse(
     """Sum of squared errors between observed and model cumulative counts."""
     y = np.asarray(series.cumulative)
     yhat = model_cumulative(p, beta_schedule, init, series.times, cfg)
-    return float(np.sum((y - yhat) ** 2))
+    with np.errstate(over="ignore"):  # an overflowed probe scores inf, which nelder_mead rejects
+        return float(np.sum((y - yhat) ** 2))
 
 
 def reflect_point(centroid: np.ndarray, worst: np.ndarray, alpha: float) -> np.ndarray:
@@ -235,7 +233,7 @@ def nelder_mead(
 
     simplex = [x0]
     for j in range(dim):
-        step = cfg.initial_spread * (abs(x0[j]) if x0[j] != 0.0 else 1.0)
+        step = _NM_SPREAD * (abs(x0[j]) if x0[j] != 0.0 else 1.0)
         vert = x0.copy()
         vert[j] += step
         if vert[j] > hi[j]:

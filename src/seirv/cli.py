@@ -32,6 +32,7 @@ from .model import (
     State,
     DEFAULT_PARAMS,
     integrate,
+    population_bound,
 )
 
 EXIT_OK = 0
@@ -277,7 +278,8 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     endemic = equilibria.compute_endemic(p)
     _write_json(args.out, {
         "mfe": asdict(equilibria.compute_mfe(p)),
-        "threshold": asdict(equilibria.compute_rc(p, n0=rc.init.total)),
+        "threshold": {**asdict(equilibria.compute_rc(p)),
+                      "n_tilde": population_bound(p, rc.init.total)},
         "mfe_spectrum": asdict(equilibria.mfe_spectrum(p)),
         "endemic": None if endemic is None else asdict(endemic),
         "routh_hurwitz": None if endemic is None else asdict(equilibria.endemic_stability(p)),

@@ -119,6 +119,8 @@ class SAConfig:
         for name in ("n_cool", "n_perturb", "max_outer", "grad_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.t0 * self.cooling ** (self.n_cool - 1) == 0.0:
+            raise ValueError("cooling underflows: the last temperature t0 * cooling**(n_cool - 1) is 0")
         for name in ("eps_k", "delta_k"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):

@@ -2,8 +2,8 @@
 propagation threshold, spectra, Routh-Hurwitz verdicts and bifurcation scans.
 
 The threshold rc is the spectral radius of the next-generation matrix at the
-malware-free equilibrium: rc = sqrt(beta * S0 * alpha / ((c2+mu)(alpha+eta2+mu))).
-An endemic equilibrium exists iff rc > 1.
+malware-free equilibrium: rc = sqrt(gain / loss), with both sides written out
+once in threshold_sides. An endemic equilibrium exists iff rc > 1.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import NoEndemicPointError
-from .model import ModelParams, population_bound
+from .model import ModelParams
 
 __all__ = [
     "MfePoint",
@@ -58,11 +58,10 @@ class MfePoint:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Propagation threshold and the population bound it was computed under."""
+    """Propagation threshold rc and its square."""
 
     rc: float
     rc_squared: float
-    n_tilde: float
 
 
 @dataclass(frozen=True)
@@ -142,24 +141,31 @@ def _mfe_denominator(p: ModelParams) -> float:
 
 
 def compute_mfe(p: ModelParams) -> MfePoint:
-    """Malware-free equilibrium of the system."""
+    """Malware-free equilibrium; ArithmeticError when its denominator rounds to <= 0."""
     d = _mfe_denominator(p)
+    if not d > 0.0:  # the unsimplified form cancels when mu is tiny
+        raise ArithmeticError(f"malware-free denominator d = {d!r} is not > 0 at mu = {p.mu!r}")
     s0 = p.lam / d
     r0 = p.eta1 * s0 / (p.sigma1 + p.mu)
     v0 = p.c1 * s0 / (p.sigma2 + p.mu)
     return MfePoint(s0=s0, e0=0.0, i0=0.0, r0=r0, v0=v0, denominator_d=d)
 
 
-def compute_rc(p: ModelParams, n0: Optional[float] = None) -> ThresholdResult:
-    """Propagation threshold rc from the next-generation matrix.
+def threshold_sides(p: ModelParams, s0, c2):
+    """The two sides of rc^2 = gain / loss at susceptible level s0 and
+    treatment rate c2: gain = beta * S0 * alpha (new exposures per infected
+    device times the E -> I rate) and loss = (c2 + mu)(alpha + eta2 + mu), the
+    product of the exit rates of I and E. Broadcasts over arrays."""
+    gain = p.beta * s0 * p.alpha
+    loss = (c2 + p.mu) * (p.alpha + p.eta2 + p.mu)
+    return gain, loss
 
-    n0, when given, enters only the reported population bound
-    n_tilde = max{n0, lam/mu}; rc itself does not depend on it.
-    """
-    s0 = compute_mfe(p).s0
-    rc2 = p.beta * s0 * p.alpha / ((p.c2 + p.mu) * (p.alpha + p.eta2 + p.mu))
-    n_tilde = population_bound(p, 0.0 if n0 is None else n0)
-    return ThresholdResult(rc=math.sqrt(rc2), rc_squared=rc2, n_tilde=n_tilde)
+
+def compute_rc(p: ModelParams) -> ThresholdResult:
+    """Propagation threshold rc from the next-generation matrix."""
+    gain, loss = threshold_sides(p, compute_mfe(p).s0, p.c2)
+    rc2 = gain / loss
+    return ThresholdResult(rc=math.sqrt(rc2), rc_squared=rc2)
 
 
 def mfe_spectrum(p: ModelParams) -> MfeSpectrum:
@@ -169,11 +175,10 @@ def mfe_spectrum(p: ModelParams) -> MfeSpectrum:
     parameters, so all five eigenvalues are real. Exactly one eigenvalue
     (the larger root of the infected block) is positive when rc > 1.
     """
-    rc = compute_rc(p)
-    w2 = p.alpha + p.eta2 + p.mu
-    w3 = p.c2 + p.mu
+    gain, loss = threshold_sides(p, compute_mfe(p).s0, p.c2)
+    rc2 = gain / loss
     l1 = p.alpha + p.c2 + p.eta2 + 2.0 * p.mu
-    l2 = w3 * w2 * (1.0 - rc.rc_squared)
+    l2 = loss * (1.0 - rc2)
     l3 = p.c1 + p.eta1 + p.sigma1 + p.sigma2 + 2.0 * p.mu
     l4 = (
         p.c1 * p.mu
@@ -197,19 +202,18 @@ def mfe_spectrum(p: ModelParams) -> MfeSpectrum:
     return MfeSpectrum(
         l1=l1, l2=l2, l3=l3, l4=l4,
         eigenvalues=(lam1, lam2, lam3, lam4, lam5),
-        stable=rc.rc < 1.0,
+        stable=math.sqrt(rc2) < 1.0,
     )
 
 
 def compute_endemic(p: ModelParams) -> Optional[EndemicPoint]:
     """Endemic equilibrium, or None when rc <= 1."""
     mfe = compute_mfe(p)
-    rc = compute_rc(p)
-    if rc.rc_squared <= 1.0:
+    gain, loss = threshold_sides(p, mfe.s0, p.c2)
+    if gain / loss <= 1.0:
         return None
-    w2 = p.alpha + p.eta2 + p.mu
     w3 = p.c2 + p.mu
-    se = w2 * w3 / (p.beta * p.alpha)
+    se = loss / (p.beta * p.alpha)
     a0 = mfe.denominator_d * (mfe.s0 - se)
     a1 = (
         p.beta * se
@@ -311,9 +315,7 @@ def endemic_stability(p: ModelParams) -> RouthHurwitzReport:
     point = compute_endemic(p)
     if point is None:
         rc = compute_rc(p).rc
-        raise NoEndemicPointError(
-            f"no endemic equilibrium: rc = {rc:.6g} <= 1 at these parameters"
-        )
+        raise NoEndemicPointError(f"no endemic equilibrium: rc = {rc:.6g} <= 1 at these parameters")
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         coeffs = characteristic_polynomial(endemic_jacobian(p, point))
     if not np.all(np.isfinite(coeffs)):
@@ -334,7 +336,7 @@ def endemic_stability(p: ModelParams) -> RouthHurwitzReport:
 def critical_beta(p: ModelParams) -> float:
     """Transmission rate where rc = 1 (bifurcation point), at p's controls."""
     s0 = compute_mfe(p).s0
-    return (p.c2 + p.mu) * (p.alpha + p.eta2 + p.mu) / (s0 * p.alpha)
+    return threshold_sides(p, s0, p.c2)[1] / (s0 * p.alpha)
 
 
 def bifurcation_scan(
@@ -359,8 +361,7 @@ def bifurcation_scan(
         pb = replace(p, beta=beta)
         rc_values[idx] = compute_rc(pb).rc
         point = compute_endemic(pb)
-        if point is None:
-            ie_values[idx] = 0.0
+        if point is None:  # ie stays 0
             flags.append("stable" if rc_values[idx] < 1.0 else "marginal")
         else:
             ie_values[idx] = point.ie

@@ -284,35 +284,26 @@ def _plan_segments(
     active segment value (right-open segments). Two beta breakpoints that
     snap to one index inside the run would drop a segment, so they raise.
     """
-    snap = lambda t: int(round(t / dt))
-    beta_cut_idx = (
-        [snap(b) for b in beta_schedule.breakpoints] if beta_schedule is not None else []
-    )
+    if beta_schedule is None:
+        breakpoints, values = (), (p.beta,)
+    else:
+        breakpoints, values = beta_schedule.breakpoints, beta_schedule.values
+    if control_schedule is None:
+        onset, before, after = 0, (p.c1, p.c2), (p.c1, p.c2)
+    else:
+        onset, before, after = control_schedule.onset, control_schedule.before, control_schedule.after
+
+    beta_cut_idx = [round(b / dt) for b in breakpoints]  # round() of a float is an int
     inside = [k for k in beta_cut_idx if 0 <= k < n_steps]
     if len(set(inside)) < len(inside):
         raise ValueError(f"beta breakpoints less than one grid step dt={dt!r} apart")
-    onset_idx = snap(control_schedule.onset) if control_schedule is not None else None
-
-    cuts = {0, n_steps}
-    cuts.update(k for k in beta_cut_idx if 0 < k < n_steps)
-    if onset_idx is not None and 0 < onset_idx < n_steps:
-        cuts.add(onset_idx)
-    edges = sorted(cuts)
-
-    plan = []
-    for k_lo, k_hi in zip(edges, edges[1:]):
-        if beta_schedule is not None:
-            beta = beta_schedule.values[bisect_right(beta_cut_idx, k_lo)]
-        else:
-            beta = p.beta
-        if onset_idx is not None:
-            c1, c2 = (
-                control_schedule.after if k_lo >= onset_idx else control_schedule.before
-            )
-        else:
-            c1, c2 = p.c1, p.c2
-        plan.append((k_lo, k_hi, beta, c1, c2))
-    return plan
+    onset_idx = round(onset / dt)
+    edges = sorted({0, n_steps, min(onset_idx, n_steps), *inside})
+    return [
+        (k_lo, k_hi, values[bisect_right(beta_cut_idx, k_lo)],
+         *(after if k_lo >= onset_idx else before))
+        for k_lo, k_hi in zip(edges, edges[1:])
+    ]
 
 
 def integrate(

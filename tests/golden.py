@@ -140,6 +140,24 @@ def _region_map() -> str:
     return _digest(rmap.c1_grid, rmap.c2_grid, rmap.growth, rmap.separatrix)
 
 
+#: Control rates straddling the rc = 1 curve at the default parameters.
+THRESHOLD_GRID = (0.0, 0.01, 0.03, 0.1, 0.3, 1.0)
+
+
+def _critical_beta() -> str:
+    return _digest(*(equilibria.critical_beta(DEFAULT_PARAMS.with_controls(c1, c2))
+                     for c1 in THRESHOLD_GRID for c2 in THRESHOLD_GRID))
+
+
+def _classify_region() -> str:
+    return _digest(*(analysis.classify_region(DEFAULT_PARAMS, c1, c2)
+                     for c1 in THRESHOLD_GRID for c2 in THRESHOLD_GRID))
+
+
+def _separatrix_c2() -> str:
+    return _digest(*(analysis.separatrix_c2(DEFAULT_PARAMS, c1) for c1 in THRESHOLD_GRID))
+
+
 def _sensitivity() -> str:
     indices = analysis.sensitivity_indices(DEFAULT_PARAMS.with_controls(0.1, 0.1))
     return _digest(*(x for ix in indices for x in (ix.parameter, ix.value)))
@@ -196,6 +214,9 @@ CASES: Dict[str, Callable[[], str]] = {
     "fit_beta_segments_goodness": _fit_goodness,
     "averted_cases": _averted,
     "region_map": _region_map,
+    "classify_region": _classify_region,
+    "separatrix_c2": _separatrix_c2,
+    "critical_beta": _critical_beta,
     "sensitivity_indices": _sensitivity,
     "bifurcation_scan": _bifurcation,
     "sweep_beta": _sweep_beta,

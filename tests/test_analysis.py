@@ -98,6 +98,16 @@ def test_region_ties_default_to_extinction():
     assert classify_region(p, 0.2, c2_star) == "extinction"
 
 
+@pytest.mark.filterwarnings("error")
+def test_region_refuses_an_overflowed_threshold():
+    # inf against inf once compared as a tie, labelled "extinction"
+    p = replace(DEFAULT_PARAMS, beta=1e308)
+    with pytest.raises(ArithmeticError, match="threshold overflows"):
+        classify_region(p, 0.5, 0.5)
+    with pytest.raises(ArithmeticError, match="threshold overflows"):
+        region_map(p, 5)
+
+
 def test_region_map_growth_area_increases_with_beta():
     fractions = []
     for beta in (2e-9, 4e-9, 6e-9):

@@ -146,7 +146,6 @@ def test_nelder_mead_quadratic_bowl():
 
 @pytest.mark.parametrize("field, value", [
     ("tol_f", math.nan), ("tol_f", -1e-8), ("tol_x", math.inf), ("tol_x", -1.0),
-    ("initial_spread", 0.0), ("initial_spread", -0.1), ("initial_spread", math.nan),
 ])
 def test_nelder_mead_config_rejects_bad_tolerances_and_spread(field, value):
     with pytest.raises(ValueError, match=field):

@@ -293,6 +293,39 @@ def test_overflowing_rates_exit_numerical_with_one_line(capsys, flags):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would escape main
+@pytest.mark.parametrize("argv, code, message", [
+    # an overflowed threshold side once labelled every cell "extinction"
+    (["region", "--beta", "1e308"], EXIT_NUMERICAL, "threshold overflows"),
+    (["region", "--mu", "1e308"], EXIT_NUMERICAL, "threshold overflows"),
+    # and made every elasticity nan
+    (["sensitivity", "--beta", "1e308"], EXIT_NUMERICAL, "beta elasticity nan"),
+    (["sensitivity", "--lambda", "0"], EXIT_VALIDATION, "lam = 0.0"),
+    (["sensitivity", "--alpha", "0"], EXIT_VALIDATION, "alpha = 0.0"),
+    (["sensitivity", "--mu", "1e308"], EXIT_VALIDATION, "undefined at rc = 0"),
+    (["region", "--mu", "1e-300"], EXIT_NUMERICAL, "denominator d = 0.0"),
+    (["optimize", "--horizon", "4", "--dt", "0.5", "--n-cool", "3", "--n-perturb", "4",
+      "--max-outer", "1", "--cooling", "1e-300"], EXIT_VALIDATION, "cooling underflows"),
+])
+def test_degenerate_thresholds_and_temperatures_exit_with_one_line(tmp_path, capsys,
+                                                                   argv, code, message):
+    assert run_cli([*argv, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"seirv {argv[0]}: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")  # "overflow encountered in square" once leaked from sse
+@pytest.mark.parametrize("beta", ["0", "1e308", "1e-300"])
+def test_calibrate_from_degenerate_beta_runs_without_warnings(tmp_path, capsys, beta):
+    data = tmp_path / "series.csv"
+    data.write_text("time,count\n0,1\n1,5\n2,20\n3,60\n", encoding="utf-8")
+    argv = ["calibrate", "--horizon", "4", "--dt", "0.5", "--data", str(data),
+            "--beta", beta, "--out", str(tmp_path / "fit.json")]
+    assert run_cli(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv", [["simulate", "--dt", "1e-300"],
                                   ["simulate", "--dt", "1e-5", "--horizon", "2000"],
                                   ["region", "--resolution", "200000"]])

@@ -303,6 +303,12 @@ def test_sa_config_rejects_nonfinite_settings(field, value):
         SAConfig(**{field: value})
 
 
+def test_sa_config_rejects_cooling_that_underflows_the_last_temperature():
+    assert SAConfig(cooling=1e-300, n_cool=2).cooling == 1e-300  # last temperature 2e-302
+    with pytest.raises(ValueError, match="cooling"):
+        SAConfig(cooling=1e-300, n_cool=3)
+
+
 def test_hybrid_optimize_on_short_horizon_moves_downhill():
     # cheap smoke run of the fully wired optimizer
     init = State(1e9, 0, 0, 0, 0)  # no infection: J = k1 c1 + k2 c2

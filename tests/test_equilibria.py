@@ -1,5 +1,6 @@
 """Equilibrium, threshold, spectrum, Routh-Hurwitz and bifurcation tests."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import sample_params
+from seirv.cli import main
 from seirv.equilibria import (
     bifurcation_scan,
     characteristic_polynomial,
@@ -64,6 +66,12 @@ def test_mfe_at_reference_point():
     assert mfe.v0 == pytest.approx(p.c1 * mfe.s0 / (p.sigma2 + p.mu), rel=1e-14)
 
 
+def test_mfe_refuses_a_denominator_that_rounds_to_zero():
+    # the unsimplified denominator cancels to 0.0 when mu is tiny and c1 > 0
+    with pytest.raises(ArithmeticError, match="mu = 1e-300"):
+        compute_mfe(replace(DEFAULT_PARAMS, mu=1e-300, c1=0.1))
+
+
 def test_mfe_zeroes_the_vector_field_on_random_draws():
     rng = np.random.default_rng(11)
     for _ in range(1000):
@@ -94,11 +102,16 @@ def test_rc_square_root_homogeneity_in_beta():
     assert scaled == pytest.approx(2.0 * base, rel=1e-12)
 
 
-def test_rc_population_bound():
-    thr = compute_rc(DEFAULT_PARAMS, n0=1e9 + 1)
-    assert thr.n_tilde == 1e9 + 1
-    assert compute_rc(DEFAULT_PARAMS, n0=1.0).n_tilde == DEFAULT_PARAMS.lam / DEFAULT_PARAMS.mu
+def test_rc_population_bound(tmp_path):
+    thr = compute_rc(DEFAULT_PARAMS)
     assert thr.rc == pytest.approx(math.sqrt(thr.rc_squared), rel=1e-15)
+    # the CLI threshold report adds n_tilde = max{N(0), lam/mu} after rc
+    out = tmp_path / "eq.json"
+    for s0, n_tilde in (("1e9", 1e9 + 1), ("0", DEFAULT_PARAMS.lam / DEFAULT_PARAMS.mu)):
+        assert main(["equilibria", "--s0", s0, "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))["threshold"]
+        assert report == {"rc": thr.rc, "rc_squared": thr.rc_squared, "n_tilde": n_tilde}
+        assert list(report) == ["rc", "rc_squared", "n_tilde"]
 
 
 # ---------------------------------------------------------------- MFE spectrum
