@@ -276,13 +276,15 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     rc = _build_run_config(args)
     p = rc.params
     endemic = equilibria.compute_endemic(p)
+    # before mfe_spectrum: where both overflow, the endemic polynomial is the failure reported
+    stability = None if endemic is None else asdict(equilibria.endemic_stability(p))
     _write_json(args.out, {
         "mfe": asdict(equilibria.compute_mfe(p)),
         "threshold": {**asdict(equilibria.compute_rc(p)),
                       "n_tilde": population_bound(p, rc.init.total)},
         "mfe_spectrum": asdict(equilibria.mfe_spectrum(p)),
         "endemic": None if endemic is None else asdict(endemic),
-        "routh_hurwitz": None if endemic is None else asdict(equilibria.endemic_stability(p)),
+        "routh_hurwitz": stability,
     })
     return EXIT_OK
 

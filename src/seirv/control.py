@@ -88,15 +88,19 @@ class GradientVector(NamedTuple):
     g2: float
 
 
+_GRAD_STEPS = 100  # descent steps per gradient phase, each halving step_eta up to 20 times
+
+
 @dataclass(frozen=True)
 class SAConfig:
     """Hybrid optimizer settings.
 
     t0/cooling/n_cool/n_perturb drive the annealing phase; eps_k and delta_k
     are the acceptance tolerances of the gradient and annealing phases;
-    step_eta is the initial descent step (halved up to 20 times until a step
-    improves by more than eps_k). accept_rule "scaled" uses the acceptance
-    probability T * exp(-delta/T); "classical" drops the leading T factor.
+    step_eta is the initial descent step of each of up to 100 gradient steps
+    (halved up to 20 times until a step improves by more than eps_k).
+    accept_rule "scaled" uses the acceptance probability T * exp(-delta/T);
+    "classical" drops the leading T factor.
     """
 
     t0: float = 0.02
@@ -109,14 +113,13 @@ class SAConfig:
     rng_seed: int = 0
     max_outer: int = 20
     accept_rule: str = "scaled"
-    grad_steps: int = 100
 
     def __post_init__(self):
         if not (math.isfinite(self.t0) and self.t0 > 0.0):
             raise ValueError("t0 must be finite and > 0")
         if not 0.0 < self.cooling < 1.0:
             raise ValueError("cooling must lie in (0, 1)")
-        for name in ("n_cool", "n_perturb", "max_outer", "grad_steps"):
+        for name in ("n_cool", "n_perturb", "max_outer"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.t0 * self.cooling ** (self.n_cool - 1) == 0.0:
@@ -271,8 +274,16 @@ def gradient(
 
 
 def _accepts(r: float, delta: float, temp: float, rule: str) -> bool:
-    """Annealing test of a move that changes J by delta against the draw r."""
-    weight = math.exp(-delta / temp)
+    """Annealing test of a move that changes J by delta against the draw r.
+
+    When exp(-delta / temp) is past the float range (a tiny temperature and
+    delta < 0), the classical weight exceeds any draw in [0, 1) and the
+    scaled rule compares in log form.
+    """
+    try:
+        weight = math.exp(-delta / temp)
+    except OverflowError:
+        return rule == "classical" or r == 0.0 or math.log(r) < math.log(temp) - delta / temp
     return r < (temp * weight if rule == "scaled" else weight)
 
 
@@ -316,7 +327,7 @@ def _hybrid_minimize(
 
         # Gradient-based local search, restarted from the incumbent.
         c, j = best_c, best_j
-        for _ in range(sa.grad_steps):
+        for _ in range(_GRAD_STEPS):
             g1, g2 = grad_fn(c, best_aux)  # c is the incumbent
             eta = sa.step_eta
             moved = False

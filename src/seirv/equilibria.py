@@ -141,11 +141,14 @@ def _mfe_denominator(p: ModelParams) -> float:
 
 
 def compute_mfe(p: ModelParams) -> MfePoint:
-    """Malware-free equilibrium; ArithmeticError when its denominator rounds to <= 0."""
+    """Malware-free equilibrium; ArithmeticError when its denominator rounds
+    to <= 0 or its susceptible level S0 = lam / d overflows."""
     d = _mfe_denominator(p)
     if not d > 0.0:  # the unsimplified form cancels when mu is tiny
         raise ArithmeticError(f"malware-free denominator d = {d!r} is not > 0 at mu = {p.mu!r}")
     s0 = p.lam / d
+    if not math.isfinite(s0):
+        raise ArithmeticError(f"malware-free S0 = lam / d overflows at lam = {p.lam!r}, d = {d!r}")
     r0 = p.eta1 * s0 / (p.sigma1 + p.mu)
     v0 = p.c1 * s0 / (p.sigma2 + p.mu)
     return MfePoint(s0=s0, e0=0.0, i0=0.0, r0=r0, v0=v0, denominator_d=d)
@@ -174,6 +177,7 @@ def mfe_spectrum(p: ModelParams) -> MfeSpectrum:
     Both quadratic factors have nonnegative discriminants for any admissible
     parameters, so all five eigenvalues are real. Exactly one eigenvalue
     (the larger root of the infected block) is positive when rc > 1.
+    ArithmeticError when a coefficient or discriminant overflows.
     """
     gain, loss = threshold_sides(p, compute_mfe(p).s0, p.c2)
     rc2 = gain / loss
@@ -192,6 +196,9 @@ def mfe_spectrum(p: ModelParams) -> MfeSpectrum:
     )
     disc12 = l1 * l1 - 4.0 * l2
     disc34 = l3 * l3 - 4.0 * l4
+    if not all(map(math.isfinite, (l1, l2, l3, l4, disc12, disc34))):
+        raise ArithmeticError("malware-free spectrum overflows: a coefficient l1..l4 or a "
+                              "discriminant is not finite")
     sq12 = math.sqrt(max(disc12, 0.0))
     sq34 = math.sqrt(max(disc34, 0.0))
     lam1 = -p.mu

@@ -337,12 +337,9 @@ def integrate(
     n0 = s + e + i + r + v
     clamp_floor = -_CLAMP_REL * n0
 
-    s_arr = np.empty(n_steps + 1)
-    e_arr = np.empty(n_steps + 1)
-    i_arr = np.empty(n_steps + 1)
-    r_arr = np.empty(n_steps + 1)
-    v_arr = np.empty(n_steps + 1)
-    s_arr[0], e_arr[0], i_arr[0], r_arr[0], v_arr[0] = s, e, i, r, v
+    states = np.empty((n_steps + 1, 5))
+    states[0] = s, e, i, r, v
+    s_arr, e_arr, i_arr, r_arr, v_arr = states.T  # column views: each step writes in place
 
     plan = _plan_segments(n_steps, dt, p, beta_schedule, control_schedule)
 
@@ -407,5 +404,4 @@ def integrate(
             r_arr[idx] = r; v_arr[idx] = v
 
     times = np.arange(n_steps + 1) * dt
-    states = np.column_stack((s_arr, e_arr, i_arr, r_arr, v_arr))
     return Trajectory(times=times, states=states, dt=dt)

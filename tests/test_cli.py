@@ -306,6 +306,11 @@ def test_overflowing_rates_exit_numerical_with_one_line(capsys, flags):
     (["region", "--mu", "1e-300"], EXIT_NUMERICAL, "denominator d = 0.0"),
     (["optimize", "--horizon", "4", "--dt", "0.5", "--n-cool", "3", "--n-perturb", "4",
       "--max-outer", "1", "--cooling", "1e-300"], EXIT_VALIDATION, "cooling underflows"),
+    # an overflowed malware-free spectrum or S0 once reached the JSON as inf or nan
+    (["equilibria", "--eta1", "1e308"], EXIT_NUMERICAL, "spectrum overflows"),
+    (["equilibria", "--eta2", "1e308"], EXIT_NUMERICAL, "spectrum overflows"),
+    (["equilibria", "--mu", "1e308"], EXIT_NUMERICAL, "spectrum overflows"),
+    (["equilibria", "--lambda", "1e308", "--beta", "0"], EXIT_NUMERICAL, "lam = 1e+308"),
 ])
 def test_degenerate_thresholds_and_temperatures_exit_with_one_line(tmp_path, capsys,
                                                                    argv, code, message):

@@ -224,7 +224,7 @@ def test_gradient_phase_solves_quadratic_surrogate():
         return (2.0 * (c[0] - target[0]), 4.0 * (c[1] - target[1]))
 
     sa = SAConfig(t0=1e-9, n_cool=1, n_perturb=1, eps_k=1e-14, delta_k=1e-14,
-                  step_eta=0.25, rng_seed=1, max_outer=3, grad_steps=400)
+                  step_eta=0.25, rng_seed=1, max_outer=3)
     run = _hybrid_minimize(cost_fn, grad_fn, (0.9, 0.05), sa)
     assert abs(run.optimum[0] - target[0]) < 1e-3
     assert abs(run.optimum[1] - target[1]) < 1e-3
@@ -309,11 +309,22 @@ def test_sa_config_rejects_cooling_that_underflows_the_last_temperature():
         SAConfig(cooling=1e-300, n_cool=3)
 
 
+@pytest.mark.parametrize("rule", ["scaled", "classical"])
+def test_acceptance_decides_where_the_weight_overflows(rule):
+    # exp(-delta / temp) is past the float range: exp(1e293), then exp(720)
+    assert control._accepts(0.5, -1e-7, 1e-300, rule)
+    temp = 1e-320  # subnormal; the scaled weight temp * exp(720) is about 5e-8
+    delta = -720.0 * temp
+    assert control._accepts(0.0, delta, temp, rule)
+    assert control._accepts(1e-9, delta, temp, rule)
+    assert control._accepts(0.5, delta, temp, rule) == (rule == "classical")
+
+
 def test_hybrid_optimize_on_short_horizon_moves_downhill():
     # cheap smoke run of the fully wired optimizer
     init = State(1e9, 0, 0, 0, 0)  # no infection: J = k1 c1 + k2 c2
     cp = CostParams.for_run(DEFAULT_PARAMS, init, 1.0, 0.2, 0.3, 50.0)
-    sa = SAConfig(n_cool=2, n_perturb=2, rng_seed=3, max_outer=3, grad_steps=60)
+    sa = SAConfig(n_cool=2, n_perturb=2, rng_seed=3, max_outer=3)
     run = hybrid_optimize(DEFAULT_PARAMS, cp, (0.5, 0.5), sa, init, IntegratorConfig(dt=0.5))
     assert run.j_star < 0.02  # descent drives both controls to ~0
     assert run.optimum[0] < 0.05 and run.optimum[1] < 0.05
@@ -347,7 +358,7 @@ def test_hybrid_optimize_rejects_nonfinite_start(start):
     # projection would turn NaN into 0 and inf into 1 and search from there
     init = State(1e9, 0, 0, 0, 0)
     cp = CostParams.for_run(DEFAULT_PARAMS, init, 1.0, 0.2, 0.3, 50.0)
-    sa = SAConfig(n_cool=1, n_perturb=1, max_outer=1, grad_steps=1)
+    sa = SAConfig(n_cool=1, n_perturb=1, max_outer=1)
     with pytest.raises(ValueError, match="start"):
         hybrid_optimize(DEFAULT_PARAMS, cp, start, sa, init, IntegratorConfig(dt=0.5))
 

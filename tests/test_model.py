@@ -1,6 +1,7 @@
 """Core model tests: right-hand side, integrator, schedules, conservation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,21 @@ def test_integrate_refuses_plans_over_the_step_cap(init_state, monkeypatch):
     assert len(integrate(DEFAULT_PARAMS, init_state, 50.0, cfg).times) == 101
     with pytest.raises(ValueError, match="more than 100 steps"):
         integrate(DEFAULT_PARAMS, init_state, 50.5, cfg)
+
+
+def test_integrate_allocates_little_beyond_the_arrays_it_returns():
+    # the steps are written into states itself: no per-column scratch arrays to copy
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        traj = integrate(DEFAULT_PARAMS, State(1e9, 0, 1, 0, 0), 2000.0, IntegratorConfig(dt=0.1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 1.5 * (traj.states.nbytes + traj.times.nbytes)
 
 
 def test_trajectory_grid_structure(init_state):

@@ -6,6 +6,7 @@ CSV writer's cell format, and the CLI's exit codes under extreme flag values."""
 import contextlib
 import copy
 import io
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -150,7 +151,7 @@ def test_early_rejection_changes_no_run(seed, accept_rule, t0, start):
         events.append(("floor", c))
         return K1 * c[0] + K2 * c[1]
 
-    sa = SAConfig(t0=t0, n_cool=4, n_perturb=6, max_outer=3, grad_steps=5,
+    sa = SAConfig(t0=t0, n_cool=4, n_perturb=6, max_outer=3,
                   rng_seed=seed, accept_rule=accept_rule)
     plain = _hybrid_minimize(cost_fn, grad_fn, start, sa)
     plain_calls = len(events)
@@ -246,12 +247,18 @@ COMMAND_FLAGS = {
     "calibrate": ("--kind", "--segment-length", "--nm-max-iter"),
     "avert": ("--onset-grid",),
 }
+#: Commands whose --out file is JSON.
+JSON_COMMANDS = ("equilibria", "characteristics", "optimize", "calibrate", "avert")
 #: Small runs: eight steps, a short optimizer, a coarse region grid.
 STRESS_BASE = {
     "optimize": ("--n-cool", "2", "--n-perturb", "2", "--max-outer", "2"),
     "region": ("--resolution", "11"),
     "avert": ("--onset-grid", "0,2,4"),
 }
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 @settings(max_examples=50, deadline=None)
@@ -265,14 +272,17 @@ def test_cli_exits_cleanly_on_extreme_flag_values(data):
         series = Path(tmp) / "series.csv"
         series.write_text("time,count\n0,1\n1,5\n2,20\n3,60\n", encoding="utf-8")
         # the drawn flag comes last, so it overrides the small-run defaults
+        out = Path(tmp) / "out"
         argv = [command, "--horizon", "4", "--dt", "0.5", *STRESS_BASE.get(command, ()),
                 *(("--data", str(series)) if command == "calibrate" else ()),
-                "--out", str(Path(tmp) / "out"), f"{flag}={value}"]
+                "--out", str(out), f"{flag}={value}"]
         with contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:  # argparse rejected the value itself
                 code = exc.code
+        if code == 0 and command in JSON_COMMANDS:  # NaN, Infinity or inf is no JSON
+            json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     assert code in (0, 2, 3)
     if code:
         assert any(line.startswith(f"seirv {command}: ") for line in err.getvalue().splitlines())
