@@ -88,7 +88,8 @@ class GradientVector(NamedTuple):
     g2: float
 
 
-_GRAD_STEPS = 100  # descent steps per gradient phase, each halving step_eta up to 20 times
+_GRAD_STEPS = 100  # descent steps per gradient phase, each halving step_eta up to _HALVINGS times
+_HALVINGS = 20  # step-size halvings per descent step before the phase stops
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,9 @@ class SAConfig:
 
     t0/cooling/n_cool/n_perturb drive the annealing phase; eps_k and delta_k
     are the acceptance tolerances of the gradient and annealing phases;
-    step_eta is the initial descent step of each of up to 100 gradient steps
-    (halved up to 20 times until a step improves by more than eps_k).
+    step_eta is the initial descent step of each of up to _GRAD_STEPS gradient
+    steps (halved up to _HALVINGS times until a step improves by more than
+    eps_k).
     accept_rule "scaled" uses the acceptance probability T * exp(-delta/T);
     "classical" drops the leading T factor.
     """
@@ -199,8 +201,11 @@ def solve_adjoint(forward: Trajectory, p: ModelParams, c: Controls) -> AdjointTr
 
     out = np.empty((n + 1, 5))
     out[n] = 0.0
+    o1, o2, o3, o4, o5 = out.T  # column views: each step writes in place
     h1 = h2 = h3 = h4 = h5 = 0.0
     hneg = -dt
+    hh = 0.5 * hneg
+    w = hneg / 6.0
     for k in range(n, 0, -1):
         s_hi, i_hi = s_arr[k], i_arr[k]
         s_lo, i_lo = s_arr[k - 1], i_arr[k - 1]
@@ -213,8 +218,8 @@ def solve_adjoint(forward: Trajectory, p: ModelParams, c: Controls) -> AdjointTr
         a4 = -sig1 * h1 + sr * h4
         a5 = -sig2 * h1 + vr * h5
 
-        u1 = h1 + 0.5 * hneg * a1; u2 = h2 + 0.5 * hneg * a2; u3 = h3 + 0.5 * hneg * a3
-        u4 = h4 + 0.5 * hneg * a4; u5 = h5 + 0.5 * hneg * a5
+        u1 = h1 + hh * a1; u2 = h2 + hh * a2; u3 = h3 + hh * a3
+        u4 = h4 + hh * a4; u5 = h5 + hh * a5
         bi = beta * i_mid; bs = beta * s_mid
         b1 = (bi + eta1 + c1 + mu) * u1 - bi * u2 - eta1 * u4 - c1 * u5
         b2 = ae * u2 - alpha * u3 - eta2 * u4
@@ -222,8 +227,8 @@ def solve_adjoint(forward: Trajectory, p: ModelParams, c: Controls) -> AdjointTr
         b4 = -sig1 * u1 + sr * u4
         b5 = -sig2 * u1 + vr * u5
 
-        u1 = h1 + 0.5 * hneg * b1; u2 = h2 + 0.5 * hneg * b2; u3 = h3 + 0.5 * hneg * b3
-        u4 = h4 + 0.5 * hneg * b4; u5 = h5 + 0.5 * hneg * b5
+        u1 = h1 + hh * b1; u2 = h2 + hh * b2; u3 = h3 + hh * b3
+        u4 = h4 + hh * b4; u5 = h5 + hh * b5
         c1_ = (bi + eta1 + c1 + mu) * u1 - bi * u2 - eta1 * u4 - c1 * u5
         c2_ = ae * u2 - alpha * u3 - eta2 * u4
         c3_ = bs * (u1 - u2) + ci * u3 - c2 * u4 + 1.0
@@ -239,13 +244,14 @@ def solve_adjoint(forward: Trajectory, p: ModelParams, c: Controls) -> AdjointTr
         d4 = -sig1 * u1 + sr * u4
         d5 = -sig2 * u1 + vr * u5
 
-        w = hneg / 6.0
         h1 += w * (a1 + 2.0 * b1 + 2.0 * c1_ + d1)
         h2 += w * (a2 + 2.0 * b2 + 2.0 * c2_ + d2)
         h3 += w * (a3 + 2.0 * b3 + 2.0 * c3_ + d3)
         h4 += w * (a4 + 2.0 * b4 + 2.0 * c4_ + d4)
         h5 += w * (a5 + 2.0 * b5 + 2.0 * c5_ + d5)
-        out[k - 1] = (h1, h2, h3, h4, h5)
+        idx = k - 1
+        o1[idx] = h1; o2[idx] = h2; o3[idx] = h3
+        o4[idx] = h4; o5[idx] = h5
 
     return AdjointTrajectory(times=forward.times, h=out)
 
@@ -300,11 +306,14 @@ def _hybrid_minimize(
     The incumbent's aux is kept next to its controls and J, and grad_fn is
     called only at the incumbent: the gradient phase starts there, and each
     step it accepts lowers J by more than eps_k >= 0, so it becomes the
-    incumbent. floor_fn(c) must never exceed score(c)[0] in
-    floating point. An annealing candidate whose floor is no clear
-    improvement draws its acceptance number first and is rejected unscored
-    when even the floor fails the test; the run is the same as without the
-    floor (-inf never prunes).
+    incumbent. A phase that stalls is not rerun until the incumbent moves:
+    score and grad_fn are pure and the phase draws no rng, so it would score
+    the same candidates and reject them again. floor_fn(c) must never exceed
+    score(c)[0] in floating point. A gradient candidate whose floor already
+    fails the eps_k decrease test is skipped unscored. An annealing candidate
+    whose floor is no clear improvement draws its acceptance number first
+    and is rejected unscored when even the floor fails the test. The run is
+    the same as without the floor (-inf never prunes).
     """
     if not all(math.isfinite(x) for x in start):
         raise ValueError(f"start controls must be finite, got {start!r}")
@@ -314,6 +323,7 @@ def _hybrid_minimize(
     history: List[Tuple[float, float, float]] = [(c[0], c[1], j)]
     tags: List[str] = ["start"]
     best_c, best_j, best_aux = c, j, aux
+    stalled: Optional[Controls] = None  # incumbent where a gradient phase stopped
 
     def record(point: Controls, value: float, point_aux: Any, tag: str) -> None:
         nonlocal best_c, best_j, best_aux
@@ -325,26 +335,30 @@ def _hybrid_minimize(
     for _ in range(sa.max_outer):
         best_before = best_j
 
-        # Gradient-based local search, restarted from the incumbent.
+        # Gradient-based local search, restarted from the incumbent unless a
+        # phase already stalled there: it would score the same candidates.
         c, j = best_c, best_j
-        for _ in range(_GRAD_STEPS):
-            g1, g2 = grad_fn(c, best_aux)  # c is the incumbent
-            eta = sa.step_eta
-            moved = False
-            for _ in range(20):
-                cand = _project((c[0] - eta * g1, c[1] - eta * g2))
-                if cand == c:
+        if c != stalled:
+            for _ in range(_GRAD_STEPS):
+                g1, g2 = grad_fn(c, best_aux)  # c is the incumbent
+                eta = sa.step_eta
+                moved = False
+                for _ in range(_HALVINGS):
+                    cand = _project((c[0] - eta * g1, c[1] - eta * g2))
+                    if cand == c or j - floor_fn(cand) <= sa.eps_k:
+                        # j - score(cand)[0] <= j - floor: no decrease beyond eps_k
+                        eta *= 0.5
+                        continue
+                    jc, aux = score(cand)
+                    if j - jc > sa.eps_k:
+                        c, j = cand, jc
+                        record(c, j, aux, "gradient")
+                        moved = True
+                        break
                     eta *= 0.5
-                    continue
-                jc, aux = score(cand)
-                if j - jc > sa.eps_k:
-                    c, j = cand, jc
-                    record(c, j, aux, "gradient")
-                    moved = True
+                if not moved:
+                    stalled = c
                     break
-                eta *= 0.5
-            if not moved:
-                break
 
         # Simulated-annealing phase.
         for temp in temperature_schedule(sa, sa.n_cool):
@@ -409,11 +423,13 @@ def hybrid_optimize(
     must be finite (ValueError otherwise); they are projected into [0, 1]^2.
 
     Each scored point is integrated once. J >= k1 * c1 + k2 * c2 (see cost),
-    so an annealing candidate whose control cost alone already fails the
-    acceptance draw is rejected without being integrated. Gradients are
-    taken only at the incumbent, whose forward run _hybrid_minimize keeps,
-    so no gradient integrates again. The result is the same to the bit as
-    scoring and integrating every point.
+    so a gradient candidate whose control cost alone already fails the eps_k
+    decrease test, and an annealing candidate whose control cost alone
+    already fails the acceptance draw, are rejected without being
+    integrated. Gradients are taken only at the incumbent, whose forward run
+    _hybrid_minimize keeps, so no gradient integrates again, and a gradient
+    phase that stalled is not run again from the same incumbent. The result
+    is the same to the bit as scoring and integrating every point.
     """
     def score(c: Controls) -> Tuple[float, Trajectory]:
         forward = integrate(p.with_controls(*c), init, cp.horizon, cfg)

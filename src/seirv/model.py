@@ -403,5 +403,5 @@ def integrate(
             s_arr[idx] = s; e_arr[idx] = e; i_arr[idx] = i
             r_arr[idx] = r; v_arr[idx] = v
 
-    times = np.arange(n_steps + 1) * dt
+    times = np.arange(n_steps + 1, dtype=float) * dt
     return Trajectory(times=times, states=states, dt=dt)

@@ -331,15 +331,20 @@ def test_hybrid_optimize_on_short_horizon_moves_downhill():
 
 
 def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
-    # every gradient is taken at the incumbent and reads its held forward run
+    # every gradient is taken at the incumbent and reads its held forward run,
+    # and a gradient phase that stalled is not replayed from the same incumbent
     calls = {"integrate": 0, "cost": 0, "gradient": 0}
     forwards = []
+    integrated, graded = [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "integrate":
+                integrated.append((args[0].c1, args[0].c2))
             if name == "gradient":
                 forwards.append(kwargs.get("forward"))
+                graded.append(args[2])
             return fn(*args, **kwargs)
         return wrapper
 
@@ -351,6 +356,8 @@ def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
     assert calls["cost"] > 0 and calls["gradient"] > 0
     assert calls["integrate"] == calls["cost"]
     assert all(isinstance(f, Trajectory) for f in forwards)
+    assert len(set(integrated)) == len(integrated)
+    assert len(set(graded)) == len(graded)
 
 
 @pytest.mark.parametrize("start", [(math.nan, 0.3), (0.3, math.inf)])

@@ -129,14 +129,10 @@ K1, K2 = 0.2, 0.3
 controls = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 
 
-@SMALL
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    accept_rule=st.sampled_from(["scaled", "classical"]),
-    t0=st.floats(1e-3, 0.5),
-    start=controls,
-)
-def test_early_rejection_changes_no_run(seed, accept_rule, t0, start):
+def _floor_runs(seed, accept_rule, t0, start, sign):
+    """The driver on a synthetic cost, without and with its floor: (plain, pruned)
+    runs and the (kind, point) events each made. The gradient is sign * (K1, K2),
+    so sign -1 points uphill in K1 c1 + K2 c2 and backtracking meets the floor."""
     events = []
 
     # A synthetic cost summed like control.cost: (k0 * T + k1 c1) + k2 c2, T >= 0.
@@ -145,7 +141,7 @@ def test_early_rejection_changes_no_run(seed, accept_rule, t0, start):
         return 0.05 * (math.sin(7.0 * c[0]) * math.cos(5.0 * c[1])) ** 2 + K1 * c[0] + K2 * c[1], None
 
     def grad_fn(c, aux):
-        return (K1, K2)
+        return (sign * K1, sign * K2)
 
     def floor_fn(c):
         events.append(("floor", c))
@@ -154,15 +150,41 @@ def test_early_rejection_changes_no_run(seed, accept_rule, t0, start):
     sa = SAConfig(t0=t0, n_cool=4, n_perturb=6, max_outer=3,
                   rng_seed=seed, accept_rule=accept_rule)
     plain = _hybrid_minimize(cost_fn, grad_fn, start, sa)
-    plain_calls = len(events)
+    plain_events = events[:]
     events.clear()
     pruned = _hybrid_minimize(cost_fn, grad_fn, start, sa, floor_fn)
+    return plain, pruned, plain_events, events
+
+
+@SMALL
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    accept_rule=st.sampled_from(["scaled", "classical"]),
+    t0=st.floats(1e-3, 0.5),
+    start=controls,
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_early_rejection_changes_no_run(seed, accept_rule, t0, start, sign):
+    plain, pruned, plain_events, events = _floor_runs(seed, accept_rule, t0, start, sign)
     assert pruned == plain
     # a floor not followed by scoring the same point is a skipped cost_fn call
     skipped = sum(1 for k, (kind, c) in enumerate(events)
                   if kind == "floor" and events[k + 1:k + 2] != [("cost", c)])
     calls = sum(1 for kind, _ in events if kind == "cost")
-    assert calls == plain_calls - skipped
+    assert calls == len(plain_events) - skipped
+
+
+def test_gradient_phase_skips_candidates_its_floor_rules_out():
+    # At c1 = 0 the synthetic J equals its floor, so every uphill candidate's
+    # floor already exceeds J: the plain run scores the first one, the run
+    # with the floor skips it.
+    start = (0.0, 0.3)
+    plain, pruned, plain_events, events = _floor_runs(1, "scaled", 0.02, start, -1.0)
+    assert pruned == plain
+    first = (0.0 + 0.05 * K1, 0.3 + 0.05 * K2)  # start - step_eta * gradient, inside the box
+    assert plain_events[:2] == [("cost", start), ("cost", first)]
+    assert events[:2] == [("cost", start), ("floor", first)]
+    assert events[2] != ("cost", first)
 
 
 @SMALL
