@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -88,8 +89,8 @@ class NelderMeadConfig:
     max_iter: int = 2000
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not all(math.isfinite(t) and t >= 0.0 for t in (self.tol_f, self.tol_x)):
             raise ValueError("tolerances tol_f and tol_x must be finite and >= 0")
 
@@ -170,15 +171,19 @@ def model_cumulative(
 ) -> np.ndarray:
     """Cumulative infections alpha * int_0^t E dt at the requested times.
 
-    sample_times must be nonempty, finite and strictly increasing; the run
-    ends at the last of them. The running integral is trapezoidal on the
-    integration grid and linearly interpolated between grid points.
+    sample_times must be nonempty, finite, >= 0 and strictly increasing; the
+    run ends at the first grid point at or past the last of them (a grid
+    point within 1e-12 relative of it counts). The running integral is
+    trapezoidal on the integration grid and linearly interpolated between
+    grid points.
     """
     ts = np.asarray(sample_times, dtype=float)
     if ts.size == 0 or not np.all(np.isfinite(ts)) or np.any(np.diff(ts) <= 0.0):
         raise ValueError("sample_times must be nonempty, finite and strictly increasing")
-    horizon = max(float(ts[-1]), cfg.dt)
-    traj = integrate(p, init, horizon, cfg, beta_schedule=beta_schedule)
+    if ts[0] < 0.0:
+        raise ValueError(f"sample_times must be >= 0, got {float(ts[0])!r}")
+    n_steps = max(1, math.ceil(float(ts[-1]) / cfg.dt * (1.0 - 1e-12)))
+    traj = integrate(p, init, n_steps * cfg.dt, cfg, beta_schedule=beta_schedule)
     e = traj.e
     running = np.concatenate(([0.0], np.cumsum(0.5 * (e[1:] + e[:-1]) * traj.dt)))
     return p.alpha * np.interp(ts, traj.times, running)

@@ -9,6 +9,7 @@ the projected-gradient + simulated-annealing global search.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, List, NamedTuple, Optional, Tuple
@@ -122,8 +123,9 @@ class SAConfig:
         if not 0.0 < self.cooling < 1.0:
             raise ValueError("cooling must lie in (0, 1)")
         for name in ("n_cool", "n_perturb", "max_outer"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if self.t0 * self.cooling ** (self.n_cool - 1) == 0.0:
             raise ValueError("cooling underflows: the last temperature t0 * cooling**(n_cool - 1) is 0")
         for name in ("eps_k", "delta_k"):
@@ -155,44 +157,35 @@ def _project(c: Controls) -> Controls:
     return (min(1.0, max(0.0, c[0])), min(1.0, max(0.0, c[1])))
 
 
-def cost(
-    p: ModelParams,
-    cp: CostParams,
-    c: Controls,
-    init: State,
-    cfg: IntegratorConfig,
-    forward: Optional[Trajectory] = None,
-) -> float:
-    """Objective J at constant controls c in [0, 1]^2 over [0, cp.horizon].
+def cost(p: ModelParams, cp: CostParams, forward: Trajectory) -> float:
+    """Objective J at the constant controls (p.c1, p.c2) over [0, cp.horizon].
 
-    forward, when given, must be integrate(p.with_controls(*c), init,
-    cp.horizon, cfg); it is read instead of integrating again, with the same
-    result to the bit. J is summed as (k0 * int I + k1 * c1) + k2 * c2, so
-    it never falls below k1 * c1 + k2 * c2 while the run keeps I >= 0.
+    forward is the run integrate(p, init, cp.horizon, cfg). J is summed as
+    (k0 * int I + k1 * c1) + k2 * c2, so it never falls below
+    k1 * c1 + k2 * c2 while the run keeps I >= 0.
     """
-    if forward is None:
-        forward = integrate(p.with_controls(*c), init, cp.horizon, cfg)
-    return cp.k0 * trapezoid(forward.i, forward.dt) + cp.k1 * c[0] + cp.k2 * c[1]
+    return cp.k0 * trapezoid(forward.i, forward.dt) + cp.k1 * p.c1 + cp.k2 * p.c2
 
 
-def solve_adjoint(forward: Trajectory, p: ModelParams, c: Controls) -> AdjointTrajectory:
+def solve_adjoint(forward: Trajectory, p: ModelParams) -> AdjointTrajectory:
     """Solve the adjoint system backward from H(T) = 0 along the forward run.
 
-    dH/dt = -A(t)^T H + (0, 0, 1, 0, 0)^T, where A is the system Jacobian;
-    its state-dependent entries (beta*I, beta*S) are read off the forward
-    trajectory, with linear interpolation at the RK4 half-steps. forward
-    comes from integrate, whose grid times[k] = k * dt is uniform.
+    dH/dt = -A(t)^T H + (0, 0, 1, 0, 0)^T, where A is the system Jacobian at
+    the controls (p.c1, p.c2); its state-dependent entries (beta*I, beta*S)
+    are read off the forward trajectory, with linear interpolation at the
+    RK4 half-steps. forward comes from integrate, whose grid
+    times[k] = k * dt is uniform.
     """
     n = len(forward.times) - 1
     if n < 1:
         raise ValueError("forward trajectory must contain at least one step")
     dt = forward.dt
-    # Python floats throughout: numpy scalars make each step ~3x slower
-    c1, c2 = map(float, c)
+    # Python floats throughout (ModelParams stores floats): numpy scalars make
+    # each step ~3x slower
     s_arr = forward.s.tolist()
     i_arr = forward.i.tolist()
 
-    beta, alpha = p.beta, p.alpha
+    beta, alpha, c1, c2 = p.beta, p.alpha, p.c1, p.c2
     eta1, eta2, sig1, sig2, mu = p.eta1, p.eta2, p.sigma1, p.sigma2, p.mu
     ae = alpha + eta2 + mu
     ci = c2 + mu
@@ -256,24 +249,14 @@ def solve_adjoint(forward: Trajectory, p: ModelParams, c: Controls) -> AdjointTr
     return AdjointTrajectory(times=forward.times, h=out)
 
 
-def gradient(
-    p: ModelParams,
-    cp: CostParams,
-    c: Controls,
-    init: State,
-    cfg: IntegratorConfig,
-    forward: Optional[Trajectory] = None,
-) -> GradientVector:
-    """Adjoint-based gradient of the objective at constant controls c.
+def gradient(p: ModelParams, cp: CostParams, forward: Trajectory) -> GradientVector:
+    """Adjoint-based gradient of the objective at the constant controls (p.c1, p.c2).
 
+    forward is the run integrate(p, init, cp.horizon, cfg).
     g1 = k1 - k0 * int (H5 - H1) S dt, g2 = k2 - k0 * int (H4 - H3) I dt,
-    with trapezoid quadrature on the shared grid. forward, when given, must
-    be integrate(p.with_controls(*c), init, cp.horizon, cfg); it is read
-    instead of integrating again, with the same result to the bit.
+    with trapezoid quadrature on the shared grid.
     """
-    if forward is None:
-        forward = integrate(p.with_controls(*c), init, cp.horizon, cfg)
-    h = solve_adjoint(forward, p, c).h
+    h = solve_adjoint(forward, p).h
     int_s = trapezoid((h[:, 4] - h[:, 0]) * forward.s, forward.dt)
     int_i = trapezoid((h[:, 3] - h[:, 2]) * forward.i, forward.dt)
     return GradientVector(g1=cp.k1 - cp.k0 * int_s, g2=cp.k2 - cp.k0 * int_i)
@@ -302,11 +285,11 @@ def _hybrid_minimize(
 ) -> OptimRun:
     """Generic hybrid driver over [0, 1]^2; see hybrid_optimize for the rules.
 
-    score(c) returns (J, aux), where aux is whatever grad_fn needs besides c.
-    The incumbent's aux is kept next to its controls and J, and grad_fn is
-    called only at the incumbent: the gradient phase starts there, and each
-    step it accepts lowers J by more than eps_k >= 0, so it becomes the
-    incumbent. A phase that stalls is not rerun until the incumbent moves:
+    score(c) returns (J, aux), where aux is whatever grad_fn needs besides c
+    (in hybrid_optimize, the point's (params, run)). The incumbent's aux is
+    kept next to its controls and J, and grad_fn is called only at the
+    incumbent: the gradient phase starts there, and each step it accepts
+    lowers J by more than eps_k >= 0, so it becomes the incumbent. A phase that stalls is not rerun until the incumbent moves:
     score and grad_fn are pure and the phase draws no rng, so it would score
     the same candidates and reject them again. floor_fn(c) must never exceed
     score(c)[0] in floating point. A gradient candidate whose floor already
@@ -422,21 +405,24 @@ def hybrid_optimize(
     max_outer rounds. Deterministic for a fixed rng_seed. The start controls
     must be finite (ValueError otherwise); they are projected into [0, 1]^2.
 
-    Each scored point is integrated once. J >= k1 * c1 + k2 * c2 (see cost),
-    so a gradient candidate whose control cost alone already fails the eps_k
+    Each scored point c is integrated once, as pc = p.with_controls(*c), and
+    cost and gradient read that run. J >= k1 * c1 + k2 * c2 (see cost), so a
+    gradient candidate whose control cost alone already fails the eps_k
     decrease test, and an annealing candidate whose control cost alone
     already fails the acceptance draw, are rejected without being
-    integrated. Gradients are taken only at the incumbent, whose forward run
+    integrated. Gradients are taken only at the incumbent, whose (pc, run)
     _hybrid_minimize keeps, so no gradient integrates again, and a gradient
     phase that stalled is not run again from the same incumbent. The result
     is the same to the bit as scoring and integrating every point.
     """
-    def score(c: Controls) -> Tuple[float, Trajectory]:
-        forward = integrate(p.with_controls(*c), init, cp.horizon, cfg)
-        return cost(p, cp, c, init, cfg, forward=forward), forward
+    def score(c: Controls) -> Tuple[float, Tuple[ModelParams, Trajectory]]:
+        pc = p.with_controls(*c)
+        forward = integrate(pc, init, cp.horizon, cfg)
+        return cost(pc, cp, forward), (pc, forward)
 
-    def grad_fn(c: Controls, forward: Trajectory) -> Controls:
-        return gradient(p, cp, c, init, cfg, forward=forward)
+    def grad_fn(c: Controls, run: Tuple[ModelParams, Trajectory]) -> Controls:
+        pc, forward = run
+        return gradient(pc, cp, forward)
 
     def floor_fn(c: Controls) -> float:
         return cp.k1 * c[0] + cp.k2 * c[1]

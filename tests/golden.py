@@ -93,17 +93,23 @@ def _integrate_chained() -> str:
     return _digest(first.states, second.times, second.states)
 
 
+def _run(c):
+    """(p, CP, forward) at the controls c: the arguments of cost and gradient."""
+    p = DEFAULT_PARAMS.with_controls(*c)
+    return p, CP, integrate(p, INIT, HORIZON, COARSE)
+
+
 def _adjoint(c) -> str:
-    forward = integrate(DEFAULT_PARAMS.with_controls(*c), INIT, HORIZON, COARSE)
-    return _digest(solve_adjoint(forward, DEFAULT_PARAMS, c).h)
+    p, _, forward = _run(c)
+    return _digest(solve_adjoint(forward, p).h)
 
 
 def _cost() -> str:
-    return _digest(*(cost(DEFAULT_PARAMS, CP, c, INIT, COARSE) for c in CONTROLS))
+    return _digest(*(cost(*_run(c)) for c in CONTROLS))
 
 
 def _gradient(controls) -> str:
-    return _digest(*(g for c in controls for g in gradient(DEFAULT_PARAMS, CP, c, INIT, COARSE)))
+    return _digest(*(g for c in controls for g in gradient(*_run(c))))
 
 
 def _optimize(accept_rule: str) -> Callable[[], str]:

@@ -48,6 +48,12 @@ from seirv.model import (
 INIT = State(1e9, 0.0, 1.0, 0.0, 0.0)
 
 
+def at(c, cp, init, cfg):
+    """The arguments (p, cp, forward) of cost and gradient at the controls c."""
+    p = DEFAULT_PARAMS.with_controls(*c)
+    return p, cp, integrate(p, init, cp.horizon, cfg)
+
+
 def test_criterion_01_population_conservation():
     """N(t) tracks the closed form within 1e-8 on the default run, in < 5 s."""
     start = time.perf_counter()
@@ -159,14 +165,14 @@ def test_criterion_06_adjoint_gradient_accuracy():
     worst = 0.0
     for _ in range(10):
         c = tuple(rng.uniform(0.01, 0.5, size=2))
-        g = gradient(DEFAULT_PARAMS, cp, c, INIT, cfg)
+        g = gradient(*at(c, cp, INIT, cfg))
         h = 1e-4
         for idx, (gi, ci) in enumerate(zip((g.g1, g.g2), c)):
             up, dn = list(c), list(c)
             up[idx] = ci * (1 + h)
             dn[idx] = ci * (1 - h)
-            fd = (cost(DEFAULT_PARAMS, cp, tuple(up), INIT, cfg)
-                  - cost(DEFAULT_PARAMS, cp, tuple(dn), INIT, cfg)) / (2 * ci * h)
+            fd = (cost(*at(tuple(up), cp, INIT, cfg))
+                  - cost(*at(tuple(dn), cp, INIT, cfg))) / (2 * ci * h)
             rel = abs(gi - fd) / max(abs(fd), 1e-12)
             worst = max(worst, rel)
     elapsed = time.perf_counter() - start

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seirv import calibration
 from seirv.calibration import (
     BETA_FIT_BOUNDS,
     DailyOverlay,
@@ -22,7 +23,7 @@ from seirv.calibration import (
     sse,
 )
 from seirv.errors import DegenerateObjectiveError
-from seirv.model import BetaSchedule, IntegratorConfig, State, DEFAULT_PARAMS
+from seirv.model import BetaSchedule, IntegratorConfig, State, DEFAULT_PARAMS, integrate
 
 CFG = IntegratorConfig(dt=0.02)
 SEED_STATE = State(1e9, 0.0, 1e4, 0.0, 0.0)
@@ -119,13 +120,48 @@ def test_sse_quadratic_shift_identity():
     assert moved == pytest.approx(base + n * 100.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("times", [[], [10.0, 5.0], [5.0, 5.0], [1.0, math.nan]],
-                         ids=["empty", "descending", "repeated", "nan"])
+@pytest.mark.parametrize("times", [[], [10.0, 5.0], [5.0, 5.0], [1.0, math.nan], [-5.0, 1.0]],
+                         ids=["empty", "descending", "repeated", "nan", "negative"])
 def test_model_cumulative_rejects_bad_sample_times(times):
     # the run ends at the last sample time, so a later one out of order
-    # would be read off the clamped end of the interpolation
+    # would be read off the clamped end of the interpolation, and one before
+    # t = 0 off its clamped start
     with pytest.raises(ValueError, match="sample_times"):
         model_cumulative(DEFAULT_PARAMS, None, SEED_STATE, times, CFG)
+
+
+def test_model_cumulative_covers_its_last_sample_time():
+    # 1.0 / 0.4 = 2.5 steps: a run of round(2.5) = 2 steps ends at 0.8 and
+    # np.interp would read the value at 0.8 for 1.0 as well
+    times = [0.0, 0.8, 1.0]
+    coarse = model_cumulative(DEFAULT_PARAMS, None, SEED_STATE, times, IntegratorConfig(dt=0.4))
+    fine = model_cumulative(DEFAULT_PARAMS, None, SEED_STATE, times, IntegratorConfig(dt=0.001))
+    assert coarse[2] > coarse[1]
+    assert abs(coarse[2] - fine[2]) < 0.1 * fine[2]
+
+
+@pytest.mark.parametrize("times, dt, n_steps", [
+    (SAMPLE_TIMES, 0.02, 1050), (SAMPLE_TIMES, 0.05, 420), ((0.3,), 0.1, 3),
+    ((0.7,), 0.1, 7), ((0.0,), 0.4, 1), ((0.0, 1.0), 0.4, 3), ((0.0, 21.0), 0.4, 53),
+], ids=["days-0.02", "days-0.05", "0.3-0.1", "0.7-0.1", "0-0.4", "1-0.4", "21-0.4"])
+def test_model_cumulative_runs_to_the_first_grid_point_at_or_past_the_last_time(
+    monkeypatch, times, dt, n_steps
+):
+    # a grid that already reaches the last time (up to rounding of t / dt)
+    # keeps its step count, and the values are read off that run
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(calibration, "integrate", recorded)
+    got = model_cumulative(DEFAULT_PARAMS, TRUE_SCHEDULE, SEED_STATE, times, IntegratorConfig(dt=dt))
+    (run,) = runs
+    assert len(run.times) - 1 == n_steps
+    assert run.times[-1] >= times[-1]
+    running = np.concatenate(([0.0], np.cumsum(0.5 * (run.e[1:] + run.e[:-1]) * dt)))
+    assert got.tobytes() == (DEFAULT_PARAMS.alpha * np.interp(times, run.times, running)).tobytes()
 
 
 # ---------------------------------------------------------------- Nelder-Mead
@@ -150,6 +186,13 @@ def test_nelder_mead_quadratic_bowl():
 def test_nelder_mead_config_rejects_bad_tolerances_and_spread(field, value):
     with pytest.raises(ValueError, match=field):
         NelderMeadConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [2.5, 0, "3"])
+def test_nelder_mead_config_rejects_non_integer_or_small_max_iter(value):
+    with pytest.raises(ValueError, match="max_iter"):
+        NelderMeadConfig(max_iter=value)
+    assert NelderMeadConfig(max_iter=np.int64(3)).max_iter == 3
 
 
 def test_nelder_mead_rosenbrock():

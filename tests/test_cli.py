@@ -255,6 +255,16 @@ def test_calibrate_missing_data_file(tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+def test_calibrate_rejects_observations_before_time_zero(tmp_path, capsys):
+    # the model starts at t = 0; a count at t = -5 was once fitted against 0
+    data = tmp_path / "series.csv"
+    data.write_text("time,count\n-5,0\n1,5\n2,20\n3,60\n", encoding="utf-8")
+    argv = ["calibrate", "--dt", "0.5", "--data", str(data), "--out", str(tmp_path / "fit.json")]
+    assert run_cli(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("seirv calibrate: ") and "sample_times must be >= 0" in err
+
+
 def test_avert_output(tmp_path):
     out = tmp_path / "avert.json"
     csv_out = tmp_path / "avert.csv"

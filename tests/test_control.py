@@ -31,6 +31,12 @@ INIT = State(1e9, 0.0, 1.0, 0.0, 0.0)
 CFG = IntegratorConfig(dt=0.05)
 
 
+def at(c, cp, init, cfg):
+    """The arguments (p, cp, forward) of cost and gradient at the controls c."""
+    p = DEFAULT_PARAMS.with_controls(*c)
+    return p, cp, integrate(p, init, cp.horizon, cfg)
+
+
 def reference_cost_params() -> CostParams:
     return CostParams.for_run(DEFAULT_PARAMS, INIT, m0=1.0, k1=0.2, k2=0.3, horizon=2000.0)
 
@@ -45,13 +51,13 @@ def test_cost_params_derived_scale():
 
 def test_cost_without_infection_is_pure_control_cost():
     cp = CostParams.for_run(DEFAULT_PARAMS, State(1e9, 0, 0, 0, 0), 1.0, 0.2, 0.3, 200.0)
-    j = cost(DEFAULT_PARAMS, cp, (0.25, 0.5), State(1e9, 0, 0, 0, 0), CFG)
+    j = cost(*at((0.25, 0.5), cp, State(1e9, 0, 0, 0, 0), CFG))
     assert j == 0.2 * 0.25 + 0.3 * 0.5
 
 
 def test_cost_at_reference_optimum():
     cp = reference_cost_params()
-    j = cost(DEFAULT_PARAMS, cp, (0.01, 0.08), INIT, CFG)
+    j = cost(*at((0.01, 0.08), cp, INIT, CFG))
     control_term = 0.2 * 0.01 + 0.3 * 0.08
     assert control_term == pytest.approx(0.026, rel=1e-12)
     infection_term = j - control_term
@@ -64,13 +70,13 @@ def test_cost_is_continuous_in_controls():
     cfg = IntegratorConfig(dt=0.1)
     rng = np.random.default_rng(3)
     base = (0.05, 0.09)
-    j0 = cost(DEFAULT_PARAMS, cp, base, INIT, cfg)
+    j0 = cost(*at(base, cp, INIT, cfg))
     gaps = []
     for eps in (1e-2, 1e-3, 1e-4):
         theta = rng.normal(size=2)
         theta /= np.linalg.norm(theta)
         c = (base[0] + eps * theta[0], base[1] + eps * theta[1])
-        gaps.append(abs(cost(DEFAULT_PARAMS, cp, c, INIT, cfg) - j0))
+        gaps.append(abs(cost(*at(c, cp, INIT, cfg)) - j0))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-4
 
@@ -78,7 +84,7 @@ def test_cost_is_continuous_in_controls():
 def test_cost_rejects_out_of_box_controls():
     cp = reference_cost_params()
     with pytest.raises(ValueError):
-        cost(DEFAULT_PARAMS, cp, (1.1, 0.0), INIT, CFG)
+        cost(*at((1.1, 0.0), cp, INIT, CFG))
 
 
 # ---------------------------------------------------------------- adjoint
@@ -86,7 +92,7 @@ def test_cost_rejects_out_of_box_controls():
 
 def test_adjoint_terminal_condition_exact():
     traj = integrate(DEFAULT_PARAMS.with_controls(0.1, 0.1), INIT, 50.0, CFG)
-    adj = solve_adjoint(traj, DEFAULT_PARAMS, (0.1, 0.1))
+    adj = solve_adjoint(traj, DEFAULT_PARAMS.with_controls(0.1, 0.1))
     assert np.all(adj.h[-1] == 0.0)
     assert adj.h.shape == (len(traj.times), 5)
 
@@ -112,7 +118,7 @@ def test_adjoint_constant_coefficient_closed_form():
     states = np.zeros((n + 1, 5))
     states[:, 0] = sbar
     traj = Trajectory(times=np.arange(n + 1) * dt, states=states, dt=dt)
-    adj = solve_adjoint(traj, p, (0.1, 0.1))
+    adj = solve_adjoint(traj, p)
 
     m = -_system_matrix(p, sbar, 0.0, 0.1, 0.1).T
     e3 = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
@@ -141,7 +147,7 @@ def test_adjoint_constant_coefficient_fourth_order():
         states = np.zeros((n + 1, 5))
         states[:, 0] = sbar
         traj = Trajectory(times=np.arange(n + 1) * dt, states=states, dt=dt)
-        adj = solve_adjoint(traj, p, (0.1, 0.1))
+        adj = solve_adjoint(traj, p)
         errs.append(np.max(np.abs(adj.h[0] - exact0)))
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.35)
     assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.35)
@@ -154,7 +160,7 @@ def test_adjoint_self_convergence_on_varying_trajectory():
     h0 = {}
     for dt in (0.2, 0.1, 0.05, 0.025):
         traj = integrate(p, INIT, 50.0, IntegratorConfig(dt=dt))
-        h0[dt] = solve_adjoint(traj, p, (0.1, 0.1)).h[0]
+        h0[dt] = solve_adjoint(traj, p).h[0]
     e1 = np.max(np.abs(h0[0.2] - h0[0.025]))
     e2 = np.max(np.abs(h0[0.1] - h0[0.025]))
     e3 = np.max(np.abs(h0[0.05] - h0[0.025]))
@@ -172,7 +178,7 @@ def test_gradient_without_infection_reduces_to_weights():
     # the control-cost weights.
     init = State(1e9, 0, 0, 0, 0)
     cp = CostParams.for_run(DEFAULT_PARAMS, init, 1.0, 0.2, 0.3, 100.0)
-    g = gradient(DEFAULT_PARAMS, cp, (0.2, 0.3), init, CFG)
+    g = gradient(*at((0.2, 0.3), cp, init, CFG))
     assert g.g2 == 0.3
     assert g.g1 == 0.2
 
@@ -180,7 +186,7 @@ def test_gradient_without_infection_reduces_to_weights():
 def test_gradient_matches_finite_differences():
     cp = reference_cost_params()
     for c in [(0.1, 0.1), (0.02, 0.07)]:
-        g = gradient(DEFAULT_PARAMS, cp, c, INIT, CFG)
+        g = gradient(*at(c, cp, INIT, CFG))
         h = 1e-4
         for idx, (gi, ci) in enumerate(zip((g.g1, g.g2), c)):
             up = list(c)
@@ -188,8 +194,8 @@ def test_gradient_matches_finite_differences():
             up[idx] = ci * (1 + h)
             dn[idx] = ci * (1 - h)
             fd = (
-                cost(DEFAULT_PARAMS, cp, tuple(up), INIT, CFG)
-                - cost(DEFAULT_PARAMS, cp, tuple(dn), INIT, CFG)
+                cost(*at(tuple(up), cp, INIT, CFG))
+                - cost(*at(tuple(dn), cp, INIT, CFG))
             ) / (2 * ci * h)
             assert abs(gi - fd) <= 1e-3 * max(abs(fd), 1e-12)
 
@@ -198,7 +204,7 @@ def test_gradient_directional_derivative_identity():
     cp = reference_cost_params()
     rng = np.random.default_rng(5)
     c = (0.02, 0.07)
-    g = gradient(DEFAULT_PARAMS, cp, c, INIT, CFG)
+    g = gradient(*at(c, cp, INIT, CFG))
     for _ in range(3):
         theta = rng.normal(size=2)
         theta /= np.linalg.norm(theta)
@@ -206,7 +212,7 @@ def test_gradient_directional_derivative_identity():
         plus = (c[0] + eps * theta[0], c[1] + eps * theta[1])
         minus = (c[0] - eps * theta[0], c[1] - eps * theta[1])
         directional = (
-            cost(DEFAULT_PARAMS, cp, plus, INIT, CFG) - cost(DEFAULT_PARAMS, cp, minus, INIT, CFG)
+            cost(*at(plus, cp, INIT, CFG)) - cost(*at(minus, cp, INIT, CFG))
         ) / (2 * eps)
         assert directional == pytest.approx(float(g @ theta), rel=1e-3, abs=1e-9)
 
@@ -303,6 +309,15 @@ def test_sa_config_rejects_nonfinite_settings(field, value):
         SAConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["n_cool", "n_perturb", "max_outer"])
+@pytest.mark.parametrize("value", [2.5, 0, "3"])
+def test_sa_config_rejects_non_integer_or_small_counts(field, value):
+    # a float count once passed construction and failed deep in the optimizer
+    with pytest.raises(ValueError, match=field):
+        SAConfig(**{field: value})
+    assert getattr(SAConfig(**{field: np.int64(3)}), field) == 3
+
+
 def test_sa_config_rejects_cooling_that_underflows_the_last_temperature():
     assert SAConfig(cooling=1e-300, n_cool=2).cooling == 1e-300  # last temperature 2e-302
     with pytest.raises(ValueError, match="cooling"):
@@ -331,21 +346,25 @@ def test_hybrid_optimize_on_short_horizon_moves_downhill():
 
 
 def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
-    # every gradient is taken at the incumbent and reads its held forward run,
-    # and a gradient phase that stalled is not replayed from the same incumbent
+    # every gradient is taken at the incumbent and reads the run integrated
+    # at its controls, and a gradient phase that stalled is not replayed from
+    # the same incumbent
     calls = {"integrate": 0, "cost": 0, "gradient": 0}
-    forwards = []
+    runs = {}  # (c1, c2) -> the run integrate returned there
     integrated, graded = [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            out = fn(*args, **kwargs)
             if name == "integrate":
                 integrated.append((args[0].c1, args[0].c2))
+                runs[integrated[-1]] = out
             if name == "gradient":
-                forwards.append(kwargs.get("forward"))
-                graded.append(args[2])
-            return fn(*args, **kwargs)
+                p, _, forward = args
+                graded.append((p.c1, p.c2))
+                assert forward is runs[graded[-1]]
+            return out
         return wrapper
 
     for name in calls:
@@ -355,7 +374,7 @@ def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
     hybrid_optimize(DEFAULT_PARAMS, cp, (0.1, 0.35), sa, INIT, IntegratorConfig(dt=0.5))
     assert calls["cost"] > 0 and calls["gradient"] > 0
     assert calls["integrate"] == calls["cost"]
-    assert all(isinstance(f, Trajectory) for f in forwards)
+    assert all(isinstance(runs[c], Trajectory) for c in graded)
     assert len(set(integrated)) == len(integrated)
     assert len(set(graded)) == len(graded)
 

@@ -1,6 +1,6 @@
 """Property tests: threshold classification, schedule/chained-run equality,
 float coercion of the value types and of the hot loops' inputs, population
-conservation, the optimizer's early rejection and forward-run reuse, the
+conservation, the optimizer's early rejection, the control-cost floor, the
 CSV writer's cell format, and the CLI's exit codes under extreme flag values."""
 
 import contextlib
@@ -19,7 +19,7 @@ from conftest import sample_params
 from seirv.analysis import classify_region, region_map, separatrix_c2
 from seirv import cli
 from seirv.cli import _chunked_rows, _write_csv
-from seirv.control import CostParams, SAConfig, _hybrid_minimize, cost, gradient, solve_adjoint
+from seirv.control import CostParams, SAConfig, _hybrid_minimize, cost
 from seirv.model import (
     BetaSchedule,
     ControlSchedule,
@@ -129,6 +129,12 @@ K1, K2 = 0.2, 0.3
 controls = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 
 
+def at(c, cp, init, cfg):
+    """The arguments (p, cp, forward) of cost and gradient at the controls c."""
+    p = DEFAULT_PARAMS.with_controls(*c)
+    return p, cp, integrate(p, init, cp.horizon, cfg)
+
+
 def _floor_runs(seed, accept_rule, t0, start, sign):
     """The driver on a synthetic cost, without and with its floor: (plain, pruned)
     runs and the (kind, point) events each made. The gradient is sign * (K1, K2),
@@ -192,32 +198,8 @@ def test_gradient_phase_skips_candidates_its_floor_rules_out():
 def test_cost_never_falls_below_control_cost(c, i0, horizon):
     init = State(1e9, 0.0, i0, 0.0, 0.0)
     cp = CostParams.for_run(DEFAULT_PARAMS, init, m0=1.0, k1=K1, k2=K2, horizon=horizon)
-    j = cost(DEFAULT_PARAMS, cp, c, init, IntegratorConfig(dt=0.5))
+    j = cost(*at(c, cp, init, IntegratorConfig(dt=0.5)))
     assert j >= K1 * c[0] + K2 * c[1]
-
-
-@SMALL
-@given(c=controls, horizon=st.floats(1.0, 200.0))
-def test_precomputed_forward_run_gives_identical_cost_and_gradient(c, horizon):
-    init = State(1e9, 0.0, 1.0, 0.0, 0.0)
-    cfg = IntegratorConfig(dt=0.5)
-    cp = CostParams.for_run(DEFAULT_PARAMS, init, m0=1.0, k1=K1, k2=K2, horizon=horizon)
-    forward = integrate(DEFAULT_PARAMS.with_controls(*c), init, horizon, cfg)
-    j = cost(DEFAULT_PARAMS, cp, c, init, cfg)
-    assert float.hex(cost(DEFAULT_PARAMS, cp, c, init, cfg, forward=forward)) == float.hex(j)
-    g = gradient(DEFAULT_PARAMS, cp, c, init, cfg)
-    g_reused = gradient(DEFAULT_PARAMS, cp, c, init, cfg, forward=forward)
-    assert [float.hex(x) for x in g_reused] == [float.hex(x) for x in g]
-
-
-@SMALL
-@given(c=controls, horizon=st.floats(1.0, 200.0))
-def test_adjoint_identical_with_float64_controls(c, horizon):
-    forward = integrate(DEFAULT_PARAMS.with_controls(*c), State(1e9, 0.0, 1.0, 0.0, 0.0),
-                        horizon, IntegratorConfig(dt=0.5))
-    h = solve_adjoint(forward, DEFAULT_PARAMS, c).h
-    h64 = solve_adjoint(forward, DEFAULT_PARAMS, tuple(np.float64(x) for x in c)).h
-    assert h64.tobytes() == h.tobytes()
 
 
 float_cells = st.one_of(
