@@ -3,8 +3,9 @@ characteristics extracted from trajectories.
 
 Sensitivity indices are elasticities of the propagation threshold:
 (d rc / d xi) * (xi / rc), evaluated by central finite differences on the
-closed-form rc. The index of beta is 0.5 identically (rc grows like
-sqrt(beta)), which doubles as a built-in check of the differencing.
+closed-form rc (backward ones at a control on the top edge of [0, 1]). The
+index of beta is 0.5 identically (rc grows like sqrt(beta)), which doubles
+as a built-in check of the differencing.
 """
 
 from __future__ import annotations
@@ -93,7 +94,9 @@ def sensitivity_indices(p: ModelParams, h_rel: float = 1e-6) -> List[Sensitivity
     """Normalized forward sensitivity indices of rc for all seven parameters.
 
     Every listed parameter must be positive at the evaluation point; an
-    elasticity at zero is undefined.
+    elasticity at zero is undefined. A control c1 or c2 whose central step
+    would leave [0, 1] (x + h_rel * x > 1) takes the backward difference
+    (rc0 - rc(x - step)) / step instead.
     """
     if not (0.0 < h_rel < 1.0):
         raise ValueError(f"h_rel must be in (0, 1), got {h_rel!r}")
@@ -109,9 +112,12 @@ def sensitivity_indices(p: ModelParams, h_rel: float = 1e-6) -> List[Sensitivity
     for name in SENSITIVITY_PARAMETERS:
         x = getattr(p, name)
         step = h_rel * x
-        hi = compute_rc(replace(p, **{name: x + step})).rc
         lo = compute_rc(replace(p, **{name: x - step})).rc
-        value = (hi - lo) / (2.0 * step) * (x / rc0)
+        if name in ("c1", "c2") and x + step > 1.0:
+            value = (rc0 - lo) / step * (x / rc0)
+        else:
+            hi = compute_rc(replace(p, **{name: x + step})).rc
+            value = (hi - lo) / (2.0 * step) * (x / rc0)
         out.append(SensitivityIndex(parameter=name, value=value))
     beta_idx = next(ix.value for ix in out if ix.parameter == "beta")
     if not abs(beta_idx - 0.5) <= 1e-9:  # also catches NaN
@@ -163,12 +169,12 @@ def region_map(p: ModelParams, resolution: int) -> RegionMap:
 def characteristics(traj: Trajectory, p: ModelParams) -> EpidemicCharacteristics:
     """Peak infected, time of peak (earliest grid index on ties), and
     total infections alpha * int E dt by trapezoid on the grid."""
-    if len(traj.times) == 0:
+    if len(traj.states) == 0:
         raise ValueError("trajectory is empty")
     i = traj.i
     k = int(np.argmax(i))  # argmax returns the first maximal index
     return EpidemicCharacteristics(
-        i_max=float(i[k]), t_m=float(traj.times[k]), i_tot=p.alpha * trapezoid(traj.e, traj.dt)
+        i_max=float(i[k]), t_m=k * traj.dt, i_tot=p.alpha * trapezoid(traj.e, traj.dt)
     )
 
 

@@ -173,10 +173,9 @@ def solve_adjoint(forward: Trajectory, p: ModelParams) -> AdjointTrajectory:
     dH/dt = -A(t)^T H + (0, 0, 1, 0, 0)^T, where A is the system Jacobian at
     the controls (p.c1, p.c2); its state-dependent entries (beta*I, beta*S)
     are read off the forward trajectory, with linear interpolation at the
-    RK4 half-steps. forward comes from integrate, whose grid
-    times[k] = k * dt is uniform.
+    RK4 half-steps.
     """
-    n = len(forward.times) - 1
+    n = len(forward.states) - 1
     if n < 1:
         raise ValueError("forward trajectory must contain at least one step")
     dt = forward.dt

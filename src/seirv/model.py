@@ -200,12 +200,16 @@ class IntegratorConfig:
 class Trajectory(NamedTuple):
     """Solution on the uniform grid times[k] = k * dt.
 
-    states has one row per grid point, columns (S, E, I, R, V).
+    states has one row per grid point, columns (S, E, I, R, V). The grid is
+    not stored: times is computed from len(states) and dt when it is read.
     """
 
-    times: np.ndarray
     states: np.ndarray
     dt: float
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.states), dtype=float) * self.dt
 
     @property
     def s(self) -> np.ndarray:
@@ -236,7 +240,7 @@ class Trajectory(NamedTuple):
         return State(s, e, i, r, v)
 
     def final_state(self) -> State:
-        return self.state_at(len(self.times) - 1)
+        return self.state_at(-1)
 
 
 def rhs(state: State, p: ModelParams) -> StateDerivative:
@@ -319,9 +323,11 @@ def integrate(
     Schedules, when given, override p.beta and (p.c1, p.c2) piecewise in
     time; the active values are sampled at each step's start time and held
     constant across the RK4 substeps. After each step, components inside
-    (-1e-12 * N0, 0) are clamped to zero. Raises IntegrationDivergedError
-    naming the first bad step if the state stops being finite, and
-    ValueError for a plan of more than MAX_STEPS steps.
+    (-1e-12 * N0, 0) are clamped to zero. The only array allocated is the
+    returned states, one row per grid point k * dt, k = 0..round(horizon / dt).
+    Raises IntegrationDivergedError naming the first bad step if the state
+    stops being finite, and ValueError for a plan of more than MAX_STEPS
+    steps.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be > 0, got {horizon!r}")
@@ -403,5 +409,4 @@ def integrate(
             s_arr[idx] = s; e_arr[idx] = e; i_arr[idx] = i
             r_arr[idx] = r; v_arr[idx] = v
 
-    times = np.arange(n_steps + 1, dtype=float) * dt
-    return Trajectory(times=times, states=states, dt=dt)
+    return Trajectory(states=states, dt=dt)

@@ -56,6 +56,19 @@ def test_sensitivity_elasticities_are_scale_free():
         assert b.value == pytest.approx(a.value, abs=1e-9)
 
 
+def test_sensitivity_at_a_control_on_the_top_edge():
+    # rc goes like (c2 + mu)^(-1/2), so the c2 elasticity is -c2 / (2 (c2 + mu));
+    # a central step at c2 = 1 would leave [0, 1], so the backward one is taken
+    indices = sensitivity_indices(DEFAULT_PARAMS.with_controls(0.1, 1.0))
+    c2_ix = next(ix.value for ix in indices if ix.parameter == "c2")
+    mu = DEFAULT_PARAMS.mu
+    assert c2_ix == pytest.approx(-1.0 / (2.0 * (1.0 + mu)), rel=1e-5)
+    at_edge = sensitivity_indices(DEFAULT_PARAMS.with_controls(1.0, 0.1))
+    inside = sensitivity_indices(DEFAULT_PARAMS.with_controls(1.0 - 1e-4, 0.1))
+    for a, b in zip(at_edge, inside):
+        assert a.value == pytest.approx(b.value, rel=1e-3), a.parameter
+
+
 def test_sensitivity_rejects_zero_parameters():
     with pytest.raises(ValueError, match="c1"):
         sensitivity_indices(DEFAULT_PARAMS.with_controls(0.0, 0.1))
@@ -159,7 +172,7 @@ def _flat_trajectory(e0: float, i_values, dt: float) -> Trajectory:
     states = np.zeros((n, 5))
     states[:, 1] = e0
     states[:, 2] = i_values
-    return Trajectory(times=np.arange(n) * dt, states=states, dt=dt)
+    return Trajectory(states=states, dt=dt)
 
 
 def test_characteristics_zero_infection():

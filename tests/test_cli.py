@@ -102,6 +102,12 @@ def test_sensitivity_reproduces_reference_file(tmp_path):
         assert abs(values[name] - expected) < 5e-4
 
 
+@pytest.mark.parametrize("control", ["--c1", "--c2"])
+def test_sensitivity_at_a_control_of_one(control, capsys):
+    assert run_cli(["sensitivity", control, "1", "--out", "-"]) == EXIT_OK
+    assert "c1,-" in capsys.readouterr().out
+
+
 def test_region_map_output(tmp_path):
     out = tmp_path / "region.csv"
     assert run_cli(["region", "--resolution", "11", "--out", str(out)]) == EXIT_OK

@@ -117,7 +117,7 @@ def test_adjoint_constant_coefficient_closed_form():
     n, dt = 200, 0.01
     states = np.zeros((n + 1, 5))
     states[:, 0] = sbar
-    traj = Trajectory(times=np.arange(n + 1) * dt, states=states, dt=dt)
+    traj = Trajectory(states=states, dt=dt)
     adj = solve_adjoint(traj, p)
 
     m = -_system_matrix(p, sbar, 0.0, 0.1, 0.1).T
@@ -146,7 +146,7 @@ def test_adjoint_constant_coefficient_fourth_order():
         n = int(round(horizon / dt))
         states = np.zeros((n + 1, 5))
         states[:, 0] = sbar
-        traj = Trajectory(times=np.arange(n + 1) * dt, states=states, dt=dt)
+        traj = Trajectory(states=states, dt=dt)
         adj = solve_adjoint(traj, p)
         errs.append(np.max(np.abs(adj.h[0] - exact0)))
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.35)

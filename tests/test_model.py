@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from seirv import model
+from seirv.analysis import characteristics
 from seirv.errors import IntegrationDivergedError
 from seirv.model import (
     BetaSchedule,
@@ -15,6 +16,7 @@ from seirv.model import (
     ModelParams,
     State,
     DEFAULT_PARAMS,
+    Trajectory,
     integrate,
     population_bound,
     population_closed_form,
@@ -264,13 +266,22 @@ def test_integrate_allocates_little_beyond_the_arrays_it_returns():
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peak <= 1.5 * (traj.states.nbytes + traj.times.nbytes)
+    assert peak <= 1.1 * traj.states.nbytes
 
 
 def test_trajectory_grid_structure(init_state):
     traj = integrate(DEFAULT_PARAMS, init_state, 5.0, IntegratorConfig(dt=0.5))
+    assert Trajectory._fields == ("states", "dt")
     assert traj.times[0] == 0.0
     assert len(traj.times) == len(traj.states) == 11
     assert np.allclose(np.diff(traj.times), 0.5)
     st = traj.state_at(0)
     assert st.as_tuple() == init_state.as_tuple()
+    # the grid is derived from states and dt alone, to the bit
+    n, dt = 20001, 0.1
+    states = np.zeros((n, 5))
+    k = 19876
+    states[k, 2] = 1.0
+    built = Trajectory(states, dt)
+    assert built.times.tobytes() == (np.arange(n, dtype=float) * dt).tobytes()
+    assert characteristics(built, DEFAULT_PARAMS).t_m == float(built.times[k])
