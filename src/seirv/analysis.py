@@ -10,6 +10,7 @@ as a built-in check of the differencing.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
@@ -56,8 +57,8 @@ class SensitivityIndex:
 class RegionMap:
     """Extinction/growth labels over a (c1, c2) grid.
 
-    growth[i, j] is True when the threshold exceeds one at
-    (c1_grid[i], c2_grid[j]). separatrix[i] is the treatment rate where the
+    growth[i, j] is gain > loss (rc > 1) at (c1_grid[i], c2_grid[j]), the
+    rule of classify_region. separatrix[i] is the treatment rate where the
     threshold equals one at c1_grid[i] (may fall outside [0, 1]).
     """
 
@@ -128,20 +129,17 @@ def sensitivity_indices(p: ModelParams, h_rel: float = 1e-6) -> List[Sensitivity
 
 
 def _exceeds_threshold(p: ModelParams, s0, c2):
-    """gain > loss of threshold_sides, i.e. rc > 1. Broadcasts over arrays.
-
-    Ties within 1e-12 relative go to extinction. ArithmeticError when a side
-    overflows, since inf against inf decides nothing.
-    """
+    """gain > loss of threshold_sides (rc > 1), compared exactly; broadcasts.
+    ArithmeticError when a side overflows, since inf against inf decides nothing."""
     with np.errstate(over="ignore"):
         gain, loss = threshold_sides(p, s0, c2)
     if not np.all(np.isfinite(gain) & np.isfinite(loss)):
         raise ArithmeticError("threshold overflows: a side of rc^2 = gain / loss is not finite")
-    return gain - loss > 1e-12 * np.maximum(gain, loss)
+    return gain > loss
 
 
 def classify_region(p: ModelParams, c1: float, c2: float) -> str:
-    """"growth" when rc > 1 at (c1, c2), else "extinction" (also for ties within 1e-12)."""
+    """"growth" when gain > loss (rc > 1) at (c1, c2), else "extinction"."""
     s0 = compute_mfe(p.with_controls(c1, c2)).s0
     return "growth" if _exceeds_threshold(p, s0, c2) else "extinction"
 
@@ -154,8 +152,8 @@ def separatrix_c2(p: ModelParams, c1: float) -> float:
 
 def region_map(p: ModelParams, resolution: int) -> RegionMap:
     """Full extinction/growth grid over [0, 1]^2 plus the separatrix curve."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    if not isinstance(resolution, numbers.Integral) or resolution < 2:
+        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
     if resolution**2 > MAX_CELLS:
         raise ValueError(f"resolution {resolution} needs more than {MAX_CELLS} grid cells")
     c1_grid = np.linspace(0.0, 1.0, resolution)

@@ -3,12 +3,13 @@ propagation threshold, spectra, Routh-Hurwitz verdicts and bifurcation scans.
 
 The threshold rc is the spectral radius of the next-generation matrix at the
 malware-free equilibrium: rc = sqrt(gain / loss), with both sides written out
-once in threshold_sides. An endemic equilibrium exists iff rc > 1.
+once in threshold_sides, whose docstring states the one rc-versus-1 rule.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -158,7 +159,11 @@ def threshold_sides(p: ModelParams, s0, c2):
     """The two sides of rc^2 = gain / loss at susceptible level s0 and
     treatment rate c2: gain = beta * S0 * alpha (new exposures per infected
     device times the E -> I rate) and loss = (c2 + mu)(alpha + eta2 + mu), the
-    product of the exit rates of I and E. Broadcasts over arrays."""
+    product of the exit rates of I and E. Broadcasts over arrays.
+
+    Every rc-versus-1 verdict compares these sides exactly: gain > loss is
+    rc > 1 (endemic point, growth), gain < loss is rc < 1 (stable malware-free
+    point), and a tie, the separatrix rc = 1, is neither (so extinction)."""
     gain = p.beta * s0 * p.alpha
     loss = (c2 + p.mu) * (p.alpha + p.eta2 + p.mu)
     return gain, loss
@@ -209,15 +214,15 @@ def mfe_spectrum(p: ModelParams) -> MfeSpectrum:
     return MfeSpectrum(
         l1=l1, l2=l2, l3=l3, l4=l4,
         eigenvalues=(lam1, lam2, lam3, lam4, lam5),
-        stable=math.sqrt(rc2) < 1.0,
+        stable=gain < loss,
     )
 
 
 def compute_endemic(p: ModelParams) -> Optional[EndemicPoint]:
-    """Endemic equilibrium, or None when rc <= 1."""
+    """Endemic equilibrium, or None unless gain > loss (rc > 1)."""
     mfe = compute_mfe(p)
     gain, loss = threshold_sides(p, mfe.s0, p.c2)
-    if gain / loss <= 1.0:
+    if not gain > loss:
         return None
     w3 = p.c2 + p.mu
     se = loss / (p.beta * p.alpha)
@@ -341,8 +346,12 @@ def endemic_stability(p: ModelParams) -> RouthHurwitzReport:
 
 
 def critical_beta(p: ModelParams) -> float:
-    """Transmission rate where rc = 1 (bifurcation point), at p's controls."""
+    """Transmission rate where rc = 1 (bifurcation point), at p's controls.
+    ValueError when S0 * alpha is 0, since then rc = 0 for every beta."""
     s0 = compute_mfe(p).s0
+    if s0 * p.alpha == 0.0:  # lam or alpha is zero, or their product underflowed
+        raise ValueError(f"no beta reaches rc = 1: rc = 0 for every beta "
+                         f"(lam = {p.lam!r}, alpha = {p.alpha!r})")
     return threshold_sides(p, s0, p.c2)[1] / (s0 * p.alpha)
 
 
@@ -351,15 +360,15 @@ def bifurcation_scan(
 ) -> BifurcationBranch:
     """Endemic infection level I^e over an ascending beta grid.
 
-    ie is exactly 0 below threshold. Stability flags are "stable" /
-    "unstable" / "marginal": below threshold they describe the malware-free
-    equilibrium, above it the endemic point.
+    ie is exactly 0 unless rc > 1. Stability flags are "stable" /
+    "unstable" / "marginal": where there is no endemic point they describe
+    the malware-free equilibrium, elsewhere the endemic point.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+    if not isinstance(n_points, numbers.Integral) or n_points < 2:
+        raise ValueError(f"n_points must be an integer >= 2, got {n_points!r}")
     lo, hi = beta_range
-    if not (0.0 <= lo < hi):
-        raise ValueError(f"invalid beta range {beta_range!r}")
+    if not (0.0 <= lo < hi < math.inf):
+        raise ValueError(f"invalid beta range {beta_range!r}: need finite 0 <= lo < hi")
     beta_grid = np.linspace(lo, hi, n_points)
     ie_values = np.zeros(n_points)
     rc_values = np.empty(n_points)
@@ -369,14 +378,13 @@ def bifurcation_scan(
         rc_values[idx] = compute_rc(pb).rc
         point = compute_endemic(pb)
         if point is None:  # ie stays 0
-            flags.append("stable" if rc_values[idx] < 1.0 else "marginal")
+            gain, loss = threshold_sides(pb, compute_mfe(pb).s0, pb.c2)
+            flags.append("stable" if gain < loss else "marginal")
         else:
             ie_values[idx] = point.ie
             report = endemic_stability(pb)
-            if report.marginal:
-                flags.append("marginal")
-            else:
-                flags.append("stable" if report.stable else "unstable")
+            flags.append("marginal" if report.marginal
+                         else "stable" if report.stable else "unstable")
     return BifurcationBranch(
         beta_grid=beta_grid,
         ie_values=ie_values,

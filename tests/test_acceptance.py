@@ -10,6 +10,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from conftest import sample_params
 from seirv.analysis import (
@@ -181,6 +182,7 @@ def test_criterion_06_adjoint_gradient_accuracy():
     assert elapsed < 30.0
 
 
+@pytest.mark.slow
 def test_criterion_07_global_optimum_reproduction():
     """Four starts agree pairwise within 0.01 and land at the reference optimum."""
     cfg = IntegratorConfig(dt=0.05)

@@ -157,6 +157,12 @@ def test_region_map_validation():
         classify_region(DEFAULT_PARAMS, 1.2, 0.0)
 
 
+def test_region_map_refuses_a_non_integer_resolution():
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        region_map(DEFAULT_PARAMS, 2.5)
+    assert region_map(DEFAULT_PARAMS, np.int64(3)).growth.shape == (3, 3)
+
+
 def test_region_map_refuses_grids_over_the_cell_cap(monkeypatch):
     monkeypatch.setattr(analysis, "MAX_CELLS", 100)
     assert region_map(DEFAULT_PARAMS, 10).growth.shape == (10, 10)

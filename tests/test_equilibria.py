@@ -323,6 +323,28 @@ def test_bifurcation_validation():
         bifurcation_scan(DEFAULT_PARAMS, (1e-8, 1e-9), 10)
 
 
+@pytest.mark.parametrize("beta_range", [(1e-9, math.inf), (1e-9, math.nan), (math.nan, 1e-8)])
+def test_bifurcation_refuses_a_non_finite_beta_range(beta_range):
+    # (1e-9, inf) once reached linspace, warned, and failed on a nan beta
+    with pytest.raises(ValueError, match="invalid beta range"):
+        bifurcation_scan(DEFAULT_PARAMS, beta_range, 10)
+
+
+def test_bifurcation_refuses_a_non_integer_point_count():
+    with pytest.raises(ValueError, match="n_points must be an integer"):
+        bifurcation_scan(DEFAULT_PARAMS, (1e-9, 1e-8), 2.5)
+    branch = bifurcation_scan(DEFAULT_PARAMS, (1e-9, 1e-8), np.int64(3))
+    assert branch.beta_grid.shape == (3,)
+
+
+@pytest.mark.parametrize("name", ["lam", "alpha"])
+def test_critical_beta_refuses_a_threshold_that_is_zero_for_every_beta(name):
+    p = replace(DEFAULT_PARAMS, **{name: 0.0})
+    assert compute_rc(p).rc == 0.0
+    with pytest.raises(ValueError, match=f"no beta reaches rc = 1.*{name} = 0.0"):
+        critical_beta(p)
+
+
 # ------------------------------------------- threshold vs long-run dynamics
 
 

@@ -1,4 +1,5 @@
-"""Property tests: threshold classification, schedule/chained-run equality,
+"""Property tests: threshold classification and the agreement of every
+rc-versus-1 verdict at the threshold, schedule/chained-run equality,
 float coercion of the value types and of the hot loops' inputs, population
 conservation, the optimizer's early rejection, the control-cost floor, the
 CSV writer's cell format, and the CLI's exit codes under extreme flag values."""
@@ -13,6 +14,7 @@ from pathlib import Path
 from dataclasses import asdict, fields, replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import sample_params
@@ -20,6 +22,14 @@ from seirv.analysis import classify_region, region_map, separatrix_c2
 from seirv import cli
 from seirv.cli import _chunked_rows, _write_csv
 from seirv.control import CostParams, SAConfig, _hybrid_minimize, cost
+from seirv.equilibria import (
+    bifurcation_scan,
+    compute_endemic,
+    compute_mfe,
+    critical_beta,
+    mfe_spectrum,
+    threshold_sides,
+)
 from seirv.model import (
     BetaSchedule,
     ControlSchedule,
@@ -44,6 +54,53 @@ def test_region_map_agrees_with_pointwise_rules(seed, resolution):
         for j, c2 in enumerate(rmap.c2_grid):
             label = "growth" if rmap.growth[i, j] else "extinction"
             assert classify_region(p, float(c1), float(c2)) == label
+
+
+def _verdicts_at_005(q):
+    """Each rc-versus-1 verdict at q, whose controls are (0.05, 0.05): cell
+    (1, 1) of a 21-point region map, and the first point of a scan from q.beta."""
+    assert (q.c1, q.c2) == (0.05, 0.05)
+    rmap = region_map(q, 21)
+    assert (rmap.c1_grid[1], rmap.c2_grid[1]) == (0.05, 0.05)
+    branch = bifurcation_scan(q, (q.beta, 2.0 * q.beta), 2)
+    assert branch.beta_grid[0] == q.beta
+    return compute_endemic(q), mfe_spectrum(q), {
+        "classify_region": classify_region(q, 0.05, 0.05) == "growth",
+        "region_map": bool(rmap.growth[1, 1]),
+    }, branch
+
+
+@pytest.mark.parametrize("nudge", [1e-13, -1e-13])
+def test_threshold_verdicts_agree_next_to_the_threshold(nudge):
+    # the region rules once sent rc within 1e-12 of 1 to extinction while
+    # compute_endemic and mfe_spectrum compared exactly
+    base = DEFAULT_PARAMS.with_controls(0.05, 0.05)
+    q = replace(base, beta=critical_beta(base) * (1.0 + nudge))
+    point, spectrum, growth, branch = _verdicts_at_005(q)
+    above = nudge > 0.0
+    assert (point is not None) == above
+    assert (not spectrum.stable) == above
+    assert growth == {"classify_region": above, "region_map": above}
+    assert (branch.ie_values[0] > 0.0) == above
+    if not above:
+        assert branch.stability_flags[0] == "stable"
+
+
+@SMALL
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-50, 50))
+def test_threshold_verdicts_follow_the_sides_at_the_threshold(seed, k):
+    # gain > loss means rc > 1 and gain < loss means rc < 1; a tie is neither
+    base = sample_params(np.random.default_rng(seed)).with_controls(0.05, 0.05)
+    q = replace(base, beta=critical_beta(base) * (1.0 + k * 1e-15))
+    gain, loss = threshold_sides(q, compute_mfe(q).s0, q.c2)
+    point, spectrum, growth, branch = _verdicts_at_005(q)
+    assert (point is not None) == (gain > loss)
+    assert spectrum.stable == (gain < loss)
+    assert growth == {"classify_region": gain > loss, "region_map": gain > loss}
+    # the scan's first point is q itself, so it finds the same endemic point
+    assert branch.ie_values[0] == (0.0 if point is None else point.ie)
+    if point is None:
+        assert branch.stability_flags[0] == ("stable" if gain < loss else "marginal")
 
 
 @SMALL
