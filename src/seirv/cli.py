@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-perturb", type=int, help="perturbations per cooling step")
     sp.add_argument("--eps-k", type=float, help="gradient-phase acceptance tolerance")
     sp.add_argument("--delta-k", type=float, help="annealing acceptance tolerance")
-    sp.add_argument("--step-eta", type=float, help="initial descent step size")
+    sp.add_argument("--step-eta", type=float, help="first descent step of each gradient phase")
     sp.add_argument("--max-outer", type=int, help="outer-loop cap")
     sp.add_argument("--accept-rule", choices=("scaled", "classical"),
                     help="annealing acceptance probability form")

@@ -89,7 +89,7 @@ class GradientVector(NamedTuple):
     g2: float
 
 
-_GRAD_STEPS = 100  # descent steps per gradient phase, each halving step_eta up to _HALVINGS times
+_GRAD_STEPS = 100  # descent steps per gradient phase; each tries twice the last accepted step
 _HALVINGS = 20  # step-size halvings per descent step before the phase stops
 
 
@@ -99,9 +99,10 @@ class SAConfig:
 
     t0/cooling/n_cool/n_perturb drive the annealing phase; eps_k and delta_k
     are the acceptance tolerances of the gradient and annealing phases;
-    step_eta is the initial descent step of each of up to _GRAD_STEPS gradient
-    steps (halved up to _HALVINGS times until a step improves by more than
-    eps_k).
+    step_eta is the first descent step of each gradient phase. Each of up to
+    _GRAD_STEPS descent steps starts at twice the last accepted step and is
+    halved up to _HALVINGS times until it improves J by more than eps_k; the
+    phase stops once the step's first-order decrease is no more than eps_k.
     accept_rule "scaled" uses the acceptance probability T * exp(-delta/T);
     "classical" drops the leading T factor.
     """
@@ -288,14 +289,26 @@ def _hybrid_minimize(
     (in hybrid_optimize, the point's (params, run)). The incumbent's aux is
     kept next to its controls and J, and grad_fn is called only at the
     incumbent: the gradient phase starts there, and each step it accepts
-    lowers J by more than eps_k >= 0, so it becomes the incumbent. A phase that stalls is not rerun until the incumbent moves:
-    score and grad_fn are pure and the phase draws no rng, so it would score
-    the same candidates and reject them again. floor_fn(c) must never exceed
-    score(c)[0] in floating point. A gradient candidate whose floor already
-    fails the eps_k decrease test is skipped unscored. An annealing candidate
-    whose floor is no clear improvement draws its acceptance number first
-    and is rejected unscored when even the floor fails the test. The run is
-    the same as without the floor (-inf never prunes).
+    lowers J by more than eps_k >= 0, so it becomes the incumbent.
+
+    The step rule: a phase's first descent step tries eta = step_eta, and
+    each later step starts at twice the last accepted eta. A step halves eta
+    until the projected candidate lowers J by more than eps_k, and the phase
+    stops once the candidate's first-order decrease g . (c - cand) is no more
+    than eps_k; under box projection that decrease only shrinks with eta, so
+    smaller steps cannot pass it either.
+
+    Exact prunes, which leave the run the same to the bit as scoring every
+    candidate: floor_fn(c) must never exceed score(c)[0] in floating point,
+    and a gradient candidate whose floor already fails the eps_k decrease
+    test is skipped unscored. So is one already scored and rejected in the
+    same phase, since j only falls within a phase. A phase that stalls is
+    not rerun until the incumbent moves: score and grad_fn are pure and the
+    phase draws no rng, so it would score the same candidates and reject
+    them again. An annealing candidate whose floor is no clear improvement
+    draws its acceptance number first and is rejected unscored when even the
+    floor fails the test. The run is the same as without the floor (-inf
+    never prunes).
     """
     if not all(math.isfinite(x) for x in start):
         raise ValueError(f"start controls must be finite, got {start!r}")
@@ -321,26 +334,30 @@ def _hybrid_minimize(
         # phase already stalled there: it would score the same candidates.
         c, j = best_c, best_j
         if c != stalled:
+            eta = sa.step_eta
+            rejected = set()  # candidates scored and rejected in this phase
             for _ in range(_GRAD_STEPS):
                 g1, g2 = grad_fn(c, best_aux)  # c is the incumbent
-                eta = sa.step_eta
                 moved = False
                 for _ in range(_HALVINGS):
                     cand = _project((c[0] - eta * g1, c[1] - eta * g2))
-                    if cand == c or j - floor_fn(cand) <= sa.eps_k:
-                        # j - score(cand)[0] <= j - floor: no decrease beyond eps_k
-                        eta *= 0.5
-                        continue
-                    jc, aux = score(cand)
-                    if j - jc > sa.eps_k:
-                        c, j = cand, jc
-                        record(c, j, aux, "gradient")
-                        moved = True
-                        break
+                    if g1 * (c[0] - cand[0]) + g2 * (c[1] - cand[1]) <= sa.eps_k:
+                        break  # the first-order decrease only shrinks with eta
+                    # j - score(cand)[0] <= j - floor, and j only falls within a
+                    # phase, so a rejected candidate would fail again
+                    if cand not in rejected and j - floor_fn(cand) > sa.eps_k:
+                        jc, aux = score(cand)
+                        if j - jc > sa.eps_k:
+                            c, j = cand, jc
+                            record(c, j, aux, "gradient")
+                            moved = True
+                            break
+                        rejected.add(cand)
                     eta *= 0.5
                 if not moved:
                     stalled = c
                     break
+                eta *= 2.0
 
         # Simulated-annealing phase.
         for temp in temperature_schedule(sa, sa.n_cool):
@@ -394,10 +411,12 @@ def hybrid_optimize(
 ) -> OptimRun:
     """Global search alternating projected-gradient descent and annealing.
 
-    The gradient phase repeats descent steps from the incumbent best point,
-    backtracking on the step size, and keeps only moves that lower J by more
-    than eps_k. The annealing phase re-randomizes one or both control
-    coordinates uniformly in [0, 1] for n_perturb draws per cooling step,
+    The gradient phase repeats descent steps from the incumbent best point
+    and keeps only moves that lower J by more than eps_k. Its first step
+    tries step_eta and each later one twice the last accepted step, halving
+    on failure; it stops once a step's first-order decrease g . (c - cand)
+    is no more than eps_k. The annealing phase re-randomizes one or both
+    control coordinates uniformly in [0, 1] for n_perturb draws per cooling step,
     accepting improvements beyond delta_k and otherwise accepting against a
     uniform draw with the configured temperature rule. The outer loop stops
     when neither phase improves the best J by more than eps_k, or after
@@ -409,10 +428,13 @@ def hybrid_optimize(
     gradient candidate whose control cost alone already fails the eps_k
     decrease test, and an annealing candidate whose control cost alone
     already fails the acceptance draw, are rejected without being
-    integrated. Gradients are taken only at the incumbent, whose (pc, run)
+    integrated; so is a gradient candidate already rejected in the same
+    phase. Gradients are taken only at the incumbent, whose (pc, run)
     _hybrid_minimize keeps, so no gradient integrates again, and a gradient
-    phase that stalled is not run again from the same incumbent. The result
-    is the same to the bit as scoring and integrating every point.
+    phase that stalled is not run again from the same incumbent. These
+    prunes leave the result the same to the bit as scoring and integrating
+    every point; the step growth and the first-order stop are the step rule
+    itself.
     """
     def score(c: Controls) -> Tuple[float, Tuple[ModelParams, Trajectory]]:
         pc = p.with_controls(*c)

@@ -219,7 +219,13 @@ def mfe_spectrum(p: ModelParams) -> MfeSpectrum:
 
 
 def compute_endemic(p: ModelParams) -> Optional[EndemicPoint]:
-    """Endemic equilibrium, or None unless gain > loss (rc > 1)."""
+    """Endemic equilibrium, or None unless gain > loss (rc > 1).
+
+    se = loss / (beta * alpha) can round to S0 when gain exceeds loss by an
+    ulp or so. The point then has a0 = ie = 0 and coincides with the
+    malware-free point at rc = 1, whose Jacobian has a zero eigenvalue, so
+    endemic_stability's Routh-Hurwitz verdict there rests on rounding.
+    """
     mfe = compute_mfe(p)
     gain, loss = threshold_sides(p, mfe.s0, p.c2)
     if not gain > loss:

@@ -237,6 +237,63 @@ def test_gradient_phase_solves_quadratic_surrogate():
     assert run.j_star < 1e-6
 
 
+def test_gradient_phase_grows_the_step_on_a_linear_surrogate():
+    # J = 0.2 c1 + 0.3 c2 has g = (0.2, 0.3) everywhere: restarting every step
+    # at 0.05 reaches (0, 0) from (0.9, 0.9) at the 91st score, doubling at the 8th
+    scored = []
+
+    def cost_fn(c):
+        scored.append(c)
+        return 0.2 * c[0] + 0.3 * c[1], None
+
+    sa = SAConfig(t0=1e-9, n_cool=1, n_perturb=1, rng_seed=1, max_outer=1)
+    run = _hybrid_minimize(cost_fn, lambda c, aux: (0.2, 0.3), (0.9, 0.9), sa)
+    assert run.optimum == (0.0, 0.0)
+    assert (0.0, 0.0) in scored[:12]
+
+
+@pytest.mark.parametrize("start", [(0.9, 0.05), (0.05, 0.95), (0.5, 0.5)])
+def test_gradient_phase_scores_no_candidate_without_first_order_decrease(monkeypatch, start):
+    # no annealing: every score after the start is a candidate of the last gradient
+    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])
+    sa = SAConfig(eps_k=1e-6, max_outer=1)
+    last = {}
+
+    def grad_fn(c, aux):
+        last["c"] = c
+        last["g"] = (2 * (c[0] - 0.4) + 0.9 * math.cos(9 * c[0]), 2 * (c[1] - 0.2))
+        return last["g"]
+
+    def cost_fn(c):
+        if last:  # a gradient candidate
+            (g1, g2), base = last["g"], last["c"]
+            assert g1 * (base[0] - c[0]) + g2 * (base[1] - c[1]) > sa.eps_k
+        return (c[0] - 0.4) ** 2 + (c[1] - 0.2) ** 2 + 0.1 * math.sin(9 * c[0]), None
+
+    run = _hybrid_minimize(cost_fn, grad_fn, start, sa)
+    assert "gradient" in run.phase_tags
+
+
+def test_gradient_phase_scores_a_projected_corner_once(monkeypatch):
+    # from (0.1, 0.1) the steps 8 * g, 4 * g, 2 * g and g all project onto the
+    # corner (0, 0), where J is no lower; 0.5 * g reaches the minimum
+    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])  # no annealing
+    scored = []
+
+    def cost_fn(c):
+        scored.append(c)
+        return (c[0] - 0.05) ** 2 + (c[1] - 0.05) ** 2, None
+
+    def grad_fn(c, aux):
+        return (2 * (c[0] - 0.05), 2 * (c[1] - 0.05))
+
+    sa = SAConfig(eps_k=1e-12, step_eta=8.0, max_outer=1)
+    run = _hybrid_minimize(cost_fn, grad_fn, (0.1, 0.1), sa)
+    assert scored.count((0.0, 0.0)) == 1
+    assert len(set(scored)) == len(scored)
+    assert run.optimum == (0.05, 0.05)
+
+
 def test_optimizer_history_invariants():
     def cost_fn(c):
         return (c[0] - 0.4) ** 2 + (c[1] - 0.2) ** 2 + 0.1 * math.sin(9 * c[0]), None

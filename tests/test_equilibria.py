@@ -20,6 +20,7 @@ from seirv.equilibria import (
     endemic_stability,
     mfe_spectrum,
     polynomial_roots,
+    threshold_sides,
 )
 from seirv.errors import NoEndemicPointError
 from seirv.model import (
@@ -219,6 +220,22 @@ def test_endemic_stability_uncontrolled_is_stable():
     assert all(report.conditions)
     assert not report.marginal
     assert all(z.real < 0 for z in report.eigenvalues)
+
+
+def test_endemic_point_one_ulp_above_threshold_is_the_malware_free_point():
+    # at beta = critical_beta(p) gain rounds one ulp above loss, so rc > 1,
+    # but se rounds to S0: the endemic point coincides with the malware-free
+    # one, whose zero eigenvalue endemic_stability flags as marginal (the
+    # Routh-Hurwitz verdict rests on h5, which is 0 up to rounding)
+    p = DEFAULT_PARAMS.with_controls(0.02, 0.02)
+    p = replace(p, beta=critical_beta(p))
+    gain, loss = threshold_sides(p, compute_mfe(p).s0, p.c2)
+    assert gain == math.nextafter(loss, math.inf)
+    point = compute_endemic(p)
+    assert point.a0 == 0.0 and point.ie == 0.0
+    assert point.as_state_tuple() == compute_mfe(p).as_state_tuple()
+    assert not mfe_spectrum(p).stable
+    assert endemic_stability(p).marginal
 
 
 def test_vieta_and_root_round_trip():
