@@ -3,77 +3,18 @@
 Simulation of the five-compartment device model, equilibrium/threshold/
 stability analysis, sensitivity and control-region maps, hybrid
 gradient + simulated-annealing optimal control, and data-driven calibration
-with averted-cases analysis.
+with averted-cases analysis. The package re-exports every module's __all__.
 """
 
-from .analysis import (
-    EpidemicCharacteristics,
-    RegionMap,
-    SensitivityIndex,
-    characteristics,
-    classify_region,
-    region_map,
-    sensitivity_indices,
-    sweep_beta,
-    sweep_control,
-)
-from .calibration import (
-    AvertedCurve,
-    FitResult,
-    NelderMeadConfig,
-    ObservationSeries,
-    averted_cases,
-    fit_beta_segments,
-    generate_synthetic,
-    goodness,
-    load_series,
-    nelder_mead,
-    sse,
-)
-from .control import (
-    CostParams,
-    GradientVector,
-    OptimRun,
-    SAConfig,
-    cost,
-    effort_split,
-    gradient,
-    hybrid_optimize,
-    solve_adjoint,
-)
-from .equilibria import (
-    BifurcationBranch,
-    EndemicPoint,
-    MfePoint,
-    MfeSpectrum,
-    RouthHurwitzReport,
-    ThresholdResult,
-    bifurcation_scan,
-    compute_endemic,
-    compute_mfe,
-    compute_rc,
-    critical_beta,
-    endemic_stability,
-    mfe_spectrum,
-)
-from .errors import (
-    DegenerateObjectiveError,
-    IntegrationDivergedError,
-    NoEndemicPointError,
-    SeirvError,
-)
-from .model import (
-    BetaSchedule,
-    ControlSchedule,
-    IntegratorConfig,
-    ModelParams,
-    State,
-    DEFAULT_PARAMS,
-    Trajectory,
-    integrate,
-    population_bound,
-    population_closed_form,
-    rhs,
-)
+from . import analysis, calibration, control, equilibria, errors, model
+from .analysis import *
+from .calibration import *
+from .control import *
+from .equilibria import *
+from .errors import *
+from .model import *
+
+__all__ = [*model.__all__, *equilibria.__all__, *analysis.__all__,
+           *control.__all__, *calibration.__all__, *errors.__all__]
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass
-from typing import Dict, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -39,7 +39,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-MODEL_FIELDS = ("lam", "beta", "alpha", "eta1", "eta2", "sigma1", "sigma2", "mu", "c1", "c2")
+MODEL_FIELDS = tuple(f.name for f in fields(ModelParams))
 STATE_FIELDS = ("s0", "e0", "i0", "r0", "v0")
 DEFAULT_STATE = {"s0": 1e9, "e0": 0.0, "i0": 1.0, "r0": 0.0, "v0": 0.0}
 #: Config-file sections and the keys each accepts; every key is also a flag.
@@ -211,25 +211,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("simulate", help="integrate the model and emit a trajectory CSV")
-    _add_shared_flags(sp)
+    def command(name: str, run: Callable[[argparse.Namespace], int],
+                help: str) -> argparse.ArgumentParser:
+        """A subcommand with the shared flags; main calls run(args)."""
+        sp = sub.add_parser(name, help=help)
+        _add_shared_flags(sp)
+        sp.set_defaults(run=run)
+        return sp
 
-    sp = sub.add_parser("equilibria", help="equilibria, threshold and stability report (JSON)")
-    _add_shared_flags(sp)
+    command("simulate", cmd_simulate, "integrate the model and emit a trajectory CSV")
+    command("equilibria", cmd_equilibria, "equilibria, threshold and stability report (JSON)")
 
-    sp = sub.add_parser("sensitivity", help="threshold elasticities per parameter (CSV)")
-    _add_shared_flags(sp)
+    sp = command("sensitivity", cmd_sensitivity, "threshold elasticities per parameter (CSV)")
     sp.add_argument("--h-rel", type=float, help="relative finite-difference step")
 
-    sp = sub.add_parser("region", help="extinction/growth map over the control plane (CSV)")
-    _add_shared_flags(sp)
+    sp = command("region", cmd_region, "extinction/growth map over the control plane (CSV)")
     sp.add_argument("--resolution", type=int, default=101, help="grid points per axis")
 
-    sp = sub.add_parser("characteristics", help="peak, peak time and total infections (JSON)")
-    _add_shared_flags(sp)
+    command("characteristics", cmd_characteristics, "peak, peak time and total infections (JSON)")
 
-    sp = sub.add_parser("optimize", help="hybrid gradient + annealing control search (JSON)")
-    _add_shared_flags(sp)
+    sp = command("optimize", cmd_optimize, "hybrid gradient + annealing control search (JSON)")
     sp.add_argument("--m0", type=float, default=1.0, help="infection cost weight")
     sp.add_argument("--k1", type=float, default=0.2, help="vaccination cost weight")
     sp.add_argument("--k2", type=float, default=0.3, help="treatment cost weight")
@@ -241,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-perturb", type=int, help="perturbations per cooling step")
     sp.add_argument("--eps-k", type=float, help="gradient-phase acceptance tolerance")
     sp.add_argument("--delta-k", type=float, help="annealing acceptance tolerance")
-    sp.add_argument("--step-eta", type=float, help="first descent step of each gradient phase")
+    sp.add_argument("--step-eta", type=float, help="first descent step of each gradient phase "
+                         "(step rule: seirv.control.hybrid_optimize)")
     sp.add_argument("--max-outer", type=int, help="outer-loop cap")
     sp.add_argument("--accept-rule", choices=("scaled", "classical"),
                     help="annealing acceptance probability form")
 
-    sp = sub.add_parser("calibrate", help="fit piecewise beta to observed counts (JSON)")
-    _add_shared_flags(sp)
+    sp = command("calibrate", cmd_calibrate, "fit piecewise beta to observed counts (JSON)")
     sp.add_argument("--data", required=True, help="input CSV with header time,count")
     sp.add_argument("--kind", choices=("cumulative", "daily"), default="cumulative",
                     help="how to interpret the count column")
@@ -255,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nm-max-iter", dest="max_iter", type=int, help="simplex iteration cap")
     sp.add_argument("--csv-out", help="also write an observed/fitted/residual CSV here")
 
-    sp = sub.add_parser("avert", help="averted cases vs intervention onset (JSON)")
-    _add_shared_flags(sp)
+    sp = command("avert", cmd_avert, "averted cases vs intervention onset (JSON)")
     sp.add_argument("--onset-grid", default="0,100,200,300,400,500",
                     help="comma-separated onset times")
     sp.add_argument("--csv-out", help="also write an onset/averted CSV here")
@@ -368,23 +368,11 @@ def cmd_avert(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "equilibria": cmd_equilibria,
-    "sensitivity": cmd_sensitivity,
-    "region": cmd_region,
-    "characteristics": cmd_characteristics,
-    "optimize": cmd_optimize,
-    "calibrate": cmd_calibrate,
-    "avert": cmd_avert,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (IntegrationDivergedError, ArithmeticError, MemoryError,
             np.linalg.LinAlgError) as exc:  # LinAlgError before ValueError, its base
         detail = str(exc) or type(exc).__name__  # a bare MemoryError has no message

@@ -89,22 +89,19 @@ class GradientVector(NamedTuple):
     g2: float
 
 
-_GRAD_STEPS = 100  # descent steps per gradient phase; each tries twice the last accepted step
+_GRAD_STEPS = 100  # descent steps per gradient phase
 _HALVINGS = 20  # step-size halvings per descent step before the phase stops
 
 
 @dataclass(frozen=True)
 class SAConfig:
-    """Hybrid optimizer settings.
+    """Hybrid optimizer settings; hybrid_optimize states how they are used.
 
     t0/cooling/n_cool/n_perturb drive the annealing phase; eps_k and delta_k
     are the acceptance tolerances of the gradient and annealing phases;
-    step_eta is the first descent step of each gradient phase. Each of up to
-    _GRAD_STEPS descent steps starts at twice the last accepted step and is
-    halved up to _HALVINGS times until it improves J by more than eps_k; the
-    phase stops once the step's first-order decrease is no more than eps_k.
-    accept_rule "scaled" uses the acceptance probability T * exp(-delta/T);
-    "classical" drops the leading T factor.
+    step_eta is the first descent step of each gradient phase; max_outer
+    caps the outer rounds. accept_rule "scaled" uses the acceptance
+    probability T * exp(-delta/T); "classical" drops the leading T factor.
     """
 
     t0: float = 0.02
@@ -283,7 +280,8 @@ def _hybrid_minimize(
     sa: SAConfig,
     floor_fn: Callable[[Controls], float] = lambda c: -math.inf,
 ) -> OptimRun:
-    """Generic hybrid driver over [0, 1]^2; see hybrid_optimize for the rules.
+    """Generic hybrid driver over [0, 1]^2; hybrid_optimize states the step
+    rule and the prunes, with floor_fn as its control-cost floor.
 
     score(c) returns (J, aux), where aux is whatever grad_fn needs besides c
     (in hybrid_optimize, the point's (params, run)). The incumbent's aux is
@@ -291,24 +289,9 @@ def _hybrid_minimize(
     incumbent: the gradient phase starts there, and each step it accepts
     lowers J by more than eps_k >= 0, so it becomes the incumbent.
 
-    The step rule: a phase's first descent step tries eta = step_eta, and
-    each later step starts at twice the last accepted eta. A step halves eta
-    until the projected candidate lowers J by more than eps_k, and the phase
-    stops once the candidate's first-order decrease g . (c - cand) is no more
-    than eps_k; under box projection that decrease only shrinks with eta, so
-    smaller steps cannot pass it either.
-
-    Exact prunes, which leave the run the same to the bit as scoring every
-    candidate: floor_fn(c) must never exceed score(c)[0] in floating point,
-    and a gradient candidate whose floor already fails the eps_k decrease
-    test is skipped unscored. So is one already scored and rejected in the
-    same phase, since j only falls within a phase. A phase that stalls is
-    not rerun until the incumbent moves: score and grad_fn are pure and the
-    phase draws no rng, so it would score the same candidates and reject
-    them again. An annealing candidate whose floor is no clear improvement
-    draws its acceptance number first and is rejected unscored when even the
-    floor fails the test. The run is the same as without the floor (-inf
-    never prunes).
+    The prunes are exact when score and grad_fn are pure and floor_fn(c)
+    never exceeds score(c)[0] in floating point. The default floor, -inf,
+    never prunes.
     """
     if not all(math.isfinite(x) for x in start):
         raise ValueError(f"start controls must be finite, got {start!r}")
@@ -411,30 +394,41 @@ def hybrid_optimize(
 ) -> OptimRun:
     """Global search alternating projected-gradient descent and annealing.
 
-    The gradient phase repeats descent steps from the incumbent best point
-    and keeps only moves that lower J by more than eps_k. Its first step
-    tries step_eta and each later one twice the last accepted step, halving
-    on failure; it stops once a step's first-order decrease g . (c - cand)
-    is no more than eps_k. The annealing phase re-randomizes one or both
-    control coordinates uniformly in [0, 1] for n_perturb draws per cooling step,
-    accepting improvements beyond delta_k and otherwise accepting against a
-    uniform draw with the configured temperature rule. The outer loop stops
-    when neither phase improves the best J by more than eps_k, or after
-    max_outer rounds. Deterministic for a fixed rng_seed. The start controls
-    must be finite (ValueError otherwise); they are projected into [0, 1]^2.
+    Each outer round runs a gradient phase, then an annealing phase. The
+    loop stops when a round improves the best J by no more than eps_k, or
+    after max_outer rounds. Deterministic for a fixed rng_seed. The start
+    controls must be finite (ValueError otherwise); they are projected into
+    [0, 1]^2.
 
-    Each scored point c is integrated once, as pc = p.with_controls(*c), and
-    cost and gradient read that run. J >= k1 * c1 + k2 * c2 (see cost), so a
+    The step rule. A gradient phase starts at the incumbent (the best point
+    so far) and takes up to _GRAD_STEPS descent steps, each along the
+    gradient g at the incumbent. Its first step tries eta = step_eta, and
+    each later step starts at twice the last accepted eta. A step halves
+    eta, up to _HALVINGS times, until the projected candidate lowers J by
+    more than eps_k; a step that finds none ends the phase. So does a
+    candidate whose first-order decrease g . (c - cand) is no more than
+    eps_k, an Armijo-style test on the linear model: under box projection
+    that decrease only shrinks with eta, so no smaller step could pass it.
+    The annealing phase re-randomizes one or both control coordinates
+    uniformly in [0, 1] for n_perturb draws per cooling step, accepting
+    improvements beyond delta_k and otherwise accepting against a uniform
+    draw with the configured temperature rule.
+
+    The exact prunes. Each scored point c is integrated once, as
+    pc = p.with_controls(*c), and cost and gradient read that run. Gradients
+    are taken only at the incumbent, whose (pc, run) is kept next to its J,
+    so no gradient integrates again. J >= k1 * c1 + k2 * c2 (see cost), so a
     gradient candidate whose control cost alone already fails the eps_k
-    decrease test, and an annealing candidate whose control cost alone
-    already fails the acceptance draw, are rejected without being
-    integrated; so is a gradient candidate already rejected in the same
-    phase. Gradients are taken only at the incumbent, whose (pc, run)
-    _hybrid_minimize keeps, so no gradient integrates again, and a gradient
-    phase that stalled is not run again from the same incumbent. These
-    prunes leave the result the same to the bit as scoring and integrating
-    every point; the step growth and the first-order stop are the step rule
-    itself.
+    decrease test is rejected without being integrated, and so is an
+    annealing candidate whose control cost is no clear improvement and
+    already fails the acceptance draw (it takes that draw first and reuses
+    it if it is scored). A gradient candidate already scored and rejected in
+    the same phase, where J only falls, is not scored again. A gradient
+    phase that stalled is not run again until the incumbent moves: it draws
+    no random numbers, so it would score the same candidates and reject them
+    again. For a given seed these prunes leave the OptimRun the same to the
+    bit as scoring every candidate; the step growth and the first-order stop
+    are the step rule itself, and decide which candidates there are.
     """
     def score(c: Controls) -> Tuple[float, Tuple[ModelParams, Trajectory]]:
         pc = p.with_controls(*c)

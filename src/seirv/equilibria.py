@@ -105,7 +105,8 @@ class RouthHurwitzReport:
     x^5 + h1 x^4 + h2 x^3 + h3 x^2 + h4 x + h5, extracted from the 5x5
     matrix itself. conditions holds the five criterion booleans; stable is
     their conjunction. eigenvalues are the polynomial roots (independent
-    cross-check); marginal flags any root with |Re| < NEUTRAL_MARGIN.
+    cross-check); marginal flags any root with |Re| < NEUTRAL_MARGIN, and
+    an endemic point that coincides with the malware-free one (a0 == 0).
     """
 
     h1: float
@@ -223,8 +224,8 @@ def compute_endemic(p: ModelParams) -> Optional[EndemicPoint]:
 
     se = loss / (beta * alpha) can round to S0 when gain exceeds loss by an
     ulp or so. The point then has a0 = ie = 0 and coincides with the
-    malware-free point at rc = 1, whose Jacobian has a zero eigenvalue, so
-    endemic_stability's Routh-Hurwitz verdict there rests on rounding.
+    malware-free point at rc = 1, whose Jacobian has a zero eigenvalue;
+    endemic_stability reports it marginal.
     """
     mfe = compute_mfe(p)
     gain, loss = threshold_sides(p, mfe.s0, p.c2)
@@ -341,7 +342,9 @@ def endemic_stability(p: ModelParams) -> RouthHurwitzReport:
     h = coeffs[1:]
     conditions = _routh_hurwitz_conditions(h)
     roots = polynomial_roots(coeffs)
-    marginal = bool(np.any(np.abs(roots.real) < NEUTRAL_MARGIN))
+    # a0 == 0: the point is the malware-free one at rc = 1, whose Jacobian
+    # has an exact zero eigenvalue that the float roots may miss
+    marginal = point.a0 == 0.0 or bool(np.any(np.abs(roots.real) < NEUTRAL_MARGIN))
     return RouthHurwitzReport(
         h1=float(h[0]), h2=float(h[1]), h3=float(h[2]), h4=float(h[3]), h5=float(h[4]),
         conditions=conditions,

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["SeirvError", "IntegrationDivergedError", "NoEndemicPointError",
+           "DegenerateObjectiveError"]
+
 
 class SeirvError(Exception):
     """Base class for all package-specific errors."""

@@ -58,3 +58,9 @@ def sample_params(rng: np.random.Generator, decades: float = 2.0):
         c1=min(1.0, 10.0 ** rng.uniform(-4, 0)),
         c2=min(1.0, 10.0 ** rng.uniform(-4, 0)),
     )
+
+
+def at(c, cp, init, cfg):
+    """The arguments (p, cp, forward) of cost and gradient at the controls c."""
+    p = DEFAULT_PARAMS.with_controls(*c)
+    return p, cp, integrate(p, init, cp.horizon, cfg)

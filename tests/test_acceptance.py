@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import sample_params
+from conftest import at, sample_params
 from seirv.analysis import (
     characteristics,
     classify_region,
@@ -47,12 +47,6 @@ from seirv.model import (
 )
 
 INIT = State(1e9, 0.0, 1.0, 0.0, 0.0)
-
-
-def at(c, cp, init, cfg):
-    """The arguments (p, cp, forward) of cost and gradient at the controls c."""
-    p = DEFAULT_PARAMS.with_controls(*c)
-    return p, cp, integrate(p, init, cp.horizon, cfg)
 
 
 def test_criterion_01_population_conservation():

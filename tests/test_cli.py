@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from seirv import analysis, calibration, cli, control
+import seirv
+from seirv import analysis, calibration, cli, control, equilibria, errors, model
 from seirv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from seirv.model import BetaSchedule, DEFAULT_PARAMS, population_closed_form
 
@@ -410,12 +411,30 @@ def test_unknown_flag_is_an_error():
     assert exc_info.value.code == 2
 
 
+COMMANDS = ("simulate", "equilibria", "sensitivity", "region",
+            "characteristics", "optimize", "calibrate", "avert")
+
+
 def test_help_available_for_every_subcommand():
-    for cmd in ["simulate", "equilibria", "sensitivity", "region",
-                "characteristics", "optimize", "calibrate", "avert"]:
+    for cmd in COMMANDS:
         with pytest.raises(SystemExit) as exc_info:
             main([cmd, "--help"])
         assert exc_info.value.code == 0
+
+
+def test_registries_have_one_owner():
+    """seirv republishes each module's __all__, and each subcommand the
+    parser registers carries its own handler."""
+    modules = (model, equilibria, analysis, control, calibration, errors)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(seirv, name) is getattr(module, name), name
+    assert seirv.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(seirv.__all__)) == len(seirv.__all__)
+    parser = cli.build_parser()
+    for cmd in COMMANDS:
+        required = ["--data", "observed.csv"] if cmd == "calibrate" else []
+        assert parser.parse_args([cmd, *required]).run is getattr(cli, f"cmd_{cmd}")
 
 
 def test_console_entry_point_runs():

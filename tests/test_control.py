@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import at
 from seirv import control
 from seirv.control import (
     CostParams,
@@ -29,12 +30,6 @@ from seirv.model import (
 
 INIT = State(1e9, 0.0, 1.0, 0.0, 0.0)
 CFG = IntegratorConfig(dt=0.05)
-
-
-def at(c, cp, init, cfg):
-    """The arguments (p, cp, forward) of cost and gradient at the controls c."""
-    p = DEFAULT_PARAMS.with_controls(*c)
-    return p, cp, integrate(p, init, cp.horizon, cfg)
 
 
 def reference_cost_params() -> CostParams:

@@ -238,6 +238,21 @@ def test_endemic_point_one_ulp_above_threshold_is_the_malware_free_point():
     assert endemic_stability(p).marginal
 
 
+def test_every_endemic_point_that_is_the_malware_free_point_is_marginal():
+    # the polynomial roots put the zero eigenvalue anywhere up to |Re| ~ 1e-7
+    # at these draws, so the verdict must not rest on them
+    rng = np.random.default_rng(0)
+    coinciding = 0
+    for _ in range(300):
+        p = sample_params(rng).with_controls(0.05, 0.05)
+        p = replace(p, beta=critical_beta(p))
+        point = compute_endemic(p)
+        if point is not None and point.ie == 0.0:
+            coinciding += 1
+            assert endemic_stability(p).marginal, p
+    assert coinciding > 0
+
+
 def test_vieta_and_root_round_trip():
     report = endemic_stability(DEFAULT_PARAMS)
     prod = np.prod(report.eigenvalues)

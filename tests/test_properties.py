@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import sample_params
+from conftest import at, sample_params
 from seirv.analysis import classify_region, region_map, separatrix_c2
 from seirv import cli
 from seirv.cli import _chunked_rows, _write_csv
@@ -184,12 +184,6 @@ def test_population_matches_closed_form_under_random_schedules(
 
 K1, K2 = 0.2, 0.3
 controls = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-
-
-def at(c, cp, init, cfg):
-    """The arguments (p, cp, forward) of cost and gradient at the controls c."""
-    p = DEFAULT_PARAMS.with_controls(*c)
-    return p, cp, integrate(p, init, cp.horizon, cfg)
 
 
 def _floor_runs(seed, accept_rule, t0, start, sign):
