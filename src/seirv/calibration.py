@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DegenerateObjectiveError
 from .model import (
     BetaSchedule,
-    ControlSchedule,
     IntegratorConfig,
     ModelParams,
     State,
@@ -428,17 +427,24 @@ def averted_cases(
         raise ValueError("onsets must be strictly increasing")
     if not all(0.0 <= t <= horizon for t in ts):
         raise ValueError(f"onsets must lie in [0, horizon={horizon!r}], got {ts!r}")
-    p0 = p.with_controls(0.0, 0.0)
-
-    def i_tot(control_schedule: Optional[ControlSchedule]) -> float:
-        traj = integrate(p0, init, horizon, cfg, control_schedule=control_schedule)
-        return trapezoid(traj.e, p.alpha * traj.dt)
-
-    baseline = i_tot(None)
+    pc = p.with_controls(*controls)
+    dt = cfg.dt
+    run = integrate(p.with_controls(0.0, 0.0), init, horizon, cfg)
+    e = run.e.copy()  # E over the whole grid, never intervened
+    baseline = trapezoid(e, p.alpha * dt)
+    # The run with the controls on from the onset's snapped grid index k is
+    # the never-intervened run up to k, continued from its state at k.
+    # Latest onset first: each continuation overwrites e[k:] in place, and
+    # the earlier onsets need only e[:k].
+    n = len(e) - 1
+    onset_states = [(k, run.state_at(k)) for k in (round(t / dt) for t in ts)]
+    del run
     averted = []
-    for t0 in ts:
-        sched = ControlSchedule(onset=t0, before=(0.0, 0.0), after=controls)
-        averted.append(baseline - i_tot(sched))
+    for k, state in reversed(onset_states):
+        if k < n:
+            e[k:] = integrate(pc, state, (n - k) * dt, cfg).e
+        averted.append(baseline - trapezoid(e, p.alpha * dt))
+    averted.reverse()
     x = np.asarray(ts)
     y = np.asarray(averted)
     decay_fit, decay_r2 = _exponential_fit(x, y)

@@ -3,7 +3,7 @@
 cost() evaluates J(c1, c2) = k0 * int_0^T I(t) dt + k1 c1 + k2 c2 with
 k0 = m0 / (T * n_tilde). gradient() obtains dJ/dc by solving the adjoint
 system backward along the forward trajectory, and hybrid_optimize() drives
-the projected-gradient + simulated-annealing global search.
+the projected quasi-Newton + simulated-annealing global search.
 """
 
 from __future__ import annotations
@@ -99,9 +99,10 @@ class SAConfig:
 
     t0/cooling/n_cool/n_perturb drive the annealing phase; eps_k and delta_k
     are the acceptance tolerances of the gradient and annealing phases;
-    step_eta is the first descent step of each gradient phase; max_outer
-    caps the outer rounds. accept_rule "scaled" uses the acceptance
-    probability T * exp(-delta/T); "classical" drops the leading T factor.
+    step_eta is the first steepest-descent step of each gradient phase;
+    max_outer caps the outer rounds. accept_rule "scaled" uses the
+    acceptance probability T * exp(-delta/T); "classical" drops the leading
+    T factor.
     """
 
     t0: float = 0.02
@@ -153,6 +154,41 @@ def temperature_schedule(sa: SAConfig, n: int) -> List[float]:
 
 def _project(c: Controls) -> Controls:
     return (min(1.0, max(0.0, c[0])), min(1.0, max(0.0, c[1])))
+
+
+def _bfgs_update(h: Optional[Tuple[float, float, float]], s: Controls,
+                 y: Controls) -> Tuple[float, float, float]:
+    """BFGS update of the inverse Hessian h = (h11, h12, h22) by a secant
+    pair with s . y > 0 (Nocedal & Wright, eq. 6.17); h None seeds it as
+    (s . y / y . y) * I first (eq. 6.20)."""
+    sy = s[0] * y[0] + s[1] * y[1]
+    if h is None:
+        gamma = sy / (y[0] * y[0] + y[1] * y[1])
+        h = (gamma, 0.0, gamma)
+    h11, h12, h22 = h
+    rho = 1.0 / sy
+    hy1 = h11 * y[0] + h12 * y[1]
+    hy2 = h12 * y[0] + h22 * y[1]
+    k = rho * (1.0 + rho * (y[0] * hy1 + y[1] * hy2))
+    return (h11 - 2.0 * rho * s[0] * hy1 + k * s[0] * s[0],
+            h12 - rho * (s[0] * hy2 + s[1] * hy1) + k * s[0] * s[1],
+            h22 - 2.0 * rho * s[1] * hy2 + k * s[1] * s[1])
+
+
+def _newton_direction(h: Tuple[float, float, float], c: Controls,
+                      g1: float, g2: float) -> Controls:
+    """The projected quasi-Newton direction of hybrid_optimize's step rule.
+
+    With coordinate a held at its bound, the free coordinate j steps by
+    -g_j / (h^-1)_jj, where (h^-1)_jj = det h / h_aa.
+    """
+    h11, h12, h22 = h
+    held1 = (c[0] == 0.0 and g1 > 0.0) or (c[0] == 1.0 and g1 < 0.0)
+    held2 = (c[1] == 0.0 and g2 > 0.0) or (c[1] == 1.0 and g2 < 0.0)
+    if not (held1 or held2):
+        return (-(h11 * g1 + h12 * g2), -(h12 * g1 + h22 * g2))
+    det = h11 * h22 - h12 * h12
+    return (-g1 * (h11 if held1 else det / h22), -g2 * (h22 if held2 else det / h11))
 
 
 def cost(p: ModelParams, cp: CostParams, forward: Trajectory) -> float:
@@ -318,25 +354,44 @@ def _hybrid_minimize(
         c, j = best_c, best_j
         if c != stalled:
             eta = sa.step_eta
-            rejected = set()  # candidates scored and rejected in this phase
+            h = None  # inverse-Hessian estimate (h11, h12, h22)
+            prev = None  # (c, g) where the last descent step started
+            scored = set()  # candidates scored in this phase
             for _ in range(_GRAD_STEPS):
                 g1, g2 = grad_fn(c, best_aux)  # c is the incumbent
+                if prev is not None:  # the secant pair of the last move
+                    (p1, p2), (q1, q2) = prev
+                    s, y = (c[0] - p1, c[1] - p2), (g1 - q1, g2 - q2)
+                    if s[0] * y[0] + s[1] * y[1] > 0.0:
+                        h = _bfgs_update(h, s, y)
+                prev = (c, (g1, g2))
+                if h is None:
+                    tries = [(-g1, -g2, eta)]
+                else:
+                    tries = [_newton_direction(h, c, g1, g2) + (1.0,), (-g1, -g2, sa.step_eta)]
                 moved = False
-                for _ in range(_HALVINGS):
-                    cand = _project((c[0] - eta * g1, c[1] - eta * g2))
-                    if g1 * (c[0] - cand[0]) + g2 * (c[1] - cand[1]) <= sa.eps_k:
-                        break  # the first-order decrease only shrinks with eta
-                    # j - score(cand)[0] <= j - floor, and j only falls within a
-                    # phase, so a rejected candidate would fail again
-                    if cand not in rejected and j - floor_fn(cand) > sa.eps_k:
-                        jc, aux = score(cand)
-                        if j - jc > sa.eps_k:
-                            c, j = cand, jc
-                            record(c, j, aux, "gradient")
-                            moved = True
-                            break
-                        rejected.add(cand)
-                    eta *= 0.5
+                for d1, d2, eta in tries:
+                    downhill = g1 * d1 <= 0.0 and g2 * d2 <= 0.0
+                    for _ in range(_HALVINGS):
+                        raw = (c[0] + eta * d1, c[1] + eta * d2)
+                        cand = _project(raw)
+                        if g1 * (c[0] - cand[0]) + g2 * (c[1] - cand[1]) <= sa.eps_k:
+                            if downhill or cand == raw:
+                                break  # the first-order decrease only shrinks with eta
+                        # j - score(cand)[0] <= j - floor, and j only falls within a
+                        # phase, so a candidate scored before would fail now
+                        elif cand not in scored and j - floor_fn(cand) > sa.eps_k:
+                            jc, aux = score(cand)
+                            scored.add(cand)
+                            if j - jc > sa.eps_k:
+                                c, j = cand, jc
+                                record(c, j, aux, "gradient")
+                                moved = True
+                                break
+                        eta *= 0.5
+                    if moved:
+                        break
+                    h = None  # the quasi-Newton step failed: retry along -g
                 if not moved:
                     stalled = c
                     break
@@ -392,7 +447,7 @@ def hybrid_optimize(
     init: State,
     cfg: IntegratorConfig,
 ) -> OptimRun:
-    """Global search alternating projected-gradient descent and annealing.
+    """Global search alternating projected quasi-Newton descent and annealing.
 
     Each outer round runs a gradient phase, then an annealing phase. The
     loop stops when a round improves the best J by no more than eps_k, or
@@ -401,14 +456,39 @@ def hybrid_optimize(
     [0, 1]^2.
 
     The step rule. A gradient phase starts at the incumbent (the best point
-    so far) and takes up to _GRAD_STEPS descent steps, each along the
-    gradient g at the incumbent. Its first step tries eta = step_eta, and
-    each later step starts at twice the last accepted eta. A step halves
-    eta, up to _HALVINGS times, until the projected candidate lowers J by
-    more than eps_k; a step that finds none ends the phase. So does a
-    candidate whose first-order decrease g . (c - cand) is no more than
-    eps_k, an Armijo-style test on the linear model: under box projection
-    that decrease only shrinks with eta, so no smaller step could pass it.
+    so far) and takes up to _GRAD_STEPS descent steps, each from the
+    incumbent c with the gradient g there. A descent step tries a direction
+    d from a first eta, halving eta up to _HALVINGS times until the
+    projected candidate cand = P(c + eta * d) lowers J by more than eps_k.
+    It gives up early at a candidate whose first-order decrease
+    g . (c - cand) is no more than eps_k, an Armijo-style test on the linear
+    model, when no smaller eta could pass that test (below); such a
+    candidate is never scored.
+    - The phase starts with steepest descent, d = -g: its first step tries
+      eta = step_eta, and each later step starts at twice the last
+      accepted eta.
+    - Each accepted move gives a secant pair s = c_new - c_old,
+      y = g_new - g_old. From the first pair with s . y > 0 on, the phase
+      keeps an inverse-Hessian estimate H, seeded (s . y / y . y) * I and
+      BFGS-updated by every pair with s . y > 0 (Nocedal & Wright, ch. 6).
+    - While it has H, a step tries the projected quasi-Newton direction
+      d = -H g from eta = 1 (Bertsekas, SIAM J. Control Optim. 20, 1982):
+      a coordinate held at a bound by an outward gradient takes its
+      diagonal step, which the projection cancels, and the other its
+      Newton step along that bound. If this finds no decrease, the same
+      step drops H and retries d = -g from eta = step_eta.
+    - A step that finds no decrease along -g ends the phase.
+
+    Why giving up is exact: coordinate i adds g_i * (c_i - cand_i) to the
+    first-order decrease. As eta shrinks, that term shrinks where d_i points
+    downhill (g_i * d_i < 0) and grows where it points uphill, and it stays
+    put while the box clips coordinate i. So the decrease only shrinks with
+    eta when every coordinate points downhill, as along -g, or when the box
+    clips nothing, where it is linear in eta. The step gives up only in
+    those two cases: a clipped quasi-Newton candidate that trades an uphill
+    move for a downhill one is skipped unscored, and the halving goes on. A
+    held coordinate stays at its bound for every eta and adds nothing.
+
     The annealing phase re-randomizes one or both control coordinates
     uniformly in [0, 1] for n_perturb draws per cooling step, accepting
     improvements beyond delta_k and otherwise accepting against a uniform
@@ -422,13 +502,14 @@ def hybrid_optimize(
     decrease test is rejected without being integrated, and so is an
     annealing candidate whose control cost is no clear improvement and
     already fails the acceptance draw (it takes that draw first and reuses
-    it if it is scored). A gradient candidate already scored and rejected in
-    the same phase, where J only falls, is not scored again. A gradient
+    it if it is scored). A gradient candidate already scored in the same
+    phase, where J only falls, is not scored again. A gradient
     phase that stalled is not run again until the incumbent moves: it draws
     no random numbers, so it would score the same candidates and reject them
     again. For a given seed these prunes leave the OptimRun the same to the
-    bit as scoring every candidate; the step growth and the first-order stop
-    are the step rule itself, and decide which candidates there are.
+    bit as scoring every candidate; the directions, the step growth and the
+    early give-up are the step rule itself, and decide which candidates
+    there are.
     """
     def score(c: Controls) -> Tuple[float, Tuple[ModelParams, Trajectory]]:
         pc = p.with_controls(*c)

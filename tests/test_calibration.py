@@ -23,7 +23,15 @@ from seirv.calibration import (
     sse,
 )
 from seirv.errors import DegenerateObjectiveError
-from seirv.model import BetaSchedule, IntegratorConfig, State, DEFAULT_PARAMS, integrate
+from seirv.model import (
+    BetaSchedule,
+    ControlSchedule,
+    IntegratorConfig,
+    State,
+    DEFAULT_PARAMS,
+    integrate,
+    trapezoid,
+)
 
 CFG = IntegratorConfig(dt=0.02)
 SEED_STATE = State(1e9, 0.0, 1e4, 0.0, 0.0)
@@ -387,6 +395,27 @@ def test_averted_exponential_decay_in_growth_regime():
     assert curve.decay_r2 >= 0.95
     amp, rate = curve.decay_fit
     assert amp > 0.0 and rate > 0.0
+
+
+@pytest.mark.parametrize("dt, horizon, onsets", [
+    (0.5, 400.0, [0.0, 50.0, 120.25, 399.9, 400.0]),
+    (0.2, 100.3, [0.0, 10.05, 33.3, 100.3]),  # the horizon is no multiple of dt
+])
+def test_averted_continuations_match_scheduled_runs_to_the_bit(dt, horizon, onsets):
+    # each onset's run continues the never-intervened run from its state at
+    # the snapped onset index; the definition integrates it from t = 0
+    init = State(1e9, 0.0, 1e3, 0.0, 0.0)
+    cfg = IntegratorConfig(dt=dt)
+    p0 = DEFAULT_PARAMS.with_controls(0.0, 0.0)
+
+    def i_tot(sched):
+        run = integrate(p0, init, horizon, cfg, control_schedule=sched)
+        return trapezoid(run.e, DEFAULT_PARAMS.alpha * dt)
+
+    curve = averted_cases(DEFAULT_PARAMS, (0.1, 0.2), onsets, init, horizon, cfg)
+    assert list(curve.averted) == [
+        i_tot(None) - i_tot(ControlSchedule(t0, (0.0, 0.0), (0.1, 0.2))) for t0 in onsets
+    ]
 
 
 def test_averted_validation():

@@ -247,6 +247,112 @@ def test_gradient_phase_grows_the_step_on_a_linear_surrogate():
     assert (0.0, 0.0) in scored[:12]
 
 
+@pytest.mark.parametrize("start", [(0.9, 0.2), (0.05, 0.95), (0.6, 0.9), (0.1, 0.1)])
+def test_gradient_phase_crosses_a_rotated_valley_in_few_moves(monkeypatch, start):
+    # Hessian eigenvalues 1.5 along the valley (-0.90, 0.43) and 27 across it,
+    # as criterion 7's J has near its optimum; steepest descent takes 37-68
+    # accepted moves to come within 1e-4 of the minimum from these starts
+    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])  # no annealing
+    norm = math.hypot(-0.90, 0.43)
+    u = (-0.90 / norm, 0.43 / norm)
+    w = (-u[1], u[0])
+    target = (0.3, 0.5)
+
+    def along_across(c):
+        d = (c[0] - target[0], c[1] - target[1])
+        return d[0] * u[0] + d[1] * u[1], d[0] * w[0] + d[1] * w[1]
+
+    def cost_fn(c):
+        a, b = along_across(c)
+        return 0.5 * (1.5 * a * a + 27.0 * b * b), None
+
+    def grad_fn(c, aux):
+        a, b = along_across(c)
+        return (1.5 * a * u[0] + 27.0 * b * w[0], 1.5 * a * u[1] + 27.0 * b * w[1])
+
+    run = _hybrid_minimize(cost_fn, grad_fn, start, SAConfig(eps_k=1e-12, max_outer=1))
+    moves = [(c1, c2) for (c1, c2, _), tag in zip(run.history, run.phase_tags)
+             if tag == "gradient"]
+    assert any(math.hypot(c1 - target[0], c2 - target[1]) < 1e-4 for c1, c2 in moves[:10])
+
+
+def test_failed_quasi_newton_step_falls_back_to_the_gradient(monkeypatch):
+    # J is stiff in c2 and has a slope of 0.01 in c1. After the second move
+    # the inverse-Hessian estimate is about 0.01 I, so the quasi-Newton step
+    # along c1 predicts a decrease of about 1e-6 <= eps_k and is not scored;
+    # the same descent step then moves along -g from step_eta, and the phase
+    # goes on
+    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])  # no annealing
+    grads = []
+
+    def cost_fn(c):
+        return 50.0 * (c[1] - 0.5) ** 2 + 0.01 * c[0], None
+
+    def grad_fn(c, aux):
+        grads.append((c, (0.01, 100.0 * (c[1] - 0.5))))
+        return grads[-1][1]
+
+    sa = SAConfig(eps_k=1e-5, step_eta=0.5, max_outer=1)
+    run = _hybrid_minimize(cost_fn, grad_fn, (0.5, 0.52), sa)
+    (c1, c2), (g1, g2) = grads[2]  # the incumbent after a quasi-Newton move
+    assert run.history[3][:2] == (c1 - sa.step_eta * g1, c2 - sa.step_eta * g2)
+    assert run.phase_tags[1:5] == ("gradient",) * 4
+
+
+def test_clipped_candidate_without_first_order_decrease_does_not_end_the_step(monkeypatch):
+    # From the incumbent (0.038, 0.69), where g = (0.038, 0.19), the
+    # direction d = (-1, 0.05) moves c1 downhill and c2 uphill. At eta = 1
+    # the box clips c1 and the first-order decrease is negative, yet at
+    # eta <= 0.038 nothing is clipped and it is 0.0285 * eta: the halving goes
+    # on and moves along d, where stopping would have fallen back to -g
+    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])  # no annealing
+    monkeypatch.setattr(control, "_newton_direction", lambda h, c, g1, g2: (-1.0, 0.05))
+
+    def cost_fn(c):
+        return 0.5 * (c[0] ** 2 + (c[1] - 0.5) ** 2), None
+
+    def grad_fn(c, aux):
+        return (c[0], c[1] - 0.5)
+
+    run = _hybrid_minimize(cost_fn, grad_fn, (0.04, 0.7), SAConfig(max_outer=1))
+    (_, c2_before, _), (_, c2_after, _) = run.history[1:3]  # -g, then d
+    assert run.phase_tags[1:3] == ("gradient", "gradient")
+    assert c2_after > c2_before
+
+
+def test_newton_direction_decouples_a_coordinate_held_at_its_bound():
+    # h is the inverse of B = [[2, 1], [1, 3]]: with c1 held, c2 takes the
+    # Newton step -g2 / B22 of J restricted to the bound, not -(h g)_2
+    h = (0.6, -0.2, 0.4)
+    assert control._newton_direction(h, (0.3, 0.5), 1.0, 0.6) == pytest.approx((-0.48, -0.04))
+    for c, g1 in (((0.0, 0.5), 1.0), ((1.0, 0.5), -1.0)):  # outward gradients
+        d1, d2 = control._newton_direction(h, c, g1, 0.6)
+        assert d1 * g1 < 0.0 and d2 == pytest.approx(-0.6 / 3.0)
+    assert control._newton_direction(h, (0.0, 0.5), -1.0, 0.6) == pytest.approx((0.72, -0.44))
+    assert control._newton_direction(h, (0.0, 1.0), 1.0, -0.6) == pytest.approx((-0.6, 0.24))
+
+
+def test_secant_pair_without_curvature_keeps_the_steepest_descent_doubling(monkeypatch):
+    # J is concave in c1, so every secant pair has s . y <= 0 and no
+    # inverse-Hessian estimate is formed: step k moves 0.05 * 2**k along -g
+    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])  # no annealing
+    grads = []
+
+    def cost_fn(c):
+        return 0.05 * c[1] - 0.5 * (c[0] - 0.2) ** 2, None
+
+    def grad_fn(c, aux):
+        grads.append((c, (0.2 - c[0], 0.05)))
+        return grads[-1][1]
+
+    run = _hybrid_minimize(cost_fn, grad_fn, (0.3, 0.9), SAConfig(max_outer=1))
+    moves = [(c1, c2) for c1, c2, _ in run.history[1:]]
+    assert len(moves) == 9 and run.optimum == (1.0, 0.0)
+    for k, (((c1, c2), (g1, g2)), move) in enumerate(zip(grads, moves)):
+        eta = 0.05 * 2**k
+        assert move == control._project((c1 - eta * g1, c2 - eta * g2))
+
+
 @pytest.mark.parametrize("start", [(0.9, 0.05), (0.05, 0.95), (0.5, 0.5)])
 def test_gradient_phase_scores_no_candidate_without_first_order_decrease(monkeypatch, start):
     # no annealing: every score after the start is a candidate of the last gradient
@@ -429,6 +535,23 @@ def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
     assert all(isinstance(runs[c], Trajectory) for c in graded)
     assert len(set(integrated)) == len(integrated)
     assert len(set(graded)) == len(graded)
+
+
+def test_hybrid_optimize_criterion_7_start_work_count(monkeypatch):
+    # criterion 7's second start at dt 0.5: steepest descent made 238 runs
+    # for J* = 0.0287550; quasi-Newton steps make 29 for J* = 0.0287512
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[0])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(control, "integrate", counted)
+    cp = CostParams.for_run(DEFAULT_PARAMS, INIT, m0=1.0, k1=0.2, k2=0.3, horizon=2000.0)
+    sa = SAConfig(t0=0.02, cooling=0.9, n_cool=8, n_perturb=6, rng_seed=43, max_outer=12)
+    run = hybrid_optimize(DEFAULT_PARAMS, cp, (0.25, 0.2), sa, INIT, IntegratorConfig(dt=0.5))
+    assert len(runs) <= 40
+    assert run.j_star <= 0.028752
 
 
 @pytest.mark.parametrize("start", [(math.nan, 0.3), (0.3, math.inf)])
