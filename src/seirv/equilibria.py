@@ -30,17 +30,10 @@ __all__ = [
     "mfe_spectrum",
     "compute_endemic",
     "endemic_jacobian",
-    "characteristic_polynomial",
-    "polynomial_roots",
     "endemic_stability",
     "critical_beta",
     "bifurcation_scan",
 ]
-
-#: Eigenvalues with |Re| below this are treated as marginal (root-finding noise
-#: at the bifurcation point), not as a stability verdict.
-NEUTRAL_MARGIN = 1e-10
-
 
 @dataclass(frozen=True)
 class MfePoint:
@@ -101,12 +94,12 @@ class EndemicPoint:
 class RouthHurwitzReport:
     """Routh-Hurwitz analysis of the endemic Jacobian.
 
-    h1..h5 are the characteristic-polynomial coefficients
-    x^5 + h1 x^4 + h2 x^3 + h3 x^2 + h4 x + h5, extracted from the 5x5
-    matrix itself. conditions holds the five criterion booleans; stable is
-    their conjunction. eigenvalues are the polynomial roots (independent
-    cross-check); marginal flags any root with |Re| < NEUTRAL_MARGIN, and
-    an endemic point that coincides with the malware-free one (a0 == 0).
+    eigenvalues are LAPACK's (np.linalg.eigvals) for the 5x5 Jacobian, and
+    h1..h5 are the coefficients of x^5 + h1 x^4 + h2 x^3 + h3 x^2 + h4 x + h5
+    = np.poly(eigenvalues). conditions holds the five criterion booleans;
+    stable is their conjunction. marginal flags an eigenvalue within
+    n * eps * max|lambda| of the imaginary axis, the eigensolver's resolution,
+    where the sign of Re(lambda) and so the verdict are noise.
     """
 
     h1: float
@@ -266,44 +259,6 @@ def endemic_jacobian(p: ModelParams, point: EndemicPoint) -> np.ndarray:
     )
 
 
-def characteristic_polynomial(m: np.ndarray) -> np.ndarray:
-    """Monic characteristic-polynomial coefficients of a square matrix.
-
-    Faddeev-LeVerrier trace recursion; returns [1, c1, ..., cn] with
-    det(xI - M) = x^n + c1 x^(n-1) + ... + cn.
-    """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("matrix must be square")
-    coeffs = np.empty(n + 1)
-    coeffs[0] = 1.0
-    work = np.eye(n)
-    for k in range(1, n + 1):
-        work = m @ work
-        ck = -np.trace(work) / k
-        coeffs[k] = ck
-        work = work + ck * np.eye(n)
-    return coeffs
-
-
-def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of a monic polynomial via the companion matrix, with a
-    backward-error check on every root."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    roots = np.roots(coeffs)
-    n = len(coeffs) - 1
-    powers = np.arange(n, -1, -1)
-    for z in roots:
-        val = abs(np.polyval(coeffs, z))
-        scale = float(np.sum(np.abs(coeffs) * np.maximum(abs(z), 1e-300) ** powers))
-        if val > 1e-8 * max(scale, 1.0):
-            raise ArithmeticError(
-                f"polynomial root {z!r} failed the residual check ({val:g} vs scale {scale:g})"
-            )
-    return roots
-
-
 def _routh_hurwitz_conditions(h: np.ndarray) -> Tuple[bool, bool, bool, bool, bool]:
     """The five stability tests for a monic quintic with coefficients h1..h5.
 
@@ -327,29 +282,36 @@ def endemic_stability(p: ModelParams) -> RouthHurwitzReport:
     """Routh-Hurwitz stability report for the endemic equilibrium.
 
     Refuses (NoEndemicPointError) when rc <= 1, since there is no endemic
-    point to analyze. The quintic coefficients come from the Jacobian matrix
-    itself, and the eigenvalues are recomputed from the polynomial as an
-    independent cross-check. ArithmeticError when the polynomial overflows.
+    point to analyze. The eigenvalues come from LAPACK's backward-stable
+    eigensolver on the Jacobian, and h1..h5 are np.poly of them, so stiff
+    Jacobians keep their coefficients accurate. "marginal" means an
+    eigenvalue within n * eps * max|lambda| of the imaginary axis. The tests
+    hold the independent check: an exact rational Routh-Hurwitz verdict on
+    the same float Jacobian. ArithmeticError when the Jacobian or the
+    polynomial overflows.
     """
     point = compute_endemic(p)
     if point is None:
         rc = compute_rc(p).rc
         raise NoEndemicPointError(f"no endemic equilibrium: rc = {rc:.6g} <= 1 at these parameters")
+    not_finite = "characteristic polynomial of the endemic Jacobian is not finite"
+    jac = endemic_jacobian(p, point)
+    if not np.all(np.isfinite(jac)):
+        raise ArithmeticError(not_finite)
+    roots = np.linalg.eigvals(jac)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        coeffs = characteristic_polynomial(endemic_jacobian(p, point))
-    if not np.all(np.isfinite(coeffs)):
-        raise ArithmeticError("characteristic polynomial of the endemic Jacobian is not finite")
-    h = coeffs[1:]
+        h = np.poly(roots)[1:]
+    if not np.all(np.isfinite(h)):
+        raise ArithmeticError(not_finite)
+    # the eigensolver's resolution, as in np.linalg.matrix_rank: a coinciding
+    # point (a0 == 0) has an exact zero eigenvalue that lands within it
+    resolution = len(roots) * np.finfo(float).eps * np.max(np.abs(roots))
     conditions = _routh_hurwitz_conditions(h)
-    roots = polynomial_roots(coeffs)
-    # a0 == 0: the point is the malware-free one at rc = 1, whose Jacobian
-    # has an exact zero eigenvalue that the float roots may miss
-    marginal = point.a0 == 0.0 or bool(np.any(np.abs(roots.real) < NEUTRAL_MARGIN))
     return RouthHurwitzReport(
         h1=float(h[0]), h2=float(h[1]), h3=float(h[2]), h4=float(h[3]), h5=float(h[4]),
         conditions=conditions,
         stable=all(conditions),
-        marginal=marginal,
+        marginal=bool(np.any(np.abs(roots.real) <= resolution)),
         eigenvalues=tuple(complex(z) for z in roots),
     )
 

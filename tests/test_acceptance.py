@@ -126,7 +126,7 @@ def test_criterion_05a_stability_cross_check():
         if compute_rc(p).rc_squared <= 1.0:
             continue
         report = endemic_stability(p)
-        if report.marginal:  # |Re lambda| < 1e-10 excluded from the count
+        if report.marginal:  # |Re lambda| <= 5 eps max|lambda|: no verdict to count
             continue
         eig_stable = all(z.real < 0.0 for z in report.eigenvalues)
         assert report.stable == eig_stable, f"verdict disagreement at {p}"

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from conftest import sample_params
 from seirv.cli import main
 from seirv.equilibria import (
     bifurcation_scan,
-    characteristic_polynomial,
     compute_endemic,
     compute_mfe,
     compute_rc,
@@ -19,7 +19,6 @@ from seirv.equilibria import (
     endemic_jacobian,
     endemic_stability,
     mfe_spectrum,
-    polynomial_roots,
     threshold_sides,
 )
 from seirv.errors import NoEndemicPointError
@@ -239,8 +238,8 @@ def test_endemic_point_one_ulp_above_threshold_is_the_malware_free_point():
 
 
 def test_every_endemic_point_that_is_the_malware_free_point_is_marginal():
-    # the polynomial roots put the zero eigenvalue anywhere up to |Re| ~ 1e-7
-    # at these draws, so the verdict must not rest on them
+    # each draw's Jacobian has an exact zero eigenvalue; the eigensolver puts
+    # it within its resolution n * eps * max|lambda| of the imaginary axis
     rng = np.random.default_rng(0)
     coinciding = 0
     for _ in range(300):
@@ -266,19 +265,51 @@ def test_vieta_and_root_round_trip():
     assert np.max(np.abs(rebuilt.imag)) <= 1e-8 * scale
 
 
-def test_charpoly_against_numpy_eigenvalues():
-    rng = np.random.default_rng(41)
-    for _ in range(50):
-        m = rng.normal(size=(5, 5))
-        coeffs = characteristic_polynomial(m)
-        expected = np.poly(np.linalg.eigvals(m))
-        assert np.allclose(coeffs, expected.real, rtol=1e-9, atol=1e-9)
+def _exact_charpoly(m):
+    """h1..h5 of det(xI - m) for the float matrix m, exactly: the
+    Faddeev-LeVerrier trace recursion run in rationals."""
+    a = [[Fraction(x) for x in row] for row in m.tolist()]
+    n = len(a)
+    work = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    h = []
+    for k in range(1, n + 1):
+        work = [[sum(a[i][l] * work[l][j] for l in range(n)) for j in range(n)]
+                for i in range(n)]
+        h.append(-sum(work[i][i] for i in range(n)) / k)
+        for i in range(n):
+            work[i][i] += h[-1]
+    return h
 
 
-def test_polynomial_roots_residual_guard():
-    coeffs = characteristic_polynomial(np.diag([-1.0, -2.0, -3.0, -4.0, -5.0]))
-    roots = sorted(polynomial_roots(coeffs).real)
-    assert np.allclose(roots, [-5, -4, -3, -2, -1], atol=1e-9)
+def _exact_routh_hurwitz_stable(h):
+    """All roots of x^n + h1 x^(n-1) + ... + hn in the open left half-plane,
+    decided exactly: every first-column entry of the Routh array is > 0."""
+    coeffs = [Fraction(1), *h]
+    width = (len(coeffs) + 1) // 2
+    rows = [coeffs[0::2], coeffs[1::2]]
+    rows = [row + [Fraction(0)] * (width - len(row)) for row in rows]
+    while len(rows) < len(coeffs):
+        upper, lower = rows[-2], rows[-1]
+        if lower[0] <= 0:
+            return False
+        rows.append([(lower[0] * upper[j + 1] - upper[0] * lower[j + 1]) / lower[0]
+                     for j in range(width - 1)] + [Fraction(0)])
+    return all(row[0] > 0 for row in rows)
+
+
+def _exact_verdict(p):
+    return _exact_routh_hurwitz_stable(_exact_charpoly(endemic_jacobian(p, compute_endemic(p))))
+
+
+def test_stiff_endemic_jacobian_keeps_h5_and_the_verdict():
+    # a tiny mu puts the eigenvalue -mu six to eight decades below the
+    # largest one; a float trace recursion loses all of h5 there
+    for mu in (1e-6, 1e-7, 1e-8):
+        p = replace(DEFAULT_PARAMS, mu=mu)
+        report = endemic_stability(p)
+        assert report.stable and not report.marginal, mu
+        exact_h5 = _exact_charpoly(endemic_jacobian(p, compute_endemic(p)))[-1]
+        assert abs(Fraction(report.h5) - exact_h5) <= Fraction(1e-12) * abs(exact_h5), mu
 
 
 def test_routh_hurwitz_agrees_with_eigenvalue_signs():
@@ -295,6 +326,7 @@ def test_routh_hurwitz_agrees_with_eigenvalue_signs():
             continue
         eig_stable = all(z.real < 0 for z in report.eigenvalues)
         assert report.stable == eig_stable, f"disagreement at {p}"
+        assert report.stable == _exact_verdict(p), f"disagrees with the exact verdict at {p}"
         checked += 1
     assert checked == 500
 
