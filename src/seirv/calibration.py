@@ -139,7 +139,8 @@ def load_series(path, kind: str = "cumulative") -> ObservationSeries:
         raise ValueError(f"kind must be 'cumulative' or 'daily', got {kind!r}")
     times: List[float] = []
     counts: List[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["time", "count"]:

@@ -148,8 +148,11 @@ class RunConfig:
 
 
 def _load_config_file(path: str) -> Dict[str, Dict[str, str]]:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)  # values are numbers, '%' is no syntax
+    try:
+        read = parser.read(path, encoding="utf-8-sig")  # a byte-order mark is no section
+    except configparser.Error as exc:  # no section header, a duplicate key, ...
+        raise ValueError(f"malformed config file {path!r}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ValueError(f"cannot read config file {path!r}")
     return {section: dict(parser[section]) for section in parser.sections()}
@@ -167,7 +170,11 @@ def _build_run_config(args: argparse.Namespace, default_controls=(0.0, 0.0)) -> 
             for key, val in entries.items():
                 if key not in CONFIG_KEYS[section]:
                     raise ValueError(f"unknown {section} config key {key!r}")
-                vals[key] = int(val) if key == "seed" else float(val)
+                try:
+                    vals[key] = int(val) if key == "seed" else float(val)
+                except ValueError:
+                    kind = "an integer" if key == "seed" else "a number"
+                    raise ValueError(f"config [{section}] {key} = {val!r} is not {kind}") from None
     for key in vals:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-k", type=float, help="gradient-phase acceptance tolerance")
     sp.add_argument("--delta-k", type=float, help="annealing acceptance tolerance")
     sp.add_argument("--step-eta", type=float,
-                    help="first steepest-descent step of each gradient phase "
+                    help="steepest-descent step of each gradient phase "
                          "(step rule: seirv.control.hybrid_optimize)")
     sp.add_argument("--max-outer", type=int, help="outer-loop cap")
     sp.add_argument("--accept-rule", choices=("scaled", "classical"),

@@ -99,7 +99,7 @@ class SAConfig:
 
     t0/cooling/n_cool/n_perturb drive the annealing phase; eps_k and delta_k
     are the acceptance tolerances of the gradient and annealing phases;
-    step_eta is the first steepest-descent step of each gradient phase;
+    step_eta is the steepest-descent step of each gradient phase;
     max_outer caps the outer rounds. accept_rule "scaled" uses the
     acceptance probability T * exp(-delta/T); "classical" drops the leading
     T factor.
@@ -353,7 +353,6 @@ def _hybrid_minimize(
         # phase already stalled there: it would score the same candidates.
         c, j = best_c, best_j
         if c != stalled:
-            eta = sa.step_eta
             h = None  # inverse-Hessian estimate (h11, h12, h22)
             prev = None  # (c, g) where the last descent step started
             scored = set()  # candidates scored in this phase
@@ -365,22 +364,18 @@ def _hybrid_minimize(
                     if s[0] * y[0] + s[1] * y[1] > 0.0:
                         h = _bfgs_update(h, s, y)
                 prev = (c, (g1, g2))
-                if h is None:
-                    tries = [(-g1, -g2, eta)]
-                else:
-                    tries = [_newton_direction(h, c, g1, g2) + (1.0,), (-g1, -g2, sa.step_eta)]
+                tries = [(-g1, -g2, sa.step_eta)]
+                if h is not None:
+                    tries.insert(0, _newton_direction(h, c, g1, g2) + (1.0,))
                 moved = False
                 for d1, d2, eta in tries:
-                    downhill = g1 * d1 <= 0.0 and g2 * d2 <= 0.0
                     for _ in range(_HALVINGS):
-                        raw = (c[0] + eta * d1, c[1] + eta * d2)
-                        cand = _project(raw)
-                        if g1 * (c[0] - cand[0]) + g2 * (c[1] - cand[1]) <= sa.eps_k:
-                            if downhill or cand == raw:
-                                break  # the first-order decrease only shrinks with eta
-                        # j - score(cand)[0] <= j - floor, and j only falls within a
-                        # phase, so a candidate scored before would fail now
-                        elif cand not in scored and j - floor_fn(cand) > sa.eps_k:
+                        cand = _project((c[0] + eta * d1, c[1] + eta * d2))
+                        # Score only a first-order decrease. j - score(cand)[0] <=
+                        # j - floor, and j only falls within a phase, so a
+                        # candidate scored before would fail now.
+                        if (g1 * (c[0] - cand[0]) + g2 * (c[1] - cand[1]) > sa.eps_k
+                                and cand not in scored and j - floor_fn(cand) > sa.eps_k):
                             jc, aux = score(cand)
                             scored.add(cand)
                             if j - jc > sa.eps_k:
@@ -395,7 +390,6 @@ def _hybrid_minimize(
                 if not moved:
                     stalled = c
                     break
-                eta *= 2.0
 
         # Simulated-annealing phase.
         for temp in temperature_schedule(sa, sa.n_cool):
@@ -407,7 +401,6 @@ def _hybrid_minimize(
                         cand = (c[0], rng.random())
                 else:  # re-randomize both
                     cand = (rng.random(), rng.random())
-                cand = _project(cand)
                 r = None
                 floor_delta = floor_fn(cand) - j
                 if floor_delta >= -sa.delta_k:
@@ -460,13 +453,9 @@ def hybrid_optimize(
     incumbent c with the gradient g there. A descent step tries a direction
     d from a first eta, halving eta up to _HALVINGS times until the
     projected candidate cand = P(c + eta * d) lowers J by more than eps_k.
-    It gives up early at a candidate whose first-order decrease
-    g . (c - cand) is no more than eps_k, an Armijo-style test on the linear
-    model, when no smaller eta could pass that test (below); such a
-    candidate is never scored.
-    - The phase starts with steepest descent, d = -g: its first step tries
-      eta = step_eta, and each later step starts at twice the last
-      accepted eta.
+    A candidate without first-order decrease, g . (c - cand) <= eps_k (an
+    Armijo-style test on the linear model), is skipped unscored.
+    - The phase starts with steepest descent, d = -g from eta = step_eta.
     - Each accepted move gives a secant pair s = c_new - c_old,
       y = g_new - g_old. From the first pair with s . y > 0 on, the phase
       keeps an inverse-Hessian estimate H, seeded (s . y / y . y) * I and
@@ -478,16 +467,6 @@ def hybrid_optimize(
       Newton step along that bound. If this finds no decrease, the same
       step drops H and retries d = -g from eta = step_eta.
     - A step that finds no decrease along -g ends the phase.
-
-    Why giving up is exact: coordinate i adds g_i * (c_i - cand_i) to the
-    first-order decrease. As eta shrinks, that term shrinks where d_i points
-    downhill (g_i * d_i < 0) and grows where it points uphill, and it stays
-    put while the box clips coordinate i. So the decrease only shrinks with
-    eta when every coordinate points downhill, as along -g, or when the box
-    clips nothing, where it is linear in eta. The step gives up only in
-    those two cases: a clipped quasi-Newton candidate that trades an uphill
-    move for a downhill one is skipped unscored, and the halving goes on. A
-    held coordinate stays at its bound for every eta and adds nothing.
 
     The annealing phase re-randomizes one or both control coordinates
     uniformly in [0, 1] for n_perturb draws per cooling step, accepting
@@ -507,9 +486,8 @@ def hybrid_optimize(
     phase that stalled is not run again until the incumbent moves: it draws
     no random numbers, so it would score the same candidates and reject them
     again. For a given seed these prunes leave the OptimRun the same to the
-    bit as scoring every candidate; the directions, the step growth and the
-    early give-up are the step rule itself, and decide which candidates
-    there are.
+    bit as scoring every candidate; the directions and the first-order
+    test are the step rule itself, and decide which candidates there are.
     """
     def score(c: Controls) -> Tuple[float, Tuple[ModelParams, Trajectory]]:
         pc = p.with_controls(*c)

@@ -112,11 +112,11 @@ def _gradient(controls) -> str:
     return _digest(*(g for c in controls for g in gradient(*_run(c))))
 
 
-def _optimize(accept_rule: str) -> Callable[[], str]:
+def _optimize(accept_rule: str, start=CONTROLS[0]) -> Callable[[], str]:
     def case() -> str:
         sa = SAConfig(t0=0.02, cooling=0.9, n_cool=3, n_perturb=6, max_outer=2,
                       rng_seed=2024, accept_rule=accept_rule)
-        run = hybrid_optimize(DEFAULT_PARAMS, OPT_CP, CONTROLS[0], sa, INIT, COARSE)
+        run = hybrid_optimize(DEFAULT_PARAMS, OPT_CP, start, sa, INIT, COARSE)
         parts = [x for point in run.history for x in point]
         return _digest(*parts, *run.phase_tags, *run.optimum, run.j_star)
     return case
@@ -217,6 +217,9 @@ CASES: Dict[str, Callable[[], str]] = {
     "gradient_f64_controls": lambda: _gradient(CONTROLS_F64),
     "hybrid_optimize_scaled": _optimize("scaled"),
     "hybrid_optimize_classical": _optimize("classical"),
+    # From the far corner the quasi-Newton steps hold coordinates at a bound
+    # and fall back to -g, which the start (0.1, 0.35) never does.
+    "hybrid_optimize_far_start": _optimize("scaled", start=(0.9, 0.9)),
     "fit_beta_segments_goodness": _fit_goodness,
     "averted_cases": _averted,
     "region_map": _region_map,

@@ -50,6 +50,15 @@ def test_load_series_roundtrip(tmp_path):
     assert series.cumulative == (0.0, 5.0, 8.0)
 
 
+def test_load_series_skips_a_utf8_byte_order_mark(tmp_path):
+    text = "time,count\r\n0,0\r\n1,5\r\n2,8\r\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(text.encode("utf-8-sig"))
+    assert bom.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert load_series(bom) == load_series(plain)
+
+
 def test_load_series_errors(tmp_path):
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("t,y\n0,0\n", encoding="utf-8")

@@ -405,6 +405,30 @@ def test_unknown_config_keys_are_rejected(tmp_path, capsys, text):
     assert "unknown" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("beta = 5e-9\n", "no section headers"),
+    ("[model]\nbeta = 5%\n", "[model] beta = '5%' is not a number"),
+    ("[model]\nbeta = 5e-9\nbeta = 6e-9\n", "option 'beta' in section 'model' already exists"),
+    ("[run]\nseed = 3.0\n", "[run] seed = '3.0' is not an integer"),
+], ids=["no-section", "percent", "duplicate-key", "float-seed"])
+def test_malformed_config_file_exits_validation_with_one_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert run_cli(["equilibria", "--config", str(cfg)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("seirv equilibria: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_config_file_with_a_byte_order_mark_is_read(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("[integrator]\ndt = 0.5\n\n[run]\nhorizon = 50\n".encode("utf-8-sig"))
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    _, rows = read_csv(out)
+    assert len(rows) == 101  # horizon 50 at dt 0.5
+
+
 def test_unknown_flag_is_an_error():
     with pytest.raises(SystemExit) as exc_info:
         main(["simulate", "--frobnicate", "1"])

@@ -232,21 +232,6 @@ def test_gradient_phase_solves_quadratic_surrogate():
     assert run.j_star < 1e-6
 
 
-def test_gradient_phase_grows_the_step_on_a_linear_surrogate():
-    # J = 0.2 c1 + 0.3 c2 has g = (0.2, 0.3) everywhere: restarting every step
-    # at 0.05 reaches (0, 0) from (0.9, 0.9) at the 91st score, doubling at the 8th
-    scored = []
-
-    def cost_fn(c):
-        scored.append(c)
-        return 0.2 * c[0] + 0.3 * c[1], None
-
-    sa = SAConfig(t0=1e-9, n_cool=1, n_perturb=1, rng_seed=1, max_outer=1)
-    run = _hybrid_minimize(cost_fn, lambda c, aux: (0.2, 0.3), (0.9, 0.9), sa)
-    assert run.optimum == (0.0, 0.0)
-    assert (0.0, 0.0) in scored[:12]
-
-
 @pytest.mark.parametrize("start", [(0.9, 0.2), (0.05, 0.95), (0.6, 0.9), (0.1, 0.1)])
 def test_gradient_phase_crosses_a_rotated_valley_in_few_moves(monkeypatch, start):
     # Hessian eigenvalues 1.5 along the valley (-0.90, 0.43) and 27 across it,
@@ -332,9 +317,9 @@ def test_newton_direction_decouples_a_coordinate_held_at_its_bound():
     assert control._newton_direction(h, (0.0, 1.0), 1.0, -0.6) == pytest.approx((-0.6, 0.24))
 
 
-def test_secant_pair_without_curvature_keeps_the_steepest_descent_doubling(monkeypatch):
+def test_secant_pair_without_curvature_steps_along_the_gradient_from_step_eta(monkeypatch):
     # J is concave in c1, so every secant pair has s . y <= 0 and no
-    # inverse-Hessian estimate is formed: step k moves 0.05 * 2**k along -g
+    # inverse-Hessian estimate is formed: every step moves step_eta along -g
     monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])  # no annealing
     grads = []
 
@@ -345,12 +330,12 @@ def test_secant_pair_without_curvature_keeps_the_steepest_descent_doubling(monke
         grads.append((c, (0.2 - c[0], 0.05)))
         return grads[-1][1]
 
-    run = _hybrid_minimize(cost_fn, grad_fn, (0.3, 0.9), SAConfig(max_outer=1))
+    sa = SAConfig(max_outer=1)
+    run = _hybrid_minimize(cost_fn, grad_fn, (0.3, 0.9), sa)
     moves = [(c1, c2) for c1, c2, _ in run.history[1:]]
-    assert len(moves) == 9 and run.optimum == (1.0, 0.0)
-    for k, (((c1, c2), (g1, g2)), move) in enumerate(zip(grads, moves)):
-        eta = 0.05 * 2**k
-        assert move == control._project((c1 - eta * g1, c2 - eta * g2))
+    for ((c1, c2), (g1, g2)), move in zip(grads, moves):
+        assert move == control._project((c1 - sa.step_eta * g1, c2 - sa.step_eta * g2))
+    assert len(moves) == control._GRAD_STEPS and run.optimum[0] == 1.0
 
 
 @pytest.mark.parametrize("start", [(0.9, 0.05), (0.05, 0.95), (0.5, 0.5)])
