@@ -191,6 +191,15 @@ def _newton_direction(h: Tuple[float, float, float], c: Controls,
     return (-g1 * (h11 if held1 else det / h22), -g2 * (h22 if held2 else det / h11))
 
 
+def _exit_step(c: Controls, d: Controls) -> float:
+    """Largest eta with c + eta * d inside [0, 1] in every coordinate that
+    moves; a coordinate at its bound with d pointing out, or with d = 0,
+    gives no limit, and without any limit the step is inf."""
+    steps = [x / -dx if dx < 0.0 else (1.0 - x) / dx
+             for x, dx in zip(c, d) if (dx < 0.0 and x > 0.0) or (dx > 0.0 and x < 1.0)]
+    return min(steps, default=math.inf)
+
+
 def cost(p: ModelParams, cp: CostParams, forward: Trajectory) -> float:
     """Objective J at the constant controls (p.c1, p.c2) over [0, cp.horizon].
 
@@ -366,7 +375,8 @@ def _hybrid_minimize(
                 prev = (c, (g1, g2))
                 tries = [(-g1, -g2, sa.step_eta)]
                 if h is not None:
-                    tries.insert(0, _newton_direction(h, c, g1, g2) + (1.0,))
+                    d = _newton_direction(h, c, g1, g2)
+                    tries.insert(0, d + (min(1.0, _exit_step(c, d)),))
                 moved = False
                 for d1, d2, eta in tries:
                     for _ in range(_HALVINGS):
@@ -461,11 +471,16 @@ def hybrid_optimize(
       keeps an inverse-Hessian estimate H, seeded (s . y / y . y) * I and
       BFGS-updated by every pair with s . y > 0 (Nocedal & Wright, ch. 6).
     - While it has H, a step tries the projected quasi-Newton direction
-      d = -H g from eta = 1 (Bertsekas, SIAM J. Control Optim. 20, 1982):
-      a coordinate held at a bound by an outward gradient takes its
-      diagonal step, which the projection cancels, and the other its
-      Newton step along that bound. If this finds no decrease, the same
-      step drops H and retries d = -g from eta = step_eta.
+      d = -H g (Bertsekas, SIAM J. Control Optim. 20, 1982): a coordinate
+      held at a bound by an outward gradient takes its diagonal step,
+      which the projection cancels, and the other its Newton step along
+      that bound. The try starts at eta = min(1, exit step), where the
+      exit step is the largest eta with c + eta * d in the box in every
+      coordinate that moves (the first breakpoint of the projected path,
+      as in L-BFGS-B): where J is nearly linear, H is huge and every
+      halving of a unit step would project to the same corner. If this
+      finds no decrease, the same step drops H and retries d = -g from
+      eta = step_eta.
     - A step that finds no decrease along -g ends the phase.
 
     The annealing phase re-randomizes one or both control coordinates

@@ -317,6 +317,40 @@ def test_newton_direction_decouples_a_coordinate_held_at_its_bound():
     assert control._newton_direction(h, (0.0, 1.0), 1.0, -0.6) == pytest.approx((-0.6, 0.24))
 
 
+def test_exit_step_is_where_the_step_first_leaves_the_box():
+    # interior: c1 reaches 0 at eta 0.4 / 2, before c2 reaches 1 at 0.5 / 1
+    assert control._exit_step((0.4, 0.5), (-2.0, 1.0)) == pytest.approx(0.2)
+    # c1 is held at 0 by d1 < 0: only c2 limits the step
+    assert control._exit_step((0.0, 0.5), (-2.0, 1.0)) == pytest.approx(0.5)
+    assert control._exit_step((0.3, 0.7), (0.0, 0.0)) == math.inf
+    # on a bound and moving inward: the far face
+    assert control._exit_step((0.0, 1.0), (4.0, -2.0)) == pytest.approx(0.25)
+
+
+def test_quasi_newton_try_starts_at_the_exit_step_not_the_corner(monkeypatch):
+    # J is linear plus a tiny convex term, so the first secant pair seeds H
+    # with gamma = 1 / 1e-6 and d = -H g is about -1e6 g. Projected from
+    # eta = 1 it lands on the corner (0, 0); the try starts where d leaves
+    # the box instead, on the face c1 = 0
+    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])  # no annealing
+    scored, grads = [], []
+
+    def cost_fn(c):
+        scored.append(c)
+        return 0.3 * c[0] + 0.1 * c[1] + 0.5e-6 * (c[0] ** 2 + c[1] ** 2), None
+
+    def grad_fn(c, aux):
+        grads.append((c, (0.3 + 1e-6 * c[0], 0.1 + 1e-6 * c[1])))
+        return grads[-1][1]
+
+    _hybrid_minimize(cost_fn, grad_fn, (0.5, 0.5), SAConfig(max_outer=1))
+    (c1, c2), (g1, g2) = grads[1]  # the incumbent after one -g move
+    cand = scored[2]  # the first quasi-Newton candidate
+    assert cand[0] == pytest.approx(0.0, abs=1e-12)
+    assert cand[1] == pytest.approx(c2 - c1 * g2 / g1, rel=1e-6)
+    assert cand[1] > 0.3
+
+
 def test_secant_pair_without_curvature_steps_along_the_gradient_from_step_eta(monkeypatch):
     # J is concave in c1, so every secant pair has s . y <= 0 and no
     # inverse-Hessian estimate is formed: every step moves step_eta along -g
@@ -537,6 +571,23 @@ def test_hybrid_optimize_criterion_7_start_work_count(monkeypatch):
     run = hybrid_optimize(DEFAULT_PARAMS, cp, (0.25, 0.2), sa, INIT, IntegratorConfig(dt=0.5))
     assert len(runs) <= 40
     assert run.j_star <= 0.028752
+
+
+def test_hybrid_optimize_far_start_work_count(monkeypatch):
+    # the golden far start (0.9, 0.9): quasi-Newton tries from eta = 1 landed
+    # on a corner and the search crawled along -g in 56 forward runs; tries
+    # from the exit step make 20
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[0])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(control, "integrate", counted)
+    cp = CostParams.for_run(DEFAULT_PARAMS, INIT, m0=1.0, k1=0.2, k2=0.3, horizon=500.0)
+    sa = SAConfig(t0=0.02, cooling=0.9, n_cool=3, n_perturb=6, max_outer=2, rng_seed=2024)
+    hybrid_optimize(DEFAULT_PARAMS, cp, (0.9, 0.9), sa, INIT, IntegratorConfig(dt=0.5))
+    assert len(runs) <= 28
 
 
 @pytest.mark.parametrize("start", [(math.nan, 0.3), (0.3, math.inf)])
