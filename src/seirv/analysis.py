@@ -43,6 +43,8 @@ __all__ = [
 
 #: Parameters with defined threshold elasticities, in reporting order.
 SENSITIVITY_PARAMETERS = ("sigma1", "sigma2", "c1", "c2", "beta", "eta1", "eta2")
+#: Relative finite-difference step of sensitivity_indices.
+_REL_STEP = 1e-6
 #: Most grid cells region_map builds; a finer grid is refused before it is allocated.
 MAX_CELLS = 10**7
 
@@ -91,16 +93,14 @@ class ControlSweepTable:
     cells: Tuple[Tuple[EpidemicCharacteristics, ...], ...]  # [beta][control]
 
 
-def sensitivity_indices(p: ModelParams, h_rel: float = 1e-6) -> List[SensitivityIndex]:
+def sensitivity_indices(p: ModelParams) -> List[SensitivityIndex]:
     """Normalized forward sensitivity indices of rc for all seven parameters.
 
     Every listed parameter must be positive at the evaluation point; an
     elasticity at zero is undefined. A control c1 or c2 whose central step
-    would leave [0, 1] (x + h_rel * x > 1) takes the backward difference
+    would leave [0, 1] (x + 1e-6 * x > 1) takes the backward difference
     (rc0 - rc(x - step)) / step instead.
     """
-    if not (0.0 < h_rel < 1.0):
-        raise ValueError(f"h_rel must be in (0, 1), got {h_rel!r}")
     zero = [name for name in SENSITIVITY_PARAMETERS if getattr(p, name) == 0.0]
     if zero:
         raise ValueError(
@@ -112,7 +112,7 @@ def sensitivity_indices(p: ModelParams, h_rel: float = 1e-6) -> List[Sensitivity
     out = []
     for name in SENSITIVITY_PARAMETERS:
         x = getattr(p, name)
-        step = h_rel * x
+        step = _REL_STEP * x
         lo = compute_rc(replace(p, **{name: x - step})).rc
         if name in ("c1", "c2") and x + step > 1.0:
             value = (rc0 - lo) / step * (x / rc0)

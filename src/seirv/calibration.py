@@ -462,14 +462,14 @@ def generate_synthetic(
     noise_sigma: float,
     seed: int,
     relative: bool = False,
-    monotone: bool = True,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> ObservationSeries:
     """Cumulative model output at sample_times plus Gaussian observation noise.
 
     noise_sigma is an absolute standard deviation, or a fraction of each
-    count when relative=True. monotone clamps the noisy series to stay
-    nondecreasing and nonnegative. Deterministic per seed.
+    count when relative=True. The noisy series is clamped to stay
+    nondecreasing and nonnegative, as ObservationSeries requires.
+    Deterministic per seed.
     """
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be >= 0")
@@ -477,6 +477,5 @@ def generate_synthetic(
     rng = np.random.default_rng(seed)
     scale = noise_sigma * np.abs(yhat) if relative else noise_sigma
     y = yhat + rng.normal(0.0, 1.0, size=yhat.size) * scale
-    if monotone:
-        y = np.maximum.accumulate(np.maximum(y, 0.0))
+    y = np.maximum.accumulate(np.maximum(y, 0.0))
     return ObservationSeries(tuple(sample_times), tuple(y))

@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: simulate | equilibria | sensitivity | region | characteristics |
-optimize | calibrate | avert. Every command reads defaults, then an optional
-`key = value` config file, then command-line flags (flags win). Solver flags
-left unset keep the defaults of the library call they feed. Tabular
-results go to CSV, reports to JSON; all floating-point output is printed with
-17 significant digits so reruns are byte-identical.
+optimize | calibrate | avert. Each command takes only the run flags it reads.
+It reads defaults, then an optional `key = value` config file (shared by all
+commands: a key the command does not read is still checked and has no
+effect), then command-line flags (flags win). Solver flags left unset keep
+the defaults of the library call they feed. Tabular results go to CSV,
+reports to JSON; all floating-point output is printed with 17 significant
+digits so reruns are byte-identical.
 
 Exit codes: 0 success, 2 validation error (including unknown config keys),
 3 numerical failure (divergence, any ArithmeticError, a failed linear-algebra
@@ -163,7 +165,7 @@ def _build_run_config(args: argparse.Namespace, default_controls=(0.0, 0.0)) -> 
     vals = {name: getattr(DEFAULT_PARAMS, name) for name in MODEL_FIELDS}
     vals.update(DEFAULT_STATE, dt=IntegratorConfig.dt, horizon=2000.0, seed=0)
     vals["c1"], vals["c2"] = default_controls
-    if getattr(args, "config", None):
+    if args.config:
         for section, entries in _load_config_file(args.config).items():
             if section not in CONFIG_KEYS:
                 raise ValueError(f"unknown config section [{section}]")
@@ -198,17 +200,23 @@ def _given(args: argparse.Namespace, names) -> Dict[str, object]:
     return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
 
 
-def _add_shared_flags(sp: argparse.ArgumentParser) -> None:
+#: One flag per RunConfig key; a command registers those its handler reads.
+SHARED_FLAGS = {
+    "seed": ("--seed", int, "annealing RNG seed (default 0)"),
+    "dt": ("--dt", float, f"integration step size (default {IntegratorConfig.dt})"),
+    "horizon": ("--horizon", float, "simulation horizon (default 2000)"),
+    **{name: ("--lambda" if name == "lam" else f"--{name}", float, f"model parameter {name}")
+       for name in MODEL_FIELDS},
+    **{name: (f"--{name}", float, f"initial {name[0].upper()} count") for name in STATE_FIELDS},
+}
+
+
+def _add_shared_flags(sp: argparse.ArgumentParser, reads: Sequence[str]) -> None:
     sp.add_argument("--config", help="key = value config file (sections: model, init, integrator, run)")
-    sp.add_argument("--seed", type=int, help="global RNG seed (default 0)")
     sp.add_argument("--out", help="output path (default: stdout)")
-    sp.add_argument("--dt", type=float, help=f"integration step size (default {IntegratorConfig.dt})")
-    sp.add_argument("--horizon", type=float, help="simulation horizon (default 2000)")
-    for name in MODEL_FIELDS:
-        flag = "--lambda" if name == "lam" else f"--{name}"
-        sp.add_argument(flag, dest=name, type=float, help=f"model parameter {name}")
-    for name in STATE_FIELDS:
-        sp.add_argument(f"--{name}", type=float, help=f"initial {name[0].upper()} count")
+    for key, (flag, kind, help) in SHARED_FLAGS.items():
+        if key in reads:
+            sp.add_argument(flag, dest=key, type=kind, help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,26 +226,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, run: Callable[[argparse.Namespace], int],
-                help: str) -> argparse.ArgumentParser:
-        """A subcommand with the shared flags; main calls run(args)."""
-        sp = sub.add_parser(name, help=help)
-        _add_shared_flags(sp)
+    def command(name: str, run: Callable[[argparse.Namespace], int], help: str,
+                reads: Sequence[str]) -> argparse.ArgumentParser:
+        """A subcommand with the shared flags run(args) reads; main calls it."""
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)  # a prefix is no flag
+        _add_shared_flags(sp, reads)
         sp.set_defaults(run=run)
         return sp
 
-    command("simulate", cmd_simulate, "integrate the model and emit a trajectory CSV")
-    command("equilibria", cmd_equilibria, "equilibria, threshold and stability report (JSON)")
+    rates = tuple(name for name in MODEL_FIELDS if name not in ("c1", "c2"))
+    trajectory = (*MODEL_FIELDS, *STATE_FIELDS, "dt", "horizon")
 
-    sp = command("sensitivity", cmd_sensitivity, "threshold elasticities per parameter (CSV)")
-    sp.add_argument("--h-rel", type=float, help="relative finite-difference step")
+    command("simulate", cmd_simulate, "integrate the model and emit a trajectory CSV", trajectory)
+    command("equilibria", cmd_equilibria, "equilibria, threshold and stability report (JSON)",
+            (*MODEL_FIELDS, *STATE_FIELDS))
+    command("sensitivity", cmd_sensitivity, "threshold elasticities per parameter (CSV)", MODEL_FIELDS)
 
-    sp = command("region", cmd_region, "extinction/growth map over the control plane (CSV)")
+    sp = command("region", cmd_region, "extinction/growth map over the control plane (CSV)", rates)
     sp.add_argument("--resolution", type=int, default=101, help="grid points per axis")
 
-    command("characteristics", cmd_characteristics, "peak, peak time and total infections (JSON)")
+    command("characteristics", cmd_characteristics, "peak, peak time and total infections (JSON)",
+            trajectory)
 
-    sp = command("optimize", cmd_optimize, "hybrid gradient + annealing control search (JSON)")
+    sp = command("optimize", cmd_optimize, "hybrid gradient + annealing control search (JSON)",
+                 (*rates, *STATE_FIELDS, "dt", "horizon", "seed"))
     sp.add_argument("--m0", type=float, default=1.0, help="infection cost weight")
     sp.add_argument("--k1", type=float, default=0.2, help="vaccination cost weight")
     sp.add_argument("--k2", type=float, default=0.3, help="treatment cost weight")
@@ -256,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--accept-rule", choices=("scaled", "classical"),
                     help="annealing acceptance probability form")
 
-    sp = command("calibrate", cmd_calibrate, "fit piecewise beta to observed counts (JSON)")
+    sp = command("calibrate", cmd_calibrate, "fit piecewise beta to observed counts (JSON)",
+                 (*rates, *STATE_FIELDS, "dt"))
     sp.add_argument("--data", required=True, help="input CSV with header time,count")
     sp.add_argument("--kind", choices=("cumulative", "daily"), default="cumulative",
                     help="how to interpret the count column")
@@ -264,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nm-max-iter", dest="max_iter", type=int, help="simplex iteration cap")
     sp.add_argument("--csv-out", help="also write an observed/fitted/residual CSV here")
 
-    sp = command("avert", cmd_avert, "averted cases vs intervention onset (JSON)")
+    sp = command("avert", cmd_avert, "averted cases vs intervention onset (JSON)", trajectory)
     sp.add_argument("--onset-grid", default="0,100,200,300,400,500",
                     help="comma-separated onset times")
     sp.add_argument("--csv-out", help="also write an onset/averted CSV here")
@@ -301,7 +314,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     # Elasticities are undefined at zero, so this command defaults the
     # controls to 0.1, the reference operating point of the index table.
     rc = _build_run_config(args, default_controls=(0.1, 0.1))
-    indices = analysis.sensitivity_indices(rc.params, **_given(args, ("h_rel",)))
+    indices = analysis.sensitivity_indices(rc.params)
     _write_csv(args.out, ["parameter", "value"],
                ((ix.parameter, ix.value) for ix in indices))
     return EXIT_OK

@@ -7,6 +7,21 @@ from seirv.model import IntegratorConfig, State, DEFAULT_PARAMS, integrate
 
 _ACCEPTANCE_RESULTS = {}
 
+RATE_FLAGS = ("--lambda", "--beta", "--alpha", "--eta1", "--eta2", "--sigma1", "--sigma2", "--mu")
+INIT_FLAGS = ("--s0", "--e0", "--i0", "--r0", "--v0")
+_TRAJECTORY_FLAGS = (*RATE_FLAGS, "--c1", "--c2", *INIT_FLAGS, "--dt", "--horizon")
+#: The run flags (one per RunConfig key) each seirv subcommand takes: those it reads.
+CLI_RUN_FLAGS = {
+    "simulate": _TRAJECTORY_FLAGS,
+    "equilibria": (*RATE_FLAGS, "--c1", "--c2", *INIT_FLAGS),
+    "sensitivity": (*RATE_FLAGS, "--c1", "--c2"),
+    "region": RATE_FLAGS,
+    "characteristics": _TRAJECTORY_FLAGS,
+    "optimize": (*RATE_FLAGS, *INIT_FLAGS, "--dt", "--horizon", "--seed"),
+    "calibrate": (*RATE_FLAGS, *INIT_FLAGS, "--dt"),
+    "avert": _TRAJECTORY_FLAGS,
+}
+
 
 def pytest_runtest_logreport(report):
     if report.when != "call":

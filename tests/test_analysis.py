@@ -72,8 +72,6 @@ def test_sensitivity_at_a_control_on_the_top_edge():
 def test_sensitivity_rejects_zero_parameters():
     with pytest.raises(ValueError, match="c1"):
         sensitivity_indices(DEFAULT_PARAMS.with_controls(0.0, 0.1))
-    with pytest.raises(ValueError):
-        sensitivity_indices(DEFAULT_PARAMS.with_controls(0.1, 0.1), h_rel=0.0)
 
 
 # ---------------------------------------------------------------- regions

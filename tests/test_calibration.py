@@ -354,8 +354,8 @@ def _fit_from_model_allow_flat(series):
 def test_goodness_r2_within_noise_expectation_band():
     # Monte-Carlo oracle: with additive noise of scale sigma on the true
     # model, E[R^2] ~= 1 - n sigma^2 / ss_tot. The sampling window starts at
-    # t = 8 and sigma is small against the per-step increments, so unclamped
-    # Gaussian noise cannot break monotonicity for these seeds.
+    # t = 8 and sigma is small against the per-step increments, so Gaussian
+    # noise cannot break monotonicity for these seeds and the clamp is idle.
     window = tuple(float(t) for t in range(8, 22))
     clean = model_cumulative(DEFAULT_PARAMS, TRUE_SCHEDULE, SEED_STATE, window, CFG)
     # smallest increment is ~2.3e5, so this sigma leaves an 8-sigma margin
@@ -366,7 +366,7 @@ def test_goodness_r2_within_noise_expectation_band():
     r2s = []
     for seed in range(20):
         series = generate_synthetic(DEFAULT_PARAMS, TRUE_SCHEDULE, SEED_STATE, window,
-                                    sigma, seed=seed, monotone=False, cfg=CFG)
+                                    sigma, seed=seed, cfg=CFG)
         _, r2, _ = goodness(_fit_from_model(series, clean), series)
         r2s.append(r2)
     spread = n * sigma**2 / ss_tot  # fluctuation scale of the noise term

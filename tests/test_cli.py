@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import seirv
+from conftest import CLI_RUN_FLAGS, INIT_FLAGS
 from seirv import analysis, calibration, cli, control, equilibria, errors, model
 from seirv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from seirv.model import BetaSchedule, DEFAULT_PARAMS, population_closed_form
@@ -46,8 +47,8 @@ def test_simulate_rejects_zero_horizon(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_equilibria_rejects_nonfinite_horizon(capsys, value):
-    assert run_cli(["equilibria", "--horizon", value]) == EXIT_VALIDATION
+def test_characteristics_rejects_nonfinite_horizon(capsys, value):
+    assert run_cli(["characteristics", "--horizon", value]) == EXIT_VALIDATION
     assert "horizon" in capsys.readouterr().err
 
 
@@ -154,34 +155,25 @@ def test_unset_solver_flags_keep_library_defaults(tmp_path, monkeypatch):
         seen["fit"] = kwargs
         return calibration.FitResult(BetaSchedule((), (1e-9,)), 0.0, (0.0,), math.nan, (1.0,))
 
-    def fake_sensitivity(p, **kwargs):
-        seen["sensitivity"] = kwargs
-        return []
-
     monkeypatch.setattr(control, "hybrid_optimize", fake_optimize)
     monkeypatch.setattr(calibration, "fit_beta_segments", fake_fit)
-    monkeypatch.setattr(analysis, "sensitivity_indices", fake_sensitivity)
     data = tmp_path / "obs.csv"
     data.write_text("time,count\n1,1\n", encoding="utf-8")
     out = ["--out", str(tmp_path / "out")]
 
     assert run_cli(["optimize", *out]) == EXIT_OK
     assert run_cli(["calibrate", "--data", str(data), *out]) == EXIT_OK
-    assert run_cli(["sensitivity", *out]) == EXIT_OK
     assert seen["sa"] == control.SAConfig(rng_seed=0)
     assert seen["fit"]["nm"] == calibration.NelderMeadConfig()
     assert "segment_length" not in seen["fit"]
-    assert seen["sensitivity"] == {}
 
     assert run_cli(["optimize", "--t0-temp", "0.03", "--accept-rule", "classical",
                     "--seed", "4", *out]) == EXIT_OK
     assert run_cli(["calibrate", "--data", str(data), "--nm-max-iter", "5",
                     "--segment-length", "3", *out]) == EXIT_OK
-    assert run_cli(["sensitivity", "--h-rel", "1e-4", *out]) == EXIT_OK
     assert seen["sa"] == control.SAConfig(t0=0.03, accept_rule="classical", rng_seed=4)
     assert seen["fit"]["nm"] == calibration.NelderMeadConfig(max_iter=5)
     assert seen["fit"]["segment_length"] == 3.0
-    assert seen["sensitivity"] == {"h_rel": 1e-4}
 
 
 def test_zero_effort_optimum_reports_null_shares(tmp_path, monkeypatch):
@@ -342,7 +334,7 @@ def test_degenerate_thresholds_and_temperatures_exit_with_one_line(tmp_path, cap
 def test_calibrate_from_degenerate_beta_runs_without_warnings(tmp_path, capsys, beta):
     data = tmp_path / "series.csv"
     data.write_text("time,count\n0,1\n1,5\n2,20\n3,60\n", encoding="utf-8")
-    argv = ["calibrate", "--horizon", "4", "--dt", "0.5", "--data", str(data),
+    argv = ["calibrate", "--dt", "0.5", "--data", str(data),
             "--beta", beta, "--out", str(tmp_path / "fit.json")]
     assert run_cli(argv) == EXIT_OK
     assert capsys.readouterr().err == ""
@@ -383,14 +375,6 @@ def test_config_file_and_flag_precedence(tmp_path):
     from dataclasses import replace
     expected = compute_rc(replace(DEFAULT_PARAMS, beta=8e-9, c1=0.4)).rc
     assert report["threshold"]["rc"] == pytest.approx(expected, rel=1e-12)
-
-
-def test_arithmetic_error_exits_numerical_with_one_line(capsys):
-    # A 50% difference step breaks the analytic beta-elasticity self-check.
-    assert run_cli(["sensitivity", "--h-rel", "0.5", "--out", "-"]) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert "numerical failure" in err
-    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("text", [
@@ -437,6 +421,52 @@ def test_unknown_flag_is_an_error():
 
 COMMANDS = ("simulate", "equilibria", "sensitivity", "region",
             "characteristics", "optimize", "calibrate", "avert")
+#: Run flags a command does not read, so it does not take them.
+DROPPED_FLAGS = {
+    "simulate": ("--seed",),
+    "characteristics": ("--seed",),
+    "avert": ("--seed",),
+    "equilibria": ("--seed", "--dt", "--horizon"),
+    "sensitivity": ("--seed", "--dt", "--horizon", *INIT_FLAGS, "--h-rel"),
+    "region": ("--seed", "--dt", "--horizon", "--c1", "--c2", *INIT_FLAGS),
+    "optimize": ("--c1", "--c2"),
+    "calibrate": ("--seed", "--horizon", "--c1", "--c2"),
+}
+
+
+def _required(command):
+    return ["--data", "observed.csv"] if command == "calibrate" else []
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command in COMMANDS
+                                           for flag in DROPPED_FLAGS[command]])
+def test_a_flag_the_command_does_not_read_is_refused(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, *_required(command), flag, "1", "--out", str(out)])
+    assert exc_info.value.code == EXIT_VALIDATION
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--hor", "5"],
+                                  ["calibrate", "--data", "observed.csv", "--se", "2"]])
+def test_a_prefix_of_a_flag_is_refused(capsys, argv):
+    # without --seed on calibrate, --se would otherwise match --segment-length alone
+    with pytest.raises(SystemExit) as exc_info:
+        main([*argv, "--out", "-"])
+    assert exc_info.value.code == EXIT_VALIDATION
+    assert argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_run_flag_a_command_takes_reaches_its_run_config(command):
+    parser = cli.build_parser()
+    default = cli._build_run_config(parser.parse_args([command, *_required(command)]))
+    for flag in CLI_RUN_FLAGS[command]:
+        value = "3" if flag == "--seed" else "0.3125"
+        args = parser.parse_args([command, *_required(command), flag, value])
+        assert cli._build_run_config(args) != default, flag
 
 
 def test_help_available_for_every_subcommand():
@@ -457,8 +487,7 @@ def test_registries_have_one_owner():
     assert len(set(seirv.__all__)) == len(seirv.__all__)
     parser = cli.build_parser()
     for cmd in COMMANDS:
-        required = ["--data", "observed.csv"] if cmd == "calibrate" else []
-        assert parser.parse_args([cmd, *required]).run is getattr(cli, f"cmd_{cmd}")
+        assert parser.parse_args([cmd, *_required(cmd)]).run is getattr(cli, f"cmd_{cmd}")
 
 
 def test_console_entry_point_runs():

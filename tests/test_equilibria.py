@@ -443,6 +443,7 @@ def test_subcritical_draws_go_extinct():
         assert i_end <= 1e-6 * init.total
 
 
+@pytest.mark.slow
 def test_supercritical_draws_settle_at_endemic_level():
     # Horizon chosen adaptively from the slowest decay rate of the endemic
     # spectrum; draws that would need more than 4e4 time units are skipped.

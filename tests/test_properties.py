@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import at, sample_params
+from conftest import CLI_RUN_FLAGS, at, sample_params
 from seirv.analysis import classify_region, region_map, separatrix_c2
 from seirv import cli
 from seirv.cli import _chunked_rows, _write_csv
@@ -287,13 +287,11 @@ def test_chunked_rows_equal_whole_columns(n, chunk):
 
 
 STRESS_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-300", "", "x")
-SHARED_FLAGS = ("--seed", "--dt", "--horizon", "--lambda", "--beta", "--alpha", "--eta1",
-                "--eta2", "--sigma1", "--sigma2", "--mu", "--c1", "--c2",
-                "--s0", "--e0", "--i0", "--r0", "--v0")
+#: Flags besides the run flags (conftest.CLI_RUN_FLAGS) that each command takes.
 COMMAND_FLAGS = {
     "simulate": (),
     "equilibria": (),
-    "sensitivity": ("--h-rel",),
+    "sensitivity": (),
     "region": ("--resolution",),
     "characteristics": (),
     "optimize": ("--m0", "--k1", "--k2", "--start-c1", "--start-c2", "--t0-temp", "--cooling",
@@ -304,11 +302,15 @@ COMMAND_FLAGS = {
 }
 #: Commands whose --out file is JSON.
 JSON_COMMANDS = ("equilibria", "characteristics", "optimize", "calibrate", "avert")
+SHORT_RUN = ("--horizon", "4", "--dt", "0.5")
 #: Small runs: eight steps, a short optimizer, a coarse region grid.
 STRESS_BASE = {
-    "optimize": ("--n-cool", "2", "--n-perturb", "2", "--max-outer", "2"),
+    "simulate": SHORT_RUN,
+    "characteristics": SHORT_RUN,
+    "optimize": (*SHORT_RUN, "--n-cool", "2", "--n-perturb", "2", "--max-outer", "2"),
+    "calibrate": ("--dt", "0.5"),
     "region": ("--resolution", "11"),
-    "avert": ("--onset-grid", "0,2,4"),
+    "avert": (*SHORT_RUN, "--onset-grid", "0,2,4"),
 }
 
 
@@ -320,7 +322,7 @@ def _reject_constant(token):
 @given(data=st.data())
 def test_cli_exits_cleanly_on_extreme_flag_values(data):
     command = data.draw(st.sampled_from(sorted(COMMAND_FLAGS)))
-    flag = data.draw(st.sampled_from(SHARED_FLAGS + COMMAND_FLAGS[command]))
+    flag = data.draw(st.sampled_from(CLI_RUN_FLAGS[command] + COMMAND_FLAGS[command]))
     value = data.draw(st.sampled_from(STRESS_VALUES))
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -328,7 +330,7 @@ def test_cli_exits_cleanly_on_extreme_flag_values(data):
         series.write_text("time,count\n0,1\n1,5\n2,20\n3,60\n", encoding="utf-8")
         # the drawn flag comes last, so it overrides the small-run defaults
         out = Path(tmp) / "out"
-        argv = [command, "--horizon", "4", "--dt", "0.5", *STRESS_BASE.get(command, ()),
+        argv = [command, *STRESS_BASE.get(command, ()),
                 *(("--data", str(series)) if command == "calibrate" else ()),
                 "--out", str(out), f"{flag}={value}"]
         with contextlib.redirect_stderr(err):
