@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand with the shared flags run(args) reads; main calls it."""
         sp = sub.add_parser(name, help=help, allow_abbrev=False)  # a prefix is no flag
         _add_shared_flags(sp, reads)
-        sp.set_defaults(run=run)
+        sp.set_defaults(run=run, error=sp.error)  # main reports leftovers under sp
         return sp
 
     rates = tuple(name for name in MODEL_FIELDS if name not in ("c1", "c2"))
@@ -391,7 +391,9 @@ def cmd_avert(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        args.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.run(args)
     except (IntegrationDivergedError, ArithmeticError, MemoryError,

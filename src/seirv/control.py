@@ -233,60 +233,64 @@ def solve_adjoint(forward: Trajectory, p: ModelParams) -> AdjointTrajectory:
     ci = c2 + mu
     sr = sig1 + mu
     vr = sig2 + mu
+    nsig1, nsig2 = -sig1, -sig2
 
     out = np.empty((n + 1, 5))
     out[n] = 0.0
-    o1, o2, o3, o4, o5 = out.T  # column views: each step writes in place
+    o1, o2, o3, o4, o5 = map(memoryview, out.T)  # in-place stores, as in integrate
     h1 = h2 = h3 = h4 = h5 = 0.0
     hneg = -dt
     hh = 0.5 * hneg
     w = hneg / 6.0
-    for k in range(n, 0, -1):
-        s_hi, i_hi = s_arr[k], i_arr[k]
-        s_lo, i_lo = s_arr[k - 1], i_arr[k - 1]
-        s_mid, i_mid = 0.5 * (s_hi + s_lo), 0.5 * (i_hi + i_lo)
+    # a step's last stage and the next step's first read one grid point: carry it
+    s_hi, i_hi = s_arr[n], i_arr[n]
+    bi = beta * i_hi; bs = beta * s_hi
+    ca = bi + eta1 + c1 + mu
+    for idx in range(n - 1, -1, -1):  # idx is the row this step writes
+        s_lo, i_lo = s_arr[idx], i_arr[idx]
 
-        bi = beta * i_hi; bs = beta * s_hi
-        a1 = (bi + eta1 + c1 + mu) * h1 - bi * h2 - eta1 * h4 - c1 * h5
+        a1 = ca * h1 - bi * h2 - eta1 * h4 - c1 * h5
         a2 = ae * h2 - alpha * h3 - eta2 * h4
         a3 = bs * (h1 - h2) + ci * h3 - c2 * h4 + 1.0
-        a4 = -sig1 * h1 + sr * h4
-        a5 = -sig2 * h1 + vr * h5
+        a4 = nsig1 * h1 + sr * h4
+        a5 = nsig2 * h1 + vr * h5
 
         u1 = h1 + hh * a1; u2 = h2 + hh * a2; u3 = h3 + hh * a3
         u4 = h4 + hh * a4; u5 = h5 + hh * a5
-        bi = beta * i_mid; bs = beta * s_mid
-        b1 = (bi + eta1 + c1 + mu) * u1 - bi * u2 - eta1 * u4 - c1 * u5
+        bi = beta * (0.5 * (i_hi + i_lo)); bs = beta * (0.5 * (s_hi + s_lo))
+        ca = bi + eta1 + c1 + mu
+        b1 = ca * u1 - bi * u2 - eta1 * u4 - c1 * u5
         b2 = ae * u2 - alpha * u3 - eta2 * u4
         b3 = bs * (u1 - u2) + ci * u3 - c2 * u4 + 1.0
-        b4 = -sig1 * u1 + sr * u4
-        b5 = -sig2 * u1 + vr * u5
+        b4 = nsig1 * u1 + sr * u4
+        b5 = nsig2 * u1 + vr * u5
 
         u1 = h1 + hh * b1; u2 = h2 + hh * b2; u3 = h3 + hh * b3
         u4 = h4 + hh * b4; u5 = h5 + hh * b5
-        c1_ = (bi + eta1 + c1 + mu) * u1 - bi * u2 - eta1 * u4 - c1 * u5
+        c1_ = ca * u1 - bi * u2 - eta1 * u4 - c1 * u5
         c2_ = ae * u2 - alpha * u3 - eta2 * u4
         c3_ = bs * (u1 - u2) + ci * u3 - c2 * u4 + 1.0
-        c4_ = -sig1 * u1 + sr * u4
-        c5_ = -sig2 * u1 + vr * u5
+        c4_ = nsig1 * u1 + sr * u4
+        c5_ = nsig2 * u1 + vr * u5
 
         u1 = h1 + hneg * c1_; u2 = h2 + hneg * c2_; u3 = h3 + hneg * c3_
         u4 = h4 + hneg * c4_; u5 = h5 + hneg * c5_
         bi = beta * i_lo; bs = beta * s_lo
-        d1 = (bi + eta1 + c1 + mu) * u1 - bi * u2 - eta1 * u4 - c1 * u5
+        ca = bi + eta1 + c1 + mu
+        d1 = ca * u1 - bi * u2 - eta1 * u4 - c1 * u5
         d2 = ae * u2 - alpha * u3 - eta2 * u4
         d3 = bs * (u1 - u2) + ci * u3 - c2 * u4 + 1.0
-        d4 = -sig1 * u1 + sr * u4
-        d5 = -sig2 * u1 + vr * u5
+        d4 = nsig1 * u1 + sr * u4
+        d5 = nsig2 * u1 + vr * u5
 
         h1 += w * (a1 + 2.0 * b1 + 2.0 * c1_ + d1)
         h2 += w * (a2 + 2.0 * b2 + 2.0 * c2_ + d2)
         h3 += w * (a3 + 2.0 * b3 + 2.0 * c3_ + d3)
         h4 += w * (a4 + 2.0 * b4 + 2.0 * c4_ + d4)
         h5 += w * (a5 + 2.0 * b5 + 2.0 * c5_ + d5)
-        idx = k - 1
         o1[idx] = h1; o2[idx] = h2; o3[idx] = h3
         o4[idx] = h4; o5[idx] = h5
+        s_hi, i_hi = s_lo, i_lo
 
     return AdjointTrajectory(times=forward.times, h=out)
 

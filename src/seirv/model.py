@@ -345,7 +345,8 @@ def integrate(
 
     states = np.empty((n_steps + 1, 5))
     states[0] = s, e, i, r, v
-    s_arr, e_arr, i_arr, r_arr, v_arr = states.T  # column views: each step writes in place
+    # each step writes in place, through memoryviews: half the cost of numpy views
+    s_arr, e_arr, i_arr, r_arr, v_arr = map(memoryview, states.T)
 
     plan = _plan_segments(n_steps, dt, p, beta_schedule, control_schedule)
 
@@ -361,7 +362,7 @@ def integrate(
         sr = sig1 + mu
         vr = sig2 + mu
 
-        for k in range(k_lo, k_hi):
+        for idx in range(k_lo + 1, k_hi + 1):  # idx is the row this step writes
             f = beta * s * i
             ds1 = lam - f - drain * s + sig1 * r + sig2 * v
             de1 = f - ae * e
@@ -397,15 +398,14 @@ def integrate(
             i += h6 * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
             r += h6 * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
             v += h6 * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
-            if clamp_floor < s < 0.0: s = 0.0
-            if clamp_floor < e < 0.0: e = 0.0
-            if clamp_floor < i < 0.0: i = 0.0
-            if clamp_floor < r < 0.0: r = 0.0
-            if clamp_floor < v < 0.0: v = 0.0
+            if s < 0.0 and s > clamp_floor: s = 0.0
+            if e < 0.0 and e > clamp_floor: e = 0.0
+            if i < 0.0 and i > clamp_floor: i = 0.0
+            if r < 0.0 and r > clamp_floor: r = 0.0
+            if v < 0.0 and v > clamp_floor: v = 0.0
             tot = s + e + i + r + v
             if not (-1e308 < tot < 1e308):  # catches NaN and overflow at once
-                raise IntegrationDivergedError(k + 1, (k + 1) * dt)
-            idx = k + 1
+                raise IntegrationDivergedError(idx, idx * dt)
             s_arr[idx] = s; e_arr[idx] = e; i_arr[idx] = i
             r_arr[idx] = r; v_arr[idx] = v
 

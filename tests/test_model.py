@@ -221,13 +221,26 @@ def test_positivity(init_state):
     assert float(clamped.states.min()) >= 0.0
 
 
+def test_clamp_band_leaves_deeper_undershoots_and_zeroes_shallow_ones():
+    # Full controls drain E and I below zero; the band is (-1e-12 * N0, 0).
+    p = DEFAULT_PARAMS.with_controls(1.0, 1.0)
+    init = State(1e9, 1.0, 0.0, 1.0, 0.0)
+    states = integrate(p, init, 50.0, IntegratorConfig(dt=2.0)).states
+    floor = -1e-12 * init.total
+    e, i = states[:, 1], states[:, 2]
+    assert (e[5:7] < floor).all() and (i[5:7] < floor).all()
+    assert i[7] == 0.0 and e[7] < floor
+    assert e[8] == 0.0 and i[8] == 0.0
+    assert not np.signbit(states[8:, 1:3]).any() and not np.signbit(i[7])
+
+
 def test_divergence_reports_first_bad_step():
     p = ModelParams(**{**DEFAULT_PARAMS.__dict__, "beta": 1.0})
     with pytest.raises(IntegrationDivergedError) as exc_info:
         integrate(p, State(1e9, 0, 1e9, 0, 0), 10.0, IntegratorConfig(dt=0.1))
     err = exc_info.value
-    assert err.step >= 1
-    assert err.time == pytest.approx(err.step * 0.1)
+    assert err.step == 2
+    assert err.time == 0.2
 
 
 def test_integrate_validation(init_state):
