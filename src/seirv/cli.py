@@ -2,12 +2,13 @@
 
 Subcommands: simulate | equilibria | sensitivity | region | characteristics |
 optimize | calibrate | avert. Each command takes only the run flags it reads.
-It reads defaults, then an optional `key = value` config file (shared by all
-commands: a key the command does not read is still checked and has no
-effect), then command-line flags (flags win). Solver flags left unset keep
-the defaults of the library call they feed. Tabular results go to CSV,
-reports to JSON; all floating-point output is printed with 17 significant
-digits so reruns are byte-identical.
+`main` builds each command's RunConfig from defaults, then an optional
+`key = value` config file (shared by all commands: a key the command does not
+read is still checked and has no effect), then command-line flags (flags
+win). It calls the handler, which only computes and writes, and decides the
+exit code. Solver flags left unset keep the defaults of the library call they
+feed. Tabular results go to CSV, reports to JSON; all floating-point output
+is printed with 17 significant digits so reruns are byte-identical.
 
 Exit codes: 0 success, 2 validation error (including unknown config keys),
 3 numerical failure (divergence, any ArithmeticError, a failed linear-algebra
@@ -160,11 +161,11 @@ def _load_config_file(path: str) -> Dict[str, Dict[str, str]]:
     return {section: dict(parser[section]) for section in parser.sections()}
 
 
-def _build_run_config(args: argparse.Namespace, default_controls=(0.0, 0.0)) -> RunConfig:
+def _build_run_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the config file, then command-line flags (flags win)."""
     vals = {name: getattr(DEFAULT_PARAMS, name) for name in MODEL_FIELDS}
     vals.update(DEFAULT_STATE, dt=IntegratorConfig.dt, horizon=2000.0, seed=0)
-    vals["c1"], vals["c2"] = default_controls
+    vals["c1"], vals["c2"] = args.controls
     if args.config:
         for section, entries in _load_config_file(args.config).items():
             if section not in CONFIG_KEYS:
@@ -226,12 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, run: Callable[[argparse.Namespace], int], help: str,
-                reads: Sequence[str]) -> argparse.ArgumentParser:
-        """A subcommand with the shared flags run(args) reads; main calls it."""
+    def command(name: str, run: Callable[[argparse.Namespace, RunConfig], None], help: str,
+                reads: Sequence[str], controls=(0.0, 0.0)) -> argparse.ArgumentParser:
+        """A subcommand with the shared flags run(args, rc) reads. main builds
+        rc (its controls default to `controls`), calls run and decides the exit code."""
         sp = sub.add_parser(name, help=help, allow_abbrev=False)  # a prefix is no flag
         _add_shared_flags(sp, reads)
-        sp.set_defaults(run=run, error=sp.error)  # main reports leftovers under sp
+        sp.set_defaults(run=run, controls=controls,
+                        error=sp.error)  # main reports leftovers under sp
         return sp
 
     rates = tuple(name for name in MODEL_FIELDS if name not in ("c1", "c2"))
@@ -240,7 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     command("simulate", cmd_simulate, "integrate the model and emit a trajectory CSV", trajectory)
     command("equilibria", cmd_equilibria, "equilibria, threshold and stability report (JSON)",
             (*MODEL_FIELDS, *STATE_FIELDS))
-    command("sensitivity", cmd_sensitivity, "threshold elasticities per parameter (CSV)", MODEL_FIELDS)
+    # Elasticities are undefined at zero, so sensitivity defaults the
+    # controls to 0.1, the reference operating point of the index table.
+    command("sensitivity", cmd_sensitivity, "threshold elasticities per parameter (CSV)",
+            MODEL_FIELDS, controls=(0.1, 0.1))
 
     sp = command("region", cmd_region, "extinction/growth map over the control plane (CSV)", rates)
     sp.add_argument("--resolution", type=int, default=101, help="grid points per axis")
@@ -285,16 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    rc = _build_run_config(args)
+def cmd_simulate(args: argparse.Namespace, rc: RunConfig) -> None:
     traj = integrate(rc.params, rc.init, rc.horizon, rc.integrator)
     columns = (traj.times, traj.s, traj.e, traj.i, traj.r, traj.v, traj.n)
     _write_csv(args.out, ["time", "S", "E", "I", "R", "V", "N"], _chunked_rows(columns))
-    return EXIT_OK
 
 
-def cmd_equilibria(args: argparse.Namespace) -> int:
-    rc = _build_run_config(args)
+def cmd_equilibria(args: argparse.Namespace, rc: RunConfig) -> None:
     p = rc.params
     endemic = equilibria.compute_endemic(p)
     # before mfe_spectrum: where both overflow, the endemic polynomial is the failure reported
@@ -307,38 +310,28 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
         "endemic": None if endemic is None else asdict(endemic),
         "routh_hurwitz": stability,
     })
-    return EXIT_OK
 
 
-def cmd_sensitivity(args: argparse.Namespace) -> int:
-    # Elasticities are undefined at zero, so this command defaults the
-    # controls to 0.1, the reference operating point of the index table.
-    rc = _build_run_config(args, default_controls=(0.1, 0.1))
+def cmd_sensitivity(args: argparse.Namespace, rc: RunConfig) -> None:
     indices = analysis.sensitivity_indices(rc.params)
     _write_csv(args.out, ["parameter", "value"],
                ((ix.parameter, ix.value) for ix in indices))
-    return EXIT_OK
 
 
-def cmd_region(args: argparse.Namespace) -> int:
-    rc = _build_run_config(args)
+def cmd_region(args: argparse.Namespace, rc: RunConfig) -> None:
     rmap = analysis.region_map(rc.params, args.resolution)
     rows = ((c1, c2, "growth" if rmap.growth[i, j] else "extinction", rmap.separatrix[i])
             for i, c1 in enumerate(rmap.c1_grid) for j, c2 in enumerate(rmap.c2_grid))
     _write_csv(args.out, ["c1", "c2", "label", "separatrix_c2"], rows)
-    return EXIT_OK
 
 
-def cmd_characteristics(args: argparse.Namespace) -> int:
-    rc = _build_run_config(args)
+def cmd_characteristics(args: argparse.Namespace, rc: RunConfig) -> None:
     traj = integrate(rc.params, rc.init, rc.horizon, rc.integrator)
     ch = analysis.characteristics(traj, rc.params)
     _write_json(args.out, asdict(ch))
-    return EXIT_OK
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    rc = _build_run_config(args)
+def cmd_optimize(args: argparse.Namespace, rc: RunConfig) -> None:
     cp = control.CostParams.for_run(rc.params, rc.init, m0=args.m0, k1=args.k1,
                                     k2=args.k2, horizon=rc.horizon)
     sa = control.SAConfig(rng_seed=rc.seed, **_given(args, control.SAConfig))
@@ -353,11 +346,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "history": [{"c1": h[0], "c2": h[1], "j": h[2], "phase": t}
                     for h, t in zip(run.history, run.phase_tags)],
     })
-    return EXIT_OK
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    rc = _build_run_config(args)
+def cmd_calibrate(args: argparse.Namespace, rc: RunConfig) -> None:
     series = calibration.load_series(args.data, kind=args.kind)
     nm = calibration.NelderMeadConfig(**_given(args, calibration.NelderMeadConfig))
     fit = calibration.fit_beta_segments(
@@ -368,11 +359,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.csv_out:
         rows = zip(series.times, series.cumulative, fit.fitted, fit.residuals)
         _write_csv(args.csv_out, ["time", "observed", "fitted", "residual"], rows)
-    return EXIT_OK
 
 
-def cmd_avert(args: argparse.Namespace) -> int:
-    rc = _build_run_config(args)
+def cmd_avert(args: argparse.Namespace, rc: RunConfig) -> None:
     onsets = [float(tok) for tok in args.onset_grid.split(",") if tok.strip()]
     curve = calibration.averted_cases(
         rc.params, (rc.params.c1, rc.params.c2), onsets, rc.init, rc.horizon,
@@ -386,7 +375,6 @@ def cmd_avert(args: argparse.Namespace) -> int:
     })
     if args.csv_out:
         _write_csv(args.csv_out, ["onset", "averted"], zip(curve.onsets, curve.averted))
-    return EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -395,7 +383,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if extra:
         args.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.run(args)
+        args.run(args, _build_run_config(args))
+        return EXIT_OK
     except (IntegrationDivergedError, ArithmeticError, MemoryError,
             np.linalg.LinAlgError) as exc:  # LinAlgError before ValueError, its base
         detail = str(exc) or type(exc).__name__  # a bare MemoryError has no message

@@ -13,6 +13,9 @@ Re-record the table only for a change that is meant to alter outputs (and
 say so in CHANGES.md):
 
     PYTHONPATH=src python tests/golden.py
+
+The recorder lists on stderr each case whose digest it changed, added or
+dropped against the table it overwrites.
 """
 
 from __future__ import annotations
@@ -253,9 +256,21 @@ def versions() -> Dict[str, str]:
     return {"numpy": np.__version__, "python": platform.python_version()}
 
 
+def changes(old: Dict[str, str], new: Dict[str, str]) -> list:
+    """One line per case whose digest differs between two tables, or that
+    only one of them has."""
+    lines = [f"changed {name}" for name in new if name in old and old[name] != new[name]]
+    lines += [f"added {name}" for name in new if name not in old]
+    lines += [f"dropped {name}" for name in old if name not in new]
+    return lines
+
+
 def record() -> None:
+    old = json.loads(TABLE.read_text(encoding="utf-8"))["digests"] if TABLE.exists() else {}
     table = {**versions(), "digests": {name: case() for name, case in CASES.items()}}
     TABLE.write_text(json.dumps(table, indent=2) + "\n", encoding="utf-8")
+    for line in changes(old, table["digests"]):
+        print(line, file=sys.stderr)
     print(f"wrote {len(CASES)} digests to {TABLE}", file=sys.stderr)
 
 

@@ -179,6 +179,11 @@ def _flat_trajectory(e0: float, i_values, dt: float) -> Trajectory:
     return Trajectory(states=states, dt=dt)
 
 
+def test_characteristics_refuses_an_empty_trajectory():
+    with pytest.raises(ValueError, match="trajectory is empty"):
+        characteristics(Trajectory(np.empty((0, 5)), 0.5), DEFAULT_PARAMS)
+
+
 def test_characteristics_zero_infection():
     traj = _flat_trajectory(0.5, np.zeros(101), 0.1)
     ch = characteristics(traj, DEFAULT_PARAMS)

@@ -413,6 +413,18 @@ def test_config_file_with_a_byte_order_mark_is_read(tmp_path):
     assert len(rows) == 101  # horizon 50 at dt 0.5
 
 
+def test_sensitivity_reads_its_controls_from_the_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\nc1 = 0.2\nc2 = 0.3\n", encoding="utf-8")
+    outs = {name: tmp_path / f"{name}.csv" for name in ("config", "flags", "default")}
+    assert run_cli(["sensitivity", "--config", str(cfg), "--out", str(outs["config"])]) == EXIT_OK
+    assert run_cli(["sensitivity", "--c1", "0.2", "--c2", "0.3",
+                    "--out", str(outs["flags"])]) == EXIT_OK
+    assert run_cli(["sensitivity", "--out", str(outs["default"])]) == EXIT_OK
+    written = {name: path.read_bytes() for name, path in outs.items()}
+    assert written["config"] == written["flags"] != written["default"]
+
+
 def test_unknown_flag_is_an_error():
     with pytest.raises(SystemExit) as exc_info:
         main(["simulate", "--frobnicate", "1"])
@@ -468,6 +480,14 @@ def test_every_run_flag_a_command_takes_reaches_its_run_config(command):
         value = "3" if flag == "--seed" else "0.3125"
         args = parser.parse_args([command, *_required(command), flag, value])
         assert cli._build_run_config(args) != default, flag
+
+
+def test_default_controls_are_registered_with_each_command():
+    # elasticities are undefined at zero controls, so sensitivity alone starts at 0.1
+    parser = cli.build_parser()
+    for command in COMMANDS:
+        expected = (0.1, 0.1) if command == "sensitivity" else (0.0, 0.0)
+        assert parser.parse_args([command, *_required(command)]).controls == expected, command
 
 
 def test_help_available_for_every_subcommand():

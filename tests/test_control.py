@@ -166,6 +166,14 @@ def test_adjoint_self_convergence_on_varying_trajectory():
 # ---------------------------------------------------------------- gradient
 
 
+def test_adjoint_and_gradient_refuse_a_run_without_a_step():
+    run = Trajectory(np.zeros((1, 5)), 0.5)
+    with pytest.raises(ValueError, match="at least one step"):
+        solve_adjoint(run, DEFAULT_PARAMS)
+    with pytest.raises(ValueError, match="at least one step"):
+        gradient(DEFAULT_PARAMS, reference_cost_params(), run)
+
+
 def test_gradient_without_infection_reduces_to_weights():
     # With no infection the I-weighted integrand vanishes because I = 0, and
     # the (H1, H4, H5) adjoint subsystem is homogeneous with zero terminal

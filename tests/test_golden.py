@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from golden import CASES, TABLE, versions
+from golden import CASES, TABLE, changes, versions
 
 _TABLE = json.loads(TABLE.read_text(encoding="utf-8"))
 
@@ -19,3 +19,10 @@ def test_output_matches_golden_digest(name):
     if recorded != versions():
         pytest.skip(f"digests were recorded with {recorded}, running {versions()}")
     assert CASES[name]() == _TABLE["digests"][name]
+
+
+def test_recorder_names_each_changed_added_and_dropped_case():
+    old = {"kept": "a", "moved": "b", "gone": "c"}
+    new = {"kept": "a", "moved": "B", "fresh": "d"}
+    assert changes(old, new) == ["changed moved", "added fresh", "dropped gone"]
+    assert changes(new, new) == []
