@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: simulate | equilibria | sensitivity | region | characteristics |
-optimize | calibrate | avert. Each command takes only the run flags it reads.
+optimize | calibrate | avert. Each command takes only the run flags it reads;
+`RUN_KEYS` gives each run key's config section, flag, type, default and help.
 `main` builds each command's RunConfig from defaults, then an optional
 `key = value` config file (shared by all commands: a key the command does not
 read is still checked and has no effect), then command-line flags (flags
@@ -44,19 +45,21 @@ EXIT_NUMERICAL = 3
 
 MODEL_FIELDS = tuple(f.name for f in fields(ModelParams))
 STATE_FIELDS = ("s0", "e0", "i0", "r0", "v0")
-DEFAULT_STATE = {"s0": 1e9, "e0": 0.0, "i0": 1.0, "r0": 0.0, "v0": 0.0}
-#: Config-file sections and the keys each accepts; every key is also a flag.
-CONFIG_KEYS = {
-    "model": MODEL_FIELDS,
-    "init": STATE_FIELDS,
-    "integrator": ("dt",),
-    "run": ("horizon", "seed"),
+#: Every RunConfig key: (config section, flag, type, default, flag help). A
+#: command registers the flags of the keys it reads, in this order.
+RUN_KEYS = {
+    "seed": ("run", "--seed", int, control.SAConfig.rng_seed,
+             f"annealing RNG seed (default {control.SAConfig.rng_seed})"),
+    "dt": ("integrator", "--dt", float, IntegratorConfig.dt,
+           f"integration step size (default {IntegratorConfig.dt})"),
+    "horizon": ("run", "--horizon", float, 2000.0, "simulation horizon (default 2000)"),
+    **{name: ("model", "--lambda" if name == "lam" else f"--{name}", float,
+              getattr(DEFAULT_PARAMS, name), f"model parameter {name}") for name in MODEL_FIELDS},
+    **{name: ("init", f"--{name}", float, count, f"initial {name[0].upper()} count")
+       for name, count in zip(STATE_FIELDS, (1e9, 0.0, 1.0, 0.0, 0.0))},
 }
-
-
-def _fmt(x: float) -> str:
-    """17-significant-digit decimal, enough to round-trip a double exactly."""
-    return format(float(x), ".17g")
+#: 17 significant digits, enough to round-trip a double exactly.
+FLOAT_FORMAT = "%.17g"
 
 
 def _json_dump(obj, out: TextIO, indent: int = 0) -> None:
@@ -89,7 +92,7 @@ def _json_dump(obj, out: TextIO, indent: int = 0) -> None:
         out.write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        out.write("null" if math.isnan(x) else _fmt(x))
+        out.write("null" if math.isnan(x) else FLOAT_FORMAT % x)
     elif isinstance(obj, complex):
         _json_dump({"re": obj.real, "im": obj.imag}, out, indent)
     elif obj is None:
@@ -118,14 +121,14 @@ def _write_json(path: Optional[str], obj) -> None:
 
 def _write_csv(path: Optional[str], header: Sequence[str], rows: Iterable[tuple]) -> None:
     """Header, then one line per row tuple. Each column keeps the kind of its
-    first-row cell: floats as 17-digit decimals (as _fmt), the rest via str."""
+    first-row cell: floats in FLOAT_FORMAT, the rest via str."""
     rows = iter(rows)
     with _open_out(path) as out:
         out.write(",".join(header) + "\n")
         first = next(rows, None)
         if first is None:
             return
-        fmt = ",".join("%.17g" if isinstance(x, (float, np.floating)) else "%s"
+        fmt = ",".join(FLOAT_FORMAT if isinstance(x, (float, np.floating)) else "%s"
                        for x in first) + "\n"
         out.write(fmt % first)
         out.writelines(fmt % row for row in rows)
@@ -151,7 +154,8 @@ class RunConfig:
 
 
 def _load_config_file(path: str) -> Dict[str, Dict[str, str]]:
-    parser = configparser.ConfigParser(interpolation=None)  # values are numbers, '%' is no syntax
+    # values are numbers, so '%' is no syntax; no header is empty, so [DEFAULT] is a plain section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path, encoding="utf-8-sig")  # a byte-order mark is no section
     except configparser.Error as exc:  # no section header, a duplicate key, ...
@@ -163,21 +167,22 @@ def _load_config_file(path: str) -> Dict[str, Dict[str, str]]:
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the config file, then command-line flags (flags win)."""
-    vals = {name: getattr(DEFAULT_PARAMS, name) for name in MODEL_FIELDS}
-    vals.update(DEFAULT_STATE, dt=IntegratorConfig.dt, horizon=2000.0, seed=0)
+    vals = {key: default for key, (_, _, _, default, _) in RUN_KEYS.items()}
     vals["c1"], vals["c2"] = args.controls
     if args.config:
+        sections = {section for section, *_ in RUN_KEYS.values()}
         for section, entries in _load_config_file(args.config).items():
-            if section not in CONFIG_KEYS:
+            if section not in sections:
                 raise ValueError(f"unknown config section [{section}]")
             for key, val in entries.items():
-                if key not in CONFIG_KEYS[section]:
+                if key not in RUN_KEYS or RUN_KEYS[key][0] != section:
                     raise ValueError(f"unknown {section} config key {key!r}")
+                kind = RUN_KEYS[key][2]
                 try:
-                    vals[key] = int(val) if key == "seed" else float(val)
+                    vals[key] = kind(val)
                 except ValueError:
-                    kind = "an integer" if key == "seed" else "a number"
-                    raise ValueError(f"config [{section}] {key} = {val!r} is not {kind}") from None
+                    noun = "an integer" if kind is int else "a number"
+                    raise ValueError(f"config [{section}] {key} = {val!r} is not {noun}") from None
     for key in vals:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -201,21 +206,10 @@ def _given(args: argparse.Namespace, names) -> Dict[str, object]:
     return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
 
 
-#: One flag per RunConfig key; a command registers those its handler reads.
-SHARED_FLAGS = {
-    "seed": ("--seed", int, "annealing RNG seed (default 0)"),
-    "dt": ("--dt", float, f"integration step size (default {IntegratorConfig.dt})"),
-    "horizon": ("--horizon", float, "simulation horizon (default 2000)"),
-    **{name: ("--lambda" if name == "lam" else f"--{name}", float, f"model parameter {name}")
-       for name in MODEL_FIELDS},
-    **{name: (f"--{name}", float, f"initial {name[0].upper()} count") for name in STATE_FIELDS},
-}
-
-
 def _add_shared_flags(sp: argparse.ArgumentParser, reads: Sequence[str]) -> None:
     sp.add_argument("--config", help="key = value config file (sections: model, init, integrator, run)")
     sp.add_argument("--out", help="output path (default: stdout)")
-    for key, (flag, kind, help) in SHARED_FLAGS.items():
+    for key, (_, flag, kind, _, help) in RUN_KEYS.items():
         if key in reads:
             sp.add_argument(flag, dest=key, type=kind, help=help)
 

@@ -26,7 +26,7 @@ import platform
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -202,12 +202,18 @@ def _sweep_control() -> str:
                    *(x for row in table.cells for x in _characteristics(row)))
 
 
-def _cli(argv: Sequence[str], outputs: Sequence[str] = ("--out",)) -> Callable[[], str]:
-    """Run seirv in-process with each output flag pointing at a file; hash the files."""
+def _cli(argv: Sequence[str], outputs: Sequence[str] = ("--out",),
+         config: Optional[str] = None) -> Callable[[], str]:
+    """Run seirv in-process with each output flag pointing at a file, plus
+    --config on a file holding the text config if given; hash the outputs."""
     def case() -> str:
         with tempfile.TemporaryDirectory() as tmp:
             paths = [str(Path(tmp) / f"out{k}") for k in range(len(outputs))]
             flags = [x for pair in zip(outputs, paths) for x in pair]
+            if config is not None:
+                cfg = Path(tmp) / "run.cfg"
+                cfg.write_text(config, encoding="utf-8")
+                flags += ["--config", str(cfg)]
             if cli.main([*argv, *flags]) != 0:
                 raise RuntimeError(f"seirv {' '.join(argv)} failed")
             return _digest(*(Path(path).read_bytes().decode("utf-8") for path in paths))
@@ -249,6 +255,11 @@ CASES: Dict[str, Callable[[], str]] = {
     "cli_avert": _cli(["avert", "--dt", "0.5", "--horizon", "400", "--c1", "0.1",
                        "--c2", "0.1", "--onset-grid", "0,50,100,200"],
                       outputs=("--out", "--csv-out")),
+    "cli_optimize": _cli(["optimize", "--dt", "0.5", "--horizon", "200", "--n-cool", "2",
+                          "--n-perturb", "2", "--max-outer", "2", "--seed", "1"]),
+    # one key from each of the four config sections
+    "cli_simulate_config": _cli(["simulate"], config="[model]\nbeta = 8e-9\n\n[init]\ni0 = 5\n\n"
+                                "[integrator]\ndt = 0.5\n\n[run]\nhorizon = 200\n"),
 }
 
 

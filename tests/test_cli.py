@@ -1,5 +1,6 @@
 """Command-line interface tests: outputs, exit codes, determinism, config."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -377,16 +378,23 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert report["threshold"]["rc"] == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("text", [
-    "[integrator]\ndtt = 0.5\n",
-    "[run]\nhorizn = 50\n",
-    "[solver]\ndt = 0.5\n",
-], ids=["integrator-key", "run-key", "unknown-section"])
-def test_unknown_config_keys_are_rejected(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, message", [
+    ("[integrator]\ndtt = 0.5\n", "unknown integrator config key 'dtt'"),
+    ("[run]\nhorizn = 50\n", "unknown run config key 'horizn'"),
+    ("[solver]\ndt = 0.5\n", "unknown config section [solver]"),
+    ("[model]\ndt = 0.5\n", "unknown model config key 'dt'"),
+    ("[run]\nbeta = 8e-9\n", "unknown run config key 'beta'"),
+    ("[init]\nseed = 3\n", "unknown init config key 'seed'"),
+    # configparser's default section would drop its keys, or copy them into [init]
+    ("[DEFAULT]\nbeta = 8e-9\n", "unknown config section [DEFAULT]"),
+    ("[DEFAULT]\nbeta = 8e-9\n\n[init]\ni0 = 5\n", "unknown config section [DEFAULT]"),
+], ids=["integrator-key", "run-key", "unknown-section", "model-dt", "run-beta", "init-seed",
+        "default-section", "default-above-init"])
+def test_unknown_config_keys_are_rejected(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text, encoding="utf-8")
     assert run_cli(["equilibria", "--config", str(cfg)]) == EXIT_VALIDATION
-    assert "unknown" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"seirv equilibria: {message}\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -402,6 +410,25 @@ def test_malformed_config_file_exits_validation_with_one_line(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("seirv equilibria: ") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_every_config_key_reaches_the_run_config(tmp_path):
+    sections = {
+        "model": tuple(f.name for f in dataclasses.fields(model.ModelParams)),
+        "init": ("s0", "e0", "i0", "r0", "v0"),
+        "integrator": ("dt",),
+        "run": ("horizon", "seed"),
+    }
+    parser = cli.build_parser()
+    default = cli._build_run_config(parser.parse_args(["simulate"]))
+    entries = [(section, key) for section, keys in sections.items() for key in keys]
+    assert len(entries) == 18
+    for section, key in entries:
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {3 if key == 'seed' else 0.3125}\n",
+                       encoding="utf-8")
+        args = parser.parse_args(["simulate", "--config", str(cfg)])
+        assert cli._build_run_config(args) != default, key
 
 
 def test_config_file_with_a_byte_order_mark_is_read(tmp_path):
