@@ -408,18 +408,18 @@ def _exponential_fit(
 
 def averted_cases(
     p: ModelParams,
-    controls: Tuple[float, float],
     onsets: Sequence[float],
     init: State,
     horizon: float,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> AvertedCurve:
-    """Total cases averted by starting the given controls at each onset time.
+    """Total cases averted by starting the controls (p.c1, p.c2) at each onset time.
 
     averted(t0) = i_tot(never intervened) - i_tot(controls from t0 on), with
-    i_tot = alpha * int_0^horizon E dt. The curve is summarized by a
-    least-squares exponential-decay fit. Onsets must be nonempty, strictly
-    increasing and inside [0, horizon]; an onset at the horizon averts nothing.
+    i_tot = alpha * int_0^horizon E dt; the never-intervened run is
+    p.with_controls(0.0, 0.0). The curve is summarized by a least-squares
+    exponential-decay fit. Onsets must be nonempty, strictly increasing and
+    inside [0, horizon]; an onset at the horizon averts nothing.
     """
     ts = [float(t) for t in onsets]
     if not ts:
@@ -428,7 +428,6 @@ def averted_cases(
         raise ValueError("onsets must be strictly increasing")
     if not all(0.0 <= t <= horizon for t in ts):
         raise ValueError(f"onsets must lie in [0, horizon={horizon!r}], got {ts!r}")
-    pc = p.with_controls(*controls)
     dt = cfg.dt
     run = integrate(p.with_controls(0.0, 0.0), init, horizon, cfg)
     e = run.e.copy()  # E over the whole grid, never intervened
@@ -443,7 +442,7 @@ def averted_cases(
     averted = []
     for k, state in reversed(onset_states):
         if k < n:
-            e[k:] = integrate(pc, state, (n - k) * dt, cfg).e
+            e[k:] = integrate(p, state, (n - k) * dt, cfg).e
         averted.append(baseline - trapezoid(e, p.alpha * dt))
     averted.reverse()
     x = np.asarray(ts)

@@ -63,13 +63,12 @@ FLOAT_FORMAT = "%.17g"
 
 
 def _json_dump(obj, out: TextIO, indent: int = 0) -> None:
-    """Minimal JSON writer with fixed float formatting (NaN becomes null);
-    a complex number becomes {"re": ..., "im": ...}."""
+    """Minimal JSON writer of the values the commands emit: dicts, lists and
+    tuples, bools, floats with fixed formatting (NaN becomes null), complex
+    numbers as {"re": ..., "im": ...}, None and strings; anything else is a
+    TypeError."""
     pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            out.write("{}")
-            return
         out.write("{\n")
         for k, (key, val) in enumerate(obj.items()):
             out.write(f'{pad}  "{key}": ')
@@ -88,8 +87,6 @@ def _json_dump(obj, out: TextIO, indent: int = 0) -> None:
         out.write(pad + "]")
     elif isinstance(obj, bool):
         out.write("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
         out.write("null" if math.isnan(x) else FLOAT_FORMAT % x)
@@ -337,8 +334,8 @@ def cmd_optimize(args: argparse.Namespace, rc: RunConfig) -> None:
         "optimum": {"c1": run.optimum[0], "c2": run.optimum[1]},
         "j_star": run.j_star,
         "effort_split": {"share1": share1, "share2": share2},
-        "history": [{"c1": h[0], "c2": h[1], "j": h[2], "phase": t}
-                    for h, t in zip(run.history, run.phase_tags)],
+        "history": [{"c1": c1, "c2": c2, "j": j, "phase": phase}
+                    for c1, c2, j, phase in run.history],
     })
 
 
@@ -357,10 +354,7 @@ def cmd_calibrate(args: argparse.Namespace, rc: RunConfig) -> None:
 
 def cmd_avert(args: argparse.Namespace, rc: RunConfig) -> None:
     onsets = [float(tok) for tok in args.onset_grid.split(",") if tok.strip()]
-    curve = calibration.averted_cases(
-        rc.params, (rc.params.c1, rc.params.c2), onsets, rc.init, rc.horizon,
-        rc.integrator,
-    )
+    curve = calibration.averted_cases(rc.params, onsets, rc.init, rc.horizon, rc.integrator)
     _write_json(args.out, {
         "onsets": list(curve.onsets),
         "averted": list(curve.averted),

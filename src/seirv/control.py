@@ -139,10 +139,10 @@ class SAConfig:
 
 @dataclass(frozen=True)
 class OptimRun:
-    """Every accepted move of one optimizer run, plus the incumbent optimum."""
+    """Every accepted move of one optimizer run, plus the incumbent optimum.
+    A move's phase is "start", "gradient" or "anneal"."""
 
-    history: Tuple[Tuple[float, float, float], ...]  # (c1, c2, J)
-    phase_tags: Tuple[str, ...]
+    history: Tuple[Tuple[float, float, float, str], ...]  # (c1, c2, J, phase)
     optimum: Controls
     j_star: float
 
@@ -347,15 +347,13 @@ def _hybrid_minimize(
     rng = random.Random(sa.rng_seed)
     c = _project(start)
     j, aux = score(c)
-    history: List[Tuple[float, float, float]] = [(c[0], c[1], j)]
-    tags: List[str] = ["start"]
+    history: List[Tuple[float, float, float, str]] = [(c[0], c[1], j, "start")]
     best_c, best_j, best_aux = c, j, aux
     stalled: Optional[Controls] = None  # incumbent where a gradient phase stopped
 
-    def record(point: Controls, value: float, point_aux: Any, tag: str) -> None:
+    def record(point: Controls, value: float, point_aux: Any, phase: str) -> None:
         nonlocal best_c, best_j, best_aux
-        history.append((point[0], point[1], value))
-        tags.append(tag)
+        history.append((point[0], point[1], value, phase))
         if value < best_j:
             best_c, best_j, best_aux = point, value, point_aux
 
@@ -438,12 +436,7 @@ def _hybrid_minimize(
         if best_before - best_j <= sa.eps_k:
             break
 
-    return OptimRun(
-        history=tuple(history),
-        phase_tags=tuple(tags),
-        optimum=best_c,
-        j_star=best_j,
-    )
+    return OptimRun(history=tuple(history), optimum=best_c, j_star=best_j)
 
 
 def hybrid_optimize(
@@ -460,7 +453,8 @@ def hybrid_optimize(
     loop stops when a round improves the best J by no more than eps_k, or
     after max_outer rounds. Deterministic for a fixed rng_seed. The start
     controls must be finite (ValueError otherwise); they are projected into
-    [0, 1]^2.
+    [0, 1]^2. p's own controls (p.c1, p.c2) are not read: the search starts
+    at start and sets the controls of each point it scores.
 
     The step rule. A gradient phase starts at the incumbent (the best point
     so far) and takes up to _GRAD_STEPS descent steps, each from the

@@ -126,8 +126,9 @@ def _optimize(accept_rule: str, start=CONTROLS[0]) -> Callable[[], str]:
         sa = SAConfig(t0=0.02, cooling=0.9, n_cool=3, n_perturb=6, max_outer=2,
                       rng_seed=2024, accept_rule=accept_rule)
         run = hybrid_optimize(DEFAULT_PARAMS, OPT_CP, start, sa, INIT, COARSE)
-        parts = [x for point in run.history for x in point]
-        return _digest(*parts, *run.phase_tags, *run.optimum, run.j_star)
+        moves = [x for c1, c2, j, _ in run.history for x in (c1, c2, j)]
+        phases = [phase for *_, phase in run.history]
+        return _digest(*moves, *phases, *run.optimum, run.j_star)
     return case
 
 
@@ -145,8 +146,8 @@ def _fit_goodness() -> str:
 
 
 def _averted() -> str:
-    curve = calibration.averted_cases(DEFAULT_PARAMS, (0.1, 0.1), (0.0, 50.0, 100.0, 200.0),
-                                      INIT, 400.0, COARSE)
+    curve = calibration.averted_cases(DEFAULT_PARAMS.with_controls(0.1, 0.1),
+                                      (0.0, 50.0, 100.0, 200.0), INIT, 400.0, COARSE)
     return _digest(*curve.onsets, *curve.averted, *curve.decay_fit, curve.decay_r2)
 
 

@@ -273,7 +273,7 @@ def test_criterion_10_calibration_recovery():
 def test_criterion_11_averted_cases_decay():
     """Averted cases nonincreasing in onset; exponential fit R2 >= 0.95."""
     onsets = list(np.linspace(0.0, 800.0, 9))
-    curve = averted_cases(DEFAULT_PARAMS, (0.1, 0.1), onsets, INIT, 2000.0,
+    curve = averted_cases(DEFAULT_PARAMS.with_controls(0.1, 0.1), onsets, INIT, 2000.0,
                           IntegratorConfig(dt=0.1))
     averted = np.array(curve.averted)
     print(f"[criterion 11] averted {averted[0]:.3e} .. {averted[-1]:.3e}, "

@@ -50,6 +50,13 @@ def test_load_series_roundtrip(tmp_path):
     assert series.cumulative == (0.0, 5.0, 8.0)
 
 
+def test_load_series_skips_blank_rows(tmp_path):
+    plain, gaps = tmp_path / "plain.csv", tmp_path / "gaps.csv"
+    plain.write_text("time,count\n0,0\n1,5\n2,8\n", encoding="utf-8")
+    gaps.write_text("time,count\n0,0\n\n1,5\n   \n2,8\n\n", encoding="utf-8")
+    assert load_series(gaps) == load_series(plain)
+
+
 def test_load_series_skips_a_utf8_byte_order_mark(tmp_path):
     text = "time,count\r\n0,0\r\n1,5\r\n2,8\r\n"
     plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
@@ -69,6 +76,11 @@ def test_load_series_errors(tmp_path):
     bad_row.write_text("time,count\n0,0\n1,abc\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":3"):
         load_series(bad_row)
+
+    extra_field = tmp_path / "f.csv"
+    extra_field.write_text("time,count\n0,0\n1,5,7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=":3: expected 2 fields, got 3"):
+        load_series(extra_field)
 
     nonmono = tmp_path / "m.csv"
     nonmono.write_text("time,count\n0,5\n1,3\n", encoding="utf-8")
@@ -97,6 +109,11 @@ def test_daily_to_cumulative_prefix_sum(tmp_path):
 def test_series_validation(tmp_path):
     with pytest.raises(ValueError):
         ObservationSeries((0.0, 0.0), (1.0, 2.0))
+    for times, counts in (((), ()), ((0.0, 1.0), (1.0,))):
+        with pytest.raises(ValueError, match="nonempty and equal-length"):
+            ObservationSeries(times, counts)
+    with pytest.raises(ValueError, match="counts must be finite and >= 0"):
+        ObservationSeries((0.0, 1.0), (-1.0, 2.0))
     with pytest.raises(ValueError, match="nondecreasing"):
         ObservationSeries((0.0, 1.0), (2.0, 1.0))
     with pytest.raises(ValueError, match="finite"):
@@ -240,6 +257,17 @@ def test_nelder_mead_respects_bounds():
     assert all(0.0 <= x[0] <= 1.0 for x in seen)
 
 
+@pytest.mark.parametrize("start, bounds, message", [
+    ([0.5], [(1.0, 1.0)], "lo < hi"),
+    ([0.5, 0.5], [(0.0, 1.0), (2.0, -2.0)], "lo < hi"),
+    ([1.5], [(0.0, 1.0)], "inside the bounds"),
+    ([0.5, -0.1], [(0.0, 1.0), (0.0, 1.0)], "inside the bounds"),
+], ids=["empty-box", "reversed-bound", "start-above", "start-below"])
+def test_nelder_mead_rejects_bad_bounds_or_start(start, bounds, message):
+    with pytest.raises(ValueError, match=message):
+        nelder_mead(lambda x: float(np.sum(x**2)), start, bounds)
+
+
 def test_nelder_mead_degenerate_objective():
     with pytest.raises(DegenerateObjectiveError):
         nelder_mead(lambda x: math.nan, [0.5], [(0.0, 1.0)])
@@ -277,6 +305,19 @@ def test_fit_flat_series_lands_on_lower_bound():
         assert b == pytest.approx(BETA_FIT_BOUNDS[0], rel=1e-9)
     assert all(abs(r) < 1e-9 for r in fit.residuals)
     assert math.isnan(fit.r_squared)  # zero-variance data has no R^2
+
+
+@pytest.mark.parametrize("times, segment_length, message", [
+    ((0.0, 1.0, 2.0), 0.0, "segment_length must be > 0"),
+    ((0.0, 1.0, 2.0), math.nan, "segment_length must be > 0"),
+    ((0.0,), 7.0, "extend past t = 0"),
+    ((0.0, 1.0, 2.0, 3.0), 0.5, "more segments than observations"),
+], ids=["zero-length", "nan-length", "only-t0", "too-many-segments"])
+def test_fit_refuses_segments_it_cannot_fit(times, segment_length, message):
+    series = ObservationSeries(times, tuple(float(k) for k in range(len(times))))
+    with pytest.raises(ValueError, match=message):
+        fit_beta_segments(series, DEFAULT_PARAMS, segment_length, SEED_STATE,
+                          NelderMeadConfig(max_iter=1), CFG)
 
 
 def test_fit_warns_when_under_determined():
@@ -340,6 +381,13 @@ def test_goodness_zero_variance_rejected():
         goodness(_fit_from_model_allow_flat(series), series)
 
 
+def test_goodness_rejects_a_fit_of_another_series():
+    series = ObservationSeries((0.0, 1.0, 2.0, 3.0), (0.0, 2.0, 6.0, 12.0))
+    shorter = ObservationSeries((0.0, 1.0, 2.0), (0.0, 2.0, 6.0))
+    with pytest.raises(ValueError, match="not aligned"):
+        goodness(_fit_from_model(shorter, np.asarray(shorter.cumulative)), series)
+
+
 def _fit_from_model_allow_flat(series):
     y = np.asarray(series.cumulative)
     return FitResult(
@@ -378,7 +426,7 @@ def test_goodness_r2_within_noise_expectation_band():
 
 
 def test_averted_zero_controls_zero_curve():
-    curve = averted_cases(DEFAULT_PARAMS, (0.0, 0.0), [0.0, 50.0, 100.0],
+    curve = averted_cases(DEFAULT_PARAMS.with_controls(0.0, 0.0), [0.0, 50.0, 100.0],
                           State(1e9, 0, 1, 0, 0), 400.0, IntegratorConfig(dt=0.1))
     assert all(a == 0.0 for a in curve.averted)
     assert math.isnan(curve.decay_r2)
@@ -387,7 +435,7 @@ def test_averted_zero_controls_zero_curve():
 def test_averted_earliest_onset_dominates_and_late_onset_vanishes():
     init = State(1e9, 0.0, 1e3, 0.0, 0.0)
     onsets = [0.0, 100.0, 300.0, 700.0]
-    curve = averted_cases(DEFAULT_PARAMS, (0.1, 0.1), onsets, init, 700.0,
+    curve = averted_cases(DEFAULT_PARAMS.with_controls(0.1, 0.1), onsets, init, 700.0,
                           IntegratorConfig(dt=0.1))
     averted = list(curve.averted)
     assert averted[0] == max(averted)
@@ -397,7 +445,7 @@ def test_averted_earliest_onset_dominates_and_late_onset_vanishes():
 def test_averted_exponential_decay_in_growth_regime():
     init = State(1e9, 0.0, 1e3, 0.0, 0.0)
     onsets = list(np.linspace(0.0, 600.0, 9))
-    curve = averted_cases(DEFAULT_PARAMS, (0.1, 0.1), onsets, init, 1500.0,
+    curve = averted_cases(DEFAULT_PARAMS.with_controls(0.1, 0.1), onsets, init, 1500.0,
                           IntegratorConfig(dt=0.1))
     averted = np.array(curve.averted)
     assert np.all(np.diff(averted) <= 1e-9 * averted[0])
@@ -421,7 +469,7 @@ def test_averted_continuations_match_scheduled_runs_to_the_bit(dt, horizon, onse
         run = integrate(p0, init, horizon, cfg, control_schedule=sched)
         return trapezoid(run.e, DEFAULT_PARAMS.alpha * dt)
 
-    curve = averted_cases(DEFAULT_PARAMS, (0.1, 0.2), onsets, init, horizon, cfg)
+    curve = averted_cases(DEFAULT_PARAMS.with_controls(0.1, 0.2), onsets, init, horizon, cfg)
     assert list(curve.averted) == [
         i_tot(None) - i_tot(ControlSchedule(t0, (0.0, 0.0), (0.1, 0.2))) for t0 in onsets
     ]
@@ -429,14 +477,14 @@ def test_averted_continuations_match_scheduled_runs_to_the_bit(dt, horizon, onse
 
 def test_averted_validation():
     with pytest.raises(ValueError):
-        averted_cases(DEFAULT_PARAMS, (0.1, 0.1), [10.0, 5.0], SEED_STATE, 100.0)
+        averted_cases(DEFAULT_PARAMS.with_controls(0.1, 0.1), [10.0, 5.0], SEED_STATE, 100.0)
 
 
 @pytest.mark.parametrize("onsets", [[], [5.0, 100.0, 200.0], [0.0, 40.5], [-1.0, 5.0],
                                     [0.0, math.nan, 20.0]])
 def test_averted_rejects_empty_or_out_of_horizon_onsets(onsets):
     with pytest.raises(ValueError, match="onset"):
-        averted_cases(DEFAULT_PARAMS, (0.1, 0.1), onsets, SEED_STATE, 40.0,
+        averted_cases(DEFAULT_PARAMS.with_controls(0.1, 0.1), onsets, SEED_STATE, 40.0,
                       IntegratorConfig(dt=0.5))
 
 
@@ -459,6 +507,12 @@ def test_synthetic_deterministic_per_seed():
                            50.0, seed=43, cfg=CFG)
     assert a.cumulative == b.cumulative
     assert a.cumulative != c.cumulative
+
+
+def test_synthetic_rejects_negative_noise():
+    with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+        generate_synthetic(DEFAULT_PARAMS, TRUE_SCHEDULE, SEED_STATE, SAMPLE_TIMES,
+                           -1.0, seed=0, cfg=CFG)
 
 
 def test_synthetic_monotone_clamp():

@@ -1,6 +1,7 @@
 """Command-line interface tests: outputs, exit codes, determinism, config."""
 
 import dataclasses
+import io
 import json
 import math
 import subprocess
@@ -150,7 +151,7 @@ def test_unset_solver_flags_keep_library_defaults(tmp_path, monkeypatch):
 
     def fake_optimize(p, cp, start, sa, init, cfg):
         seen["sa"] = sa
-        return control.OptimRun(((0.1, 0.1, 1.0),), ("start",), (0.1, 0.1), 1.0)
+        return control.OptimRun(((0.1, 0.1, 1.0, "start"),), (0.1, 0.1), 1.0)
 
     def fake_fit(series, p, **kwargs):
         seen["fit"] = kwargs
@@ -179,7 +180,7 @@ def test_unset_solver_flags_keep_library_defaults(tmp_path, monkeypatch):
 
 def test_zero_effort_optimum_reports_null_shares(tmp_path, monkeypatch):
     def fake_optimize(p, cp, start, sa, init, cfg):
-        return control.OptimRun(((0.0, 0.0, 0.5),), ("start",), (0.0, 0.0), 0.5)
+        return control.OptimRun(((0.0, 0.0, 0.5, "start"),), (0.0, 0.0), 0.5)
 
     monkeypatch.setattr(control, "hybrid_optimize", fake_optimize)
     out = tmp_path / "opt.json"
@@ -187,6 +188,12 @@ def test_zero_effort_optimum_reports_null_shares(tmp_path, monkeypatch):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["optimum"] == {"c1": 0.0, "c2": 0.0}
     assert report["effort_split"] == {"share1": None, "share2": None}
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), {1, 2}, b"x"])
+def test_json_writer_refuses_types_no_command_emits(value):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli._json_dump({"value": value}, io.StringIO())
 
 
 def test_memory_error_exits_numerical_with_one_line(monkeypatch, capsys):
@@ -253,6 +260,17 @@ def test_calibrate_round_trip(tmp_path):
 def test_calibrate_missing_data_file(tmp_path, capsys):
     code = run_cli(["calibrate", "--data", str(tmp_path / "none.csv")])
     assert code == EXIT_VALIDATION
+
+
+def test_calibrate_rejects_more_segments_than_observations(tmp_path, capsys):
+    data = tmp_path / "series.csv"
+    data.write_text("time,count\n0,1\n1,5\n2,20\n3,60\n", encoding="utf-8")
+    argv = ["calibrate", "--data", str(data), "--segment-length", "0.5",
+            "--out", str(tmp_path / "fit.json")]
+    assert run_cli(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "seirv calibrate: segment_length 0.5 gives more segments than observations\n")
+    assert not (tmp_path / "fit.json").exists()
 
 
 def test_calibrate_rejects_observations_before_time_zero(tmp_path, capsys):
@@ -410,6 +428,12 @@ def test_malformed_config_file_exits_validation_with_one_line(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("seirv equilibria: ") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_missing_config_file_exits_validation_with_one_line(tmp_path, capsys):
+    path = tmp_path / "none.cfg"
+    assert run_cli(["equilibria", "--config", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"seirv equilibria: cannot read config file {str(path)!r}\n"
 
 
 def test_every_config_key_reaches_the_run_config(tmp_path):

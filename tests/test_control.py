@@ -264,8 +264,7 @@ def test_gradient_phase_crosses_a_rotated_valley_in_few_moves(monkeypatch, start
         return (1.5 * a * u[0] + 27.0 * b * w[0], 1.5 * a * u[1] + 27.0 * b * w[1])
 
     run = _hybrid_minimize(cost_fn, grad_fn, start, SAConfig(eps_k=1e-12, max_outer=1))
-    moves = [(c1, c2) for (c1, c2, _), tag in zip(run.history, run.phase_tags)
-             if tag == "gradient"]
+    moves = [(c1, c2) for c1, c2, _, phase in run.history if phase == "gradient"]
     assert any(math.hypot(c1 - target[0], c2 - target[1]) < 1e-4 for c1, c2 in moves[:10])
 
 
@@ -289,7 +288,7 @@ def test_failed_quasi_newton_step_falls_back_to_the_gradient(monkeypatch):
     run = _hybrid_minimize(cost_fn, grad_fn, (0.5, 0.52), sa)
     (c1, c2), (g1, g2) = grads[2]  # the incumbent after a quasi-Newton move
     assert run.history[3][:2] == (c1 - sa.step_eta * g1, c2 - sa.step_eta * g2)
-    assert run.phase_tags[1:5] == ("gradient",) * 4
+    assert [phase for *_, phase in run.history[1:5]] == ["gradient"] * 4
 
 
 def test_clipped_candidate_without_first_order_decrease_does_not_end_the_step(monkeypatch):
@@ -308,8 +307,8 @@ def test_clipped_candidate_without_first_order_decrease_does_not_end_the_step(mo
         return (c[0], c[1] - 0.5)
 
     run = _hybrid_minimize(cost_fn, grad_fn, (0.04, 0.7), SAConfig(max_outer=1))
-    (_, c2_before, _), (_, c2_after, _) = run.history[1:3]  # -g, then d
-    assert run.phase_tags[1:3] == ("gradient", "gradient")
+    (_, c2_before, _, phase1), (_, c2_after, _, phase2) = run.history[1:3]  # -g, then d
+    assert phase1 == phase2 == "gradient"
     assert c2_after > c2_before
 
 
@@ -374,7 +373,7 @@ def test_secant_pair_without_curvature_steps_along_the_gradient_from_step_eta(mo
 
     sa = SAConfig(max_outer=1)
     run = _hybrid_minimize(cost_fn, grad_fn, (0.3, 0.9), sa)
-    moves = [(c1, c2) for c1, c2, _ in run.history[1:]]
+    moves = [(c1, c2) for c1, c2, _, _ in run.history[1:]]
     for ((c1, c2), (g1, g2)), move in zip(grads, moves):
         assert move == control._project((c1 - sa.step_eta * g1, c2 - sa.step_eta * g2))
     assert len(moves) == control._GRAD_STEPS and run.optimum[0] == 1.0
@@ -399,7 +398,7 @@ def test_gradient_phase_scores_no_candidate_without_first_order_decrease(monkeyp
         return (c[0] - 0.4) ** 2 + (c[1] - 0.2) ** 2 + 0.1 * math.sin(9 * c[0]), None
 
     run = _hybrid_minimize(cost_fn, grad_fn, start, sa)
-    assert "gradient" in run.phase_tags
+    assert any(phase == "gradient" for *_, phase in run.history)
 
 
 def test_gradient_phase_scores_a_projected_corner_once(monkeypatch):
@@ -431,18 +430,17 @@ def test_optimizer_history_invariants():
 
     sa = SAConfig(t0=0.05, n_cool=5, n_perturb=8, rng_seed=11, max_outer=6)
     run = _hybrid_minimize(cost_fn, grad_fn, (0.95, 0.95), sa)
-    assert len(run.history) == len(run.phase_tags)
-    assert run.phase_tags[0] == "start"
+    assert run.history[0][3] == "start"
     # projection correctness: every visited point stays in the box
-    for c1, c2, _ in run.history:
+    for c1, c2, _, _ in run.history:
         assert 0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0
     # the incumbent is the minimum over the whole history
-    js = [j for _, _, j in run.history]
+    js = [j for _, _, j, _ in run.history]
     assert run.j_star == min(js)
     assert run.j_star <= js[-1] + 1e-12
     # every gradient-phase acceptance strictly improves on everything before
-    for k, tag in enumerate(run.phase_tags):
-        if tag == "gradient":
+    for k, (*_, phase) in enumerate(run.history):
+        if phase == "gradient":
             prior = min(js[:k])
             assert js[k] < prior - sa.eps_k + 1e-15
 
@@ -458,7 +456,6 @@ def test_optimizer_deterministic_per_seed():
     run1 = _hybrid_minimize(cost_fn, grad_fn, (0.5, 0.5), sa)
     run2 = _hybrid_minimize(cost_fn, grad_fn, (0.5, 0.5), sa)
     assert run1.history == run2.history
-    assert run1.phase_tags == run2.phase_tags
     other = _hybrid_minimize(
         cost_fn, grad_fn, (0.5, 0.5),
         SAConfig(t0=0.05, n_cool=4, n_perturb=6, rng_seed=78, max_outer=4),
@@ -487,7 +484,7 @@ def test_classical_acceptance_rule_supported():
         SAConfig(accept_rule="other")
 
 
-@pytest.mark.parametrize("field", ["t0", "eps_k", "delta_k", "step_eta"])
+@pytest.mark.parametrize("field", ["t0", "cooling", "eps_k", "delta_k", "step_eta"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_sa_config_rejects_nonfinite_settings(field, value):
     with pytest.raises(ValueError, match=field):

@@ -248,6 +248,8 @@ def test_integrate_validation(init_state):
         integrate(DEFAULT_PARAMS, init_state, 0.0)
     with pytest.raises(ValueError):
         integrate(DEFAULT_PARAMS, init_state, -5.0)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        integrate(DEFAULT_PARAMS, init_state, 0.2, IntegratorConfig(dt=0.5))
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.0)
     with pytest.raises(ValueError):
@@ -256,6 +258,8 @@ def test_integrate_validation(init_state):
         BetaSchedule((5.0,), (1e-9,))
     with pytest.raises(ValueError):
         ControlSchedule(10.0, (0.0, 0.0), (1.2, 0.0))
+    with pytest.raises(ValueError, match="onset must be finite and >= 0"):
+        ControlSchedule(-1.0, (0.0, 0.0), (0.1, 0.1))
 
 
 def test_integrate_refuses_plans_over_the_step_cap(init_state, monkeypatch):
