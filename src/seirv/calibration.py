@@ -395,7 +395,7 @@ def _exponential_fit(
         amp, rate = q
         return float(np.sum((y - amp * np.exp(-rate * x)) ** 2))
 
-    span = float(x[-1] - x[0]) if x[-1] > x[0] else 1.0
+    span = float(x[-1] - x[0])  # > 0: at least 2 points, strictly increasing
     ymax = float(np.max(y))
     bounds = [(0.0, 10.0 * ymax + 1.0), (-100.0 / span, 100.0 / span)]
     start = np.array([min(max(a0, 0.0), bounds[0][1]), min(max(b0, bounds[1][0]), bounds[1][1])])
@@ -415,11 +415,11 @@ def averted_cases(
 ) -> AvertedCurve:
     """Total cases averted by starting the controls (p.c1, p.c2) at each onset time.
 
-    averted(t0) = i_tot(never intervened) - i_tot(controls from t0 on), with
-    i_tot = alpha * int_0^horizon E dt; the never-intervened run is
-    p.with_controls(0.0, 0.0). The curve is summarized by a least-squares
-    exponential-decay fit. Onsets must be nonempty, strictly increasing and
-    inside [0, horizon]; an onset at the horizon averts nothing.
+    averted(t0) = i_tot(never intervened) - i_tot(controls from t0 on), where
+    i_tot is EpidemicCharacteristics.i_tot, alpha * int_0^horizon E dt; the
+    never-intervened run is p.with_controls(0.0, 0.0). The curve is summarized
+    by a least-squares exponential-decay fit. Onsets must be nonempty, strictly
+    increasing and inside [0, horizon]; an onset at the horizon averts nothing.
     """
     ts = [float(t) for t in onsets]
     if not ts:
@@ -431,7 +431,7 @@ def averted_cases(
     dt = cfg.dt
     run = integrate(p.with_controls(0.0, 0.0), init, horizon, cfg)
     e = run.e.copy()  # E over the whole grid, never intervened
-    baseline = trapezoid(e, p.alpha * dt)
+    baseline = p.alpha * trapezoid(e, dt)
     # The run with the controls on from the onset's snapped grid index k is
     # the never-intervened run up to k, continued from its state at k.
     # Latest onset first: each continuation overwrites e[k:] in place, and
@@ -443,7 +443,7 @@ def averted_cases(
     for k, state in reversed(onset_states):
         if k < n:
             e[k:] = integrate(p, state, (n - k) * dt, cfg).e
-        averted.append(baseline - trapezoid(e, p.alpha * dt))
+        averted.append(baseline - p.alpha * trapezoid(e, dt))
     averted.reverse()
     x = np.asarray(ts)
     y = np.asarray(averted)

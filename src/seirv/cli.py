@@ -87,9 +87,8 @@ def _json_dump(obj, out: TextIO, indent: int = 0) -> None:
         out.write(pad + "]")
     elif isinstance(obj, bool):
         out.write("true" if obj else "false")
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        out.write("null" if math.isnan(x) else FLOAT_FORMAT % x)
+    elif isinstance(obj, float):  # np.float64 is a float
+        out.write("null" if math.isnan(obj) else FLOAT_FORMAT % obj)
     elif isinstance(obj, complex):
         _json_dump({"re": obj.real, "im": obj.imag}, out, indent)
     elif obj is None:
@@ -125,7 +124,7 @@ def _write_csv(path: Optional[str], header: Sequence[str], rows: Iterable[tuple]
         first = next(rows, None)
         if first is None:
             return
-        fmt = ",".join(FLOAT_FORMAT if isinstance(x, (float, np.floating)) else "%s"
+        fmt = ",".join(FLOAT_FORMAT if isinstance(x, float) else "%s"
                        for x in first) + "\n"
         out.write(fmt % first)
         out.writelines(fmt % row for row in rows)
@@ -356,8 +355,8 @@ def cmd_avert(args: argparse.Namespace, rc: RunConfig) -> None:
     onsets = [float(tok) for tok in args.onset_grid.split(",") if tok.strip()]
     curve = calibration.averted_cases(rc.params, onsets, rc.init, rc.horizon, rc.integrator)
     _write_json(args.out, {
-        "onsets": list(curve.onsets),
-        "averted": list(curve.averted),
+        "onsets": curve.onsets,
+        "averted": curve.averted,
         "decay_fit": {"amplitude": curve.decay_fit[0], "rate": curve.decay_fit[1]},
         "decay_r2": curve.decay_r2,
     })
@@ -383,9 +382,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VALIDATION
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

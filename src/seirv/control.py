@@ -135,6 +135,9 @@ class SAConfig:
             raise ValueError("step_eta must be finite and > 0")
         if self.accept_rule not in ("scaled", "classical"):
             raise ValueError("accept_rule must be 'scaled' or 'classical'")
+        if not isinstance(self.rng_seed, numbers.Integral):  # random.Random takes no np.int64
+            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
+        object.__setattr__(self, "rng_seed", int(self.rng_seed))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Series ingestion, SSE, Nelder-Mead, segment fitting and averted-cases tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from seirv import calibration
+from seirv.analysis import characteristics
 from seirv.calibration import (
     BETA_FIT_BOUNDS,
     DailyOverlay,
@@ -30,7 +32,6 @@ from seirv.model import (
     State,
     DEFAULT_PARAMS,
     integrate,
-    trapezoid,
 )
 
 CFG = IntegratorConfig(dt=0.02)
@@ -454,22 +455,26 @@ def test_averted_exponential_decay_in_growth_regime():
     assert amp > 0.0 and rate > 0.0
 
 
-@pytest.mark.parametrize("dt, horizon, onsets", [
-    (0.5, 400.0, [0.0, 50.0, 120.25, 399.9, 400.0]),
-    (0.2, 100.3, [0.0, 10.05, 33.3, 100.3]),  # the horizon is no multiple of dt
+@pytest.mark.parametrize("dt, horizon, onsets, alpha", [
+    pytest.param(0.5, 400.0, [0.0, 50.0, 120.25, 399.9, 400.0], 0.25, id="0.5-400.0-onsets0"),
+    # the horizon is no multiple of dt
+    pytest.param(0.2, 100.3, [0.0, 10.05, 33.3, 100.3], 0.25, id="0.2-100.3-onsets1"),
+    # alpha no power of two: alpha * (dt * sum) and (alpha * dt) * sum differ
+    pytest.param(0.2, 100.3, [0.0, 10.05, 33.3, 100.3], 0.2, id="0.2-100.3-onsets1-alpha0.2"),
 ])
-def test_averted_continuations_match_scheduled_runs_to_the_bit(dt, horizon, onsets):
+def test_averted_continuations_match_scheduled_runs_to_the_bit(dt, horizon, onsets, alpha):
     # each onset's run continues the never-intervened run from its state at
-    # the snapped onset index; the definition integrates it from t = 0
+    # the snapped onset index; the definition integrates it from t = 0 and
+    # takes each run's total infections as characteristics reports them
     init = State(1e9, 0.0, 1e3, 0.0, 0.0)
     cfg = IntegratorConfig(dt=dt)
-    p0 = DEFAULT_PARAMS.with_controls(0.0, 0.0)
+    p = replace(DEFAULT_PARAMS, alpha=alpha).with_controls(0.1, 0.2)
+    p0 = p.with_controls(0.0, 0.0)
 
     def i_tot(sched):
-        run = integrate(p0, init, horizon, cfg, control_schedule=sched)
-        return trapezoid(run.e, DEFAULT_PARAMS.alpha * dt)
+        return characteristics(integrate(p0, init, horizon, cfg, control_schedule=sched), p).i_tot
 
-    curve = averted_cases(DEFAULT_PARAMS.with_controls(0.1, 0.2), onsets, init, horizon, cfg)
+    curve = averted_cases(p, onsets, init, horizon, cfg)
     assert list(curve.averted) == [
         i_tot(None) - i_tot(ControlSchedule(t0, (0.0, 0.0), (0.1, 0.2))) for t0 in onsets
     ]

@@ -1,22 +1,26 @@
 """Command-line interface tests: outputs, exit codes, determinism, config."""
 
 import dataclasses
+import importlib.util
 import io
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import seirv
 from conftest import CLI_RUN_FLAGS, INIT_FLAGS
+from golden import TABLE, versions
 from seirv import analysis, calibration, cli, control, equilibria, errors, model
 from seirv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from seirv.model import BetaSchedule, DEFAULT_PARAMS, population_closed_form
 
 FAST = ["--dt", "0.1", "--horizon", "200"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args):
@@ -569,3 +573,29 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("time,S,E,I,R,V,N")
+    # the installed script passes main's exit code to sys.exit
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"seirv": "seirv.cli:main"}
+
+
+def test_bench_pinned_cli_bytes_at_smoke_size(tmp_path, monkeypatch):
+    # the benchmark's smoke command lines, run in-process, write the bytes
+    # bench/cli_digests.json pins; calibrate's are pinned nowhere else. They
+    # were recorded with the builds the golden table names.
+    recorded = {key: json.loads(TABLE.read_text(encoding="utf-8"))[key] for key in versions()}
+    if recorded != versions():
+        pytest.skip(f"digests were recorded with {recorded}, running {versions()}")
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    w = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, w)  # its dataclasses look their module up
+    spec.loader.exec_module(w)
+    monkeypatch.chdir(tmp_path)
+    w.write_observed(tmp_path, 0)
+    digests = {}
+    for command in w.CLI_COMMANDS:
+        argv = w.cli_argv(command, 0, smoke=True)
+        assert main(argv) == EXIT_OK, argv
+        digests[f"{command}/0"] = {name: w.file_digest(tmp_path / name)
+                                   for name in w.cli_outputs(argv)}
+    assert digests == w.load_digests(smoke=True)

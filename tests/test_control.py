@@ -500,6 +500,24 @@ def test_sa_config_rejects_non_integer_or_small_counts(field, value):
     assert getattr(SAConfig(**{field: np.int64(3)}), field) == 3
 
 
+@pytest.mark.parametrize("value", [2.5, "3", None])
+def test_sa_config_rejects_a_seed_that_is_no_integer(value):
+    with pytest.raises(ValueError, match="rng_seed"):
+        SAConfig(rng_seed=value)
+
+
+def test_sa_config_takes_any_integral_seed_as_an_int():
+    # random.Random would refuse an np.int64 seed deep in the optimizer
+    assert type(SAConfig(rng_seed=np.int64(3)).rng_seed) is int
+    init = State(1e9, 0, 1, 0, 0)
+    cp = CostParams.for_run(DEFAULT_PARAMS, init, 1.0, 0.2, 0.3, 50.0)
+    runs = [hybrid_optimize(DEFAULT_PARAMS, cp, (0.5, 0.5),
+                            SAConfig(n_cool=2, n_perturb=2, rng_seed=seed, max_outer=3),
+                            init, IntegratorConfig(dt=0.5))
+            for seed in (np.int64(3), 3)]
+    assert runs[0] == runs[1]
+
+
 def test_sa_config_rejects_cooling_that_underflows_the_last_temperature():
     assert SAConfig(cooling=1e-300, n_cool=2).cooling == 1e-300  # last temperature 2e-302
     with pytest.raises(ValueError, match="cooling"):

@@ -154,6 +154,36 @@ def test_fourth_order_against_population_closed_form():
     assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.3)
 
 
+def test_integrate_step_is_the_classical_rk4_step_of_rhs():
+    # integrate spells rhs out inline at every stage. A flow sent to the
+    # wrong compartment keeps N(t) and its closed form, so only a
+    # compartment-by-compartment oracle catches it: the RK4 step built from rhs.
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        st = State(*10.0 ** rng.uniform(0.0, 9.0, size=5))
+        rates = dict(zip(("alpha", "eta1", "eta2", "sigma1", "sigma2", "mu", "c1", "c2"),
+                         rng.uniform(1e-4, 0.5, size=8)))
+        p = ModelParams(lam=rng.uniform(0.0, 1e6), beta=10.0 ** rng.uniform(-12.0, -9.5), **rates)
+        dt = rng.uniform(0.01, 0.25)  # small enough that every stage state stays positive
+        x = np.array(st.as_tuple())
+        k1 = np.array(rhs(st, p))
+        x2 = x + 0.5 * dt * k1
+        k2 = np.array(rhs(State(*x2), p))
+        x3 = x + 0.5 * dt * k2
+        k3 = np.array(rhs(State(*x3), p))
+        x4 = x + dt * k3
+        k4 = np.array(rhs(State(*x4), p))
+        expected = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # each derivative is a sum of terms no larger than lam, beta*S*I or
+        # the largest rate times the largest stage component
+        largest = max(p.lam, max(p.beta * y[0] * y[2] for y in (x, x2, x3, x4)),
+                      max(rates.values()) * max(np.max(y) for y in (x, x2, x3, x4)))
+        got = integrate(p, st, dt, IntegratorConfig(dt=dt)).states[1]
+        tol = 4.0 * eps * (np.abs(expected) + dt * largest)  # worst of 2000 draws: 1.01 units
+        assert np.all(np.abs(got - expected) <= tol), (st, p, dt, got - expected, tol)
+
+
 def test_single_segment_schedule_bitwise_equal(init_state):
     cfg = IntegratorConfig(dt=0.05)
     direct = integrate(
