@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .model import (
 )
 
 __all__ = [
-    "SensitivityIndex",
     "RegionMap",
     "EpidemicCharacteristics",
     "ControlSweepTable",
@@ -47,12 +46,6 @@ SENSITIVITY_PARAMETERS = ("sigma1", "sigma2", "c1", "c2", "beta", "eta1", "eta2"
 _REL_STEP = 1e-6
 #: Most grid cells region_map builds; a finer grid is refused before it is allocated.
 MAX_CELLS = 10**7
-
-
-@dataclass(frozen=True)
-class SensitivityIndex:
-    parameter: str
-    value: float
 
 
 @dataclass(frozen=True)
@@ -93,8 +86,9 @@ class ControlSweepTable:
     cells: Tuple[Tuple[EpidemicCharacteristics, ...], ...]  # [beta][control]
 
 
-def sensitivity_indices(p: ModelParams) -> List[SensitivityIndex]:
-    """Normalized forward sensitivity indices of rc for all seven parameters.
+def sensitivity_indices(p: ModelParams) -> Dict[str, float]:
+    """Normalized forward sensitivity indices of rc, {parameter: index} in
+    SENSITIVITY_PARAMETERS order.
 
     Every listed parameter must be positive at the evaluation point; an
     elasticity at zero is undefined. A control c1 or c2 whose central step
@@ -109,21 +103,19 @@ def sensitivity_indices(p: ModelParams) -> List[SensitivityIndex]:
     rc0 = compute_rc(p).rc
     if rc0 == 0.0:  # lam or alpha is zero, or rc underflowed
         raise ValueError(f"sensitivity index undefined at rc = 0 (lam = {p.lam!r}, alpha = {p.alpha!r})")
-    out = []
+    out = {}
     for name in SENSITIVITY_PARAMETERS:
         x = getattr(p, name)
         step = _REL_STEP * x
         lo = compute_rc(replace(p, **{name: x - step})).rc
         if name in ("c1", "c2") and x + step > 1.0:
-            value = (rc0 - lo) / step * (x / rc0)
+            out[name] = (rc0 - lo) / step * (x / rc0)
         else:
             hi = compute_rc(replace(p, **{name: x + step})).rc
-            value = (hi - lo) / (2.0 * step) * (x / rc0)
-        out.append(SensitivityIndex(parameter=name, value=value))
-    beta_idx = next(ix.value for ix in out if ix.parameter == "beta")
-    if not abs(beta_idx - 0.5) <= 1e-9:  # also catches NaN
+            out[name] = (hi - lo) / (2.0 * step) * (x / rc0)
+    if not abs(out["beta"] - 0.5) <= 1e-9:  # also catches NaN
         raise ArithmeticError(
-            f"beta elasticity {beta_idx!r} deviates from the analytic value 0.5"
+            f"beta elasticity {out['beta']!r} deviates from the analytic value 0.5"
         )
     return out
 

@@ -37,7 +37,6 @@ __all__ = [
     "load_series",
     "model_cumulative",
     "sse",
-    "reflect_point",
     "nelder_mead",
     "fit_beta_segments",
     "goodness",
@@ -120,12 +119,14 @@ class AvertedCurve:
     decay_fit holds (amplitude, rate) of the least-squares fit
     amplitude * exp(-rate * onset); decay_r2 is its coefficient of
     determination on the original scale (NaN when the curve is degenerate).
+    warnings says when that fit's simplex stopped at its iteration cap.
     """
 
     onsets: Tuple[float, ...]
     averted: Tuple[float, ...]
     decay_fit: Tuple[float, float]
     decay_r2: float
+    warnings: Tuple[str, ...] = ()
 
 
 def load_series(path, kind: str = "cumulative") -> ObservationSeries:
@@ -203,25 +204,19 @@ def sse(
         return float(np.sum((y - yhat) ** 2))
 
 
-def reflect_point(centroid: np.ndarray, worst: np.ndarray, alpha: float) -> np.ndarray:
-    """Reflected simplex point: centroid + alpha * (centroid - worst)."""
-    return centroid + alpha * (centroid - worst)
-
-
-def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return np.minimum(hi, np.maximum(lo, x))
-
-
 def nelder_mead(
     objective: Callable[[np.ndarray], float],
     start: Sequence[float],
     bounds: Sequence[Tuple[float, float]],
     cfg: NelderMeadConfig = NelderMeadConfig(),
-) -> Tuple[np.ndarray, float, int]:
+) -> Tuple[np.ndarray, float, int, bool]:
     """Minimize a scalar function over a box with the Nelder-Mead simplex.
 
     Candidate points are projected into the box before evaluation, so no
-    returned point ever leaves it. Returns (argmin, minimum, iterations).
+    returned point ever leaves it. Every simplex, the one after the last
+    allowed move included, is tested against tol_x and tol_f. Returns
+    (argmin, minimum, iterations, converged); converged is False exactly
+    when the simplex stopped at its cap of cfg.max_iter iterations.
     """
     x0 = np.asarray(start, dtype=float)
     dim = x0.size
@@ -236,6 +231,10 @@ def nelder_mead(
         v = objective(x)
         return float(v) if math.isfinite(v) else math.inf
 
+    def move(center: np.ndarray, x: np.ndarray, coeff: float) -> np.ndarray:
+        """center + coeff * (center - x), projected into the box."""
+        return np.minimum(hi, np.maximum(lo, center + coeff * (center - x)))
+
     simplex = [x0]
     for j in range(dim):
         step = _NM_SPREAD * (abs(x0[j]) if x0[j] != 0.0 else 1.0)
@@ -243,7 +242,7 @@ def nelder_mead(
         vert[j] += step
         if vert[j] > hi[j]:
             vert[j] = x0[j] - step
-        simplex.append(_clip(vert, lo, hi))
+        simplex.append(np.minimum(hi, np.maximum(lo, vert)))
     values = [f(v) for v in simplex]
     if all(math.isinf(v) for v in values):
         raise DegenerateObjectiveError(
@@ -251,20 +250,22 @@ def nelder_mead(
         )
 
     iters = 0
-    while iters < cfg.max_iter:
+    while True:
+        # stable: tied vertices keep their order, so simplex[0] is the first best one
         order = np.argsort(values, kind="stable")
         simplex = [simplex[k] for k in order]
         values = [values[k] for k in order]
         diam = max(float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:])
-        if diam < cfg.tol_x or values[-1] - values[0] < cfg.tol_f:
-            break
+        converged = diam < cfg.tol_x or values[-1] - values[0] < cfg.tol_f
+        if converged or iters == cfg.max_iter:
+            return simplex[0], values[0], iters, converged
         iters += 1
 
         centroid = np.mean(simplex[:-1], axis=0)
-        xr = _clip(reflect_point(centroid, simplex[-1], _NM_REFLECT), lo, hi)
+        xr = move(centroid, simplex[-1], _NM_REFLECT)
         fr = f(xr)
         if fr < values[0]:
-            xe = _clip(reflect_point(centroid, simplex[-1], _NM_EXPAND), lo, hi)
+            xe = move(centroid, simplex[-1], _NM_EXPAND)
             fe = f(xe)
             if fe < fr:
                 simplex[-1], values[-1] = xe, fe
@@ -275,19 +276,13 @@ def nelder_mead(
         else:
             # contract outside toward the reflection, or inside toward the worst
             toward = xr if fr < values[-1] else simplex[-1]
-            xc = _clip(reflect_point(centroid, toward, -_NM_CONTRACT), lo, hi)
+            xc = move(centroid, toward, -_NM_CONTRACT)
             fc = f(xc)
             if fc < min(fr, values[-1]):
                 simplex[-1], values[-1] = xc, fc
             else:  # shrink everything toward the best vertex
-                simplex = [simplex[0]] + [
-                    _clip(reflect_point(simplex[0], v, -_NM_SHRINK), lo, hi)
-                    for v in simplex[1:]
-                ]
+                simplex = [simplex[0]] + [move(simplex[0], v, -_NM_SHRINK) for v in simplex[1:]]
                 values = [values[0]] + [f(v) for v in simplex[1:]]
-
-    best = int(np.argmin(values))
-    return simplex[best], values[best], iters
 
 
 def _r_squared(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -341,8 +336,8 @@ def fit_beta_segments(
 
     start = np.full(n_seg, start_log)
     bounds = [(log_lo, log_hi)] * n_seg
-    argmin, fmin, iters = nelder_mead(objective, start, bounds, nm)
-    if iters >= nm.max_iter:
+    argmin, fmin, _, converged = nelder_mead(objective, start, bounds, nm)
+    if not converged:
         warnings.append(f"not converged: simplex stopped at its cap of {nm.max_iter} iterations")
 
     floor = np.full(n_seg, log_lo)
@@ -381,11 +376,12 @@ def goodness(
 
 def _exponential_fit(
     x: np.ndarray, y: np.ndarray
-) -> Tuple[Tuple[float, float], float]:
-    """Least-squares fit of amplitude * exp(-rate * x), R^2 on original scale."""
+) -> Tuple[Tuple[float, float], float, Tuple[str, ...]]:
+    """Least-squares fit of amplitude * exp(-rate * x), R^2 on original scale,
+    and a warning when the simplex stopped at its iteration cap."""
     pos = y > 0.0
     if int(np.sum(pos)) < 2:
-        return (0.0, 0.0), math.nan
+        return (0.0, 0.0), math.nan, ()
     # Log-linear start, then a simplex polish of the true squared error.
     coeff = np.polyfit(x[pos], np.log(y[pos]), 1)
     a0 = float(np.exp(coeff[1]))
@@ -399,11 +395,12 @@ def _exponential_fit(
     ymax = float(np.max(y))
     bounds = [(0.0, 10.0 * ymax + 1.0), (-100.0 / span, 100.0 / span)]
     start = np.array([min(max(a0, 0.0), bounds[0][1]), min(max(b0, bounds[1][0]), bounds[1][1])])
-    argmin, _, _ = nelder_mead(
-        objective, start, bounds, NelderMeadConfig(tol_f=1e-12, tol_x=1e-12, max_iter=800)
-    )
+    nm = NelderMeadConfig(tol_f=1e-12, tol_x=1e-12, max_iter=800)
+    argmin, _, _, converged = nelder_mead(objective, start, bounds, nm)
     amp, rate = float(argmin[0]), float(argmin[1])
-    return (amp, rate), _r_squared(y, amp * np.exp(-rate * x))
+    warnings = () if converged else (
+        f"decay fit not converged: simplex stopped at its cap of {nm.max_iter} iterations",)
+    return (amp, rate), _r_squared(y, amp * np.exp(-rate * x)), warnings
 
 
 def averted_cases(
@@ -447,10 +444,9 @@ def averted_cases(
     averted.reverse()
     x = np.asarray(ts)
     y = np.asarray(averted)
-    decay_fit, decay_r2 = _exponential_fit(x, y)
-    return AvertedCurve(
-        onsets=tuple(ts), averted=tuple(averted), decay_fit=decay_fit, decay_r2=decay_r2
-    )
+    decay_fit, decay_r2, warnings = _exponential_fit(x, y)
+    return AvertedCurve(onsets=tuple(ts), averted=tuple(averted), decay_fit=decay_fit,
+                        decay_r2=decay_r2, warnings=warnings)
 
 
 def generate_synthetic(

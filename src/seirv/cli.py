@@ -303,9 +303,7 @@ def cmd_equilibria(args: argparse.Namespace, rc: RunConfig) -> None:
 
 
 def cmd_sensitivity(args: argparse.Namespace, rc: RunConfig) -> None:
-    indices = analysis.sensitivity_indices(rc.params)
-    _write_csv(args.out, ["parameter", "value"],
-               ((ix.parameter, ix.value) for ix in indices))
+    _write_csv(args.out, ["parameter", "value"], analysis.sensitivity_indices(rc.params).items())
 
 
 def cmd_region(args: argparse.Namespace, rc: RunConfig) -> None:
@@ -354,6 +352,8 @@ def cmd_calibrate(args: argparse.Namespace, rc: RunConfig) -> None:
 def cmd_avert(args: argparse.Namespace, rc: RunConfig) -> None:
     onsets = [float(tok) for tok in args.onset_grid.split(",") if tok.strip()]
     curve = calibration.averted_cases(rc.params, onsets, rc.init, rc.horizon, rc.integrator)
+    for warning in curve.warnings:
+        print(f"seirv avert: warning: {warning}", file=sys.stderr)
     _write_json(args.out, {
         "onsets": curve.onsets,
         "averted": curve.averted,

@@ -176,7 +176,7 @@ def _separatrix_c2() -> str:
 
 def _sensitivity() -> str:
     indices = analysis.sensitivity_indices(DEFAULT_PARAMS.with_controls(0.1, 0.1))
-    return _digest(*(x for ix in indices for x in (ix.parameter, ix.value)))
+    return _digest(*(x for item in indices.items() for x in item))
 
 
 def _bifurcation() -> str:

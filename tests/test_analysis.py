@@ -33,40 +33,35 @@ REFERENCE_INDICES = (0.2277, 0.2186, -0.2396, -0.4983, 0.5, -0.2495, -0.1469)
 
 def test_sensitivity_reproduces_reference_table():
     indices = sensitivity_indices(DEFAULT_PARAMS.with_controls(0.1, 0.1))
-    assert tuple(ix.parameter for ix in indices) == SENSITIVITY_PARAMETERS
-    for ix, expected in zip(indices, REFERENCE_INDICES):
-        assert abs(ix.value - expected) < 5e-4, ix.parameter
+    assert tuple(indices) == SENSITIVITY_PARAMETERS
+    for (name, value), expected in zip(indices.items(), REFERENCE_INDICES):
+        assert abs(value - expected) < 5e-4, name
 
 
 def test_sensitivity_beta_index_is_half():
     indices = sensitivity_indices(DEFAULT_PARAMS.with_controls(0.1, 0.1))
-    beta_ix = next(ix.value for ix in indices if ix.parameter == "beta")
-    assert abs(beta_ix - 0.5) < 1e-9
+    assert abs(indices["beta"] - 0.5) < 1e-9
 
 
 def test_sensitivity_elasticities_are_scale_free():
     p = DEFAULT_PARAMS.with_controls(0.1, 0.1)
     base = sensitivity_indices(p)
     doubled = sensitivity_indices(replace(p, lam=2.0 * p.lam))
-    for a, b in zip(base, doubled):
-        assert b.value == pytest.approx(a.value, abs=1e-9)
+    assert doubled == pytest.approx(base, abs=1e-9)
     # scaling beta multiplies rc by a constant; every elasticity is unchanged
     scaled = sensitivity_indices(replace(p, beta=4.0 * p.beta))
-    for a, b in zip(base, scaled):
-        assert b.value == pytest.approx(a.value, abs=1e-9)
+    assert scaled == pytest.approx(base, abs=1e-9)
 
 
 def test_sensitivity_at_a_control_on_the_top_edge():
     # rc goes like (c2 + mu)^(-1/2), so the c2 elasticity is -c2 / (2 (c2 + mu));
     # a central step at c2 = 1 would leave [0, 1], so the backward one is taken
     indices = sensitivity_indices(DEFAULT_PARAMS.with_controls(0.1, 1.0))
-    c2_ix = next(ix.value for ix in indices if ix.parameter == "c2")
     mu = DEFAULT_PARAMS.mu
-    assert c2_ix == pytest.approx(-1.0 / (2.0 * (1.0 + mu)), rel=1e-5)
+    assert indices["c2"] == pytest.approx(-1.0 / (2.0 * (1.0 + mu)), rel=1e-5)
     at_edge = sensitivity_indices(DEFAULT_PARAMS.with_controls(1.0, 0.1))
     inside = sensitivity_indices(DEFAULT_PARAMS.with_controls(1.0 - 1e-4, 0.1))
-    for a, b in zip(at_edge, inside):
-        assert a.value == pytest.approx(b.value, rel=1e-3), a.parameter
+    assert at_edge == pytest.approx(inside, rel=1e-3)
 
 
 def test_sensitivity_rejects_zero_parameters():

@@ -21,7 +21,6 @@ from seirv.calibration import (
     load_series,
     model_cumulative,
     nelder_mead,
-    reflect_point,
     sse,
 )
 from seirv.errors import DegenerateObjectiveError
@@ -204,7 +203,7 @@ def test_model_cumulative_runs_to_the_first_grid_point_at_or_past_the_last_time(
 
 def test_nelder_mead_quadratic_bowl():
     # tolerances chosen so the stopping rule implies 1e-6 positional accuracy
-    argmin, fmin, iters = nelder_mead(
+    argmin, fmin, iters, converged = nelder_mead(
         lambda x: float(np.sum((x - 1.0) ** 2)),
         start=[0.0, 0.0, 0.0],
         bounds=[(-5.0, 5.0)] * 3,
@@ -212,7 +211,23 @@ def test_nelder_mead_quadratic_bowl():
     )
     assert np.max(np.abs(argmin - 1.0)) < 1e-6
     assert fmin < 1e-12
-    assert iters > 0
+    assert iters > 0 and converged
+
+
+def test_nelder_mead_tests_the_simplex_its_last_allowed_move_made():
+    # a cap equal to the free run's iteration count still tests the last
+    # simplex, so the run converges there; one iteration less stops at the cap
+    def bowl(x):
+        return float(np.sum((x - 1.0) ** 2))
+
+    args = (bowl, [0.0, 0.0], [(-5.0, 5.0)] * 2)
+    argmin, fmin, iters, converged = nelder_mead(*args)
+    assert converged
+    at_cap = nelder_mead(*args, NelderMeadConfig(max_iter=iters))
+    assert at_cap[0].tobytes() == argmin.tobytes()
+    assert at_cap[1:] == (fmin, iters, True)
+    short = nelder_mead(*args, NelderMeadConfig(max_iter=iters - 1))
+    assert short[2:] == (iters - 1, False)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -234,15 +249,9 @@ def test_nelder_mead_rosenbrock():
     def rosen(x):
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
-    argmin, fmin, _ = nelder_mead(rosen, [-1.2, 1.0], [(-2.0, 2.0), (-1.0, 3.0)])
+    argmin, fmin, _, converged = nelder_mead(rosen, [-1.2, 1.0], [(-2.0, 2.0), (-1.0, 3.0)])
     assert np.max(np.abs(argmin - 1.0)) < 1e-3
-
-
-def test_reflection_is_mirror_through_centroid():
-    centroid = np.array([1.0, 2.0])
-    worst = np.array([3.0, -4.0])
-    reflected = reflect_point(centroid, worst, alpha=1.0)
-    assert np.array_equal(reflected, 2.0 * centroid - worst)
+    assert converged
 
 
 def test_nelder_mead_respects_bounds():
@@ -252,7 +261,7 @@ def test_nelder_mead_respects_bounds():
         seen.append(x.copy())
         return float((x[0] + 2.0) ** 2)  # unconstrained minimum outside the box
 
-    argmin, _, _ = nelder_mead(objective, [0.5], [(0.0, 1.0)])
+    argmin, _, _, _ = nelder_mead(objective, [0.5], [(0.0, 1.0)])
     assert 0.0 <= argmin[0] <= 1.0
     assert argmin[0] < 1e-6
     assert all(0.0 <= x[0] <= 1.0 for x in seen)
@@ -339,6 +348,31 @@ def test_fit_warns_when_simplex_hits_iteration_cap():
     converged = fit_beta_segments(series, DEFAULT_PARAMS, 7.0, SEED_STATE,
                                   NelderMeadConfig(), CFG)
     assert converged.warnings == ()
+
+
+def test_fit_capped_at_its_own_convergence_count_does_not_warn(monkeypatch):
+    # the verdict is the simplex's: a run that converges on its last allowed
+    # iteration is converged, though the count reaches the cap
+    cfg = IntegratorConfig(dt=0.1)
+    series = generate_synthetic(DEFAULT_PARAMS, TRUE_SCHEDULE, SEED_STATE, SAMPLE_TIMES,
+                                0.01, seed=7, relative=True, cfg=cfg)
+    counts = []
+
+    def counted(*args):
+        result = nelder_mead(*args)
+        counts.append(result[2])
+        return result
+
+    monkeypatch.setattr(calibration, "nelder_mead", counted)
+    free = fit_beta_segments(series, DEFAULT_PARAMS, 7.0, SEED_STATE, NelderMeadConfig(), cfg)
+    (iters,) = counts
+    at_cap = fit_beta_segments(series, DEFAULT_PARAMS, 7.0, SEED_STATE,
+                               NelderMeadConfig(max_iter=iters), cfg)
+    assert at_cap == free and at_cap.warnings == ()
+    short = fit_beta_segments(series, DEFAULT_PARAMS, 7.0, SEED_STATE,
+                              NelderMeadConfig(max_iter=iters - 1), cfg)
+    assert short.warnings == (
+        f"not converged: simplex stopped at its cap of {iters - 1} iterations",)
 
 
 # ---------------------------------------------------------------- goodness
@@ -478,6 +512,17 @@ def test_averted_continuations_match_scheduled_runs_to_the_bit(dt, horizon, onse
     assert list(curve.averted) == [
         i_tot(None) - i_tot(ControlSchedule(t0, (0.0, 0.0), (0.1, 0.2))) for t0 in onsets
     ]
+
+
+@pytest.mark.parametrize("onsets, warnings", [
+    ([0.0, 100.0, 200.0], ()),
+    ([0.0, 50.0, 100.0, 200.0, 400.0],
+     ("decay fit not converged: simplex stopped at its cap of 800 iterations",)),
+], ids=["converges", "stops-at-cap"])
+def test_averted_reports_a_decay_fit_stopped_at_its_cap(onsets, warnings):
+    curve = averted_cases(DEFAULT_PARAMS.with_controls(0.1, 0.1), onsets,
+                          State(1e9, 0.0, 1.0, 0.0, 0.0), 400.0, IntegratorConfig(dt=0.5))
+    assert curve.warnings == warnings
 
 
 def test_averted_validation():

@@ -1,7 +1,6 @@
 """Command-line interface tests: outputs, exit codes, determinism, config."""
 
 import dataclasses
-import importlib.util
 import io
 import json
 import math
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 
 import seirv
+import bench_pins
 from conftest import CLI_RUN_FLAGS, INIT_FLAGS
 from golden import TABLE, versions
 from seirv import analysis, calibration, cli, control, equilibria, errors, model
@@ -287,6 +287,29 @@ def test_calibrate_rejects_observations_before_time_zero(tmp_path, capsys):
     assert err.startswith("seirv calibrate: ") and "sample_times must be >= 0" in err
 
 
+def test_calibrate_daily_counts_fit_as_their_cumulative_series(tmp_path):
+    # prefix sums of integer counts are exact, so --kind daily on the daily
+    # differences loads the very series --kind cumulative reads
+    from seirv.calibration import generate_synthetic
+    from seirv.model import BetaSchedule, IntegratorConfig, State
+
+    series = generate_synthetic(DEFAULT_PARAMS, BetaSchedule((7.0, 14.0), (2e-9, 6e-9, 3.5e-9)),
+                                State(1e9, 0, 1e4, 0, 0), [float(t) for t in range(22)],
+                                0.01, seed=3, relative=True, cfg=IntegratorConfig(dt=0.5))
+    cumulative = np.round(series.cumulative)
+    daily = np.diff(cumulative, prepend=0.0)
+    outs = {}
+    for kind, counts in (("cumulative", cumulative), ("daily", daily)):
+        data = tmp_path / f"{kind}.csv"
+        data.write_text("time,count\n" + "".join(f"{t:g},{y:.0f}\n" for t, y in
+                                                zip(series.times, counts)), encoding="utf-8")
+        out, csv_out = tmp_path / f"{kind}.json", tmp_path / f"{kind}-fit.csv"
+        assert run_cli(["calibrate", "--data", str(data), "--kind", kind, "--i0", "1e4",
+                        "--dt", "0.5", "--out", str(out), "--csv-out", str(csv_out)]) == EXIT_OK
+        outs[kind] = (out.read_bytes(), csv_out.read_bytes())
+    assert outs["daily"] == outs["cumulative"]
+
+
 def test_avert_output(tmp_path):
     out = tmp_path / "avert.json"
     csv_out = tmp_path / "avert.csv"
@@ -313,6 +336,19 @@ def test_avert_rejects_onsets_past_horizon_or_none(tmp_path, capsys, grid):
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("seirv avert: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, err", [
+    ("0,100,200", ""),
+    ("0,50,100,200,400", "seirv avert: warning: decay fit not converged: "
+                         "simplex stopped at its cap of 800 iterations\n"),
+], ids=["converges", "stops-at-cap"])
+def test_avert_warns_when_the_decay_fit_stops_at_its_cap(tmp_path, capsys, grid, err):
+    out = tmp_path / "avert.json"
+    assert run_cli(["avert", "--c1", "0.1", "--c2", "0.1", "--dt", "0.5", "--horizon", "400",
+                    "--onset-grid", grid, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == err
+    assert "warning" not in out.read_text(encoding="utf-8")
 
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would escape main
@@ -579,23 +615,11 @@ def test_console_entry_point_runs():
         assert tomllib.load(fh)["project"]["scripts"] == {"seirv": "seirv.cli:main"}
 
 
-def test_bench_pinned_cli_bytes_at_smoke_size(tmp_path, monkeypatch):
+def test_bench_pinned_cli_bytes_at_smoke_size():
     # the benchmark's smoke command lines, run in-process, write the bytes
     # bench/cli_digests.json pins; calibrate's are pinned nowhere else. They
     # were recorded with the builds the golden table names.
     recorded = {key: json.loads(TABLE.read_text(encoding="utf-8"))[key] for key in versions()}
     if recorded != versions():
         pytest.skip(f"digests were recorded with {recorded}, running {versions()}")
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    w = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, w)  # its dataclasses look their module up
-    spec.loader.exec_module(w)
-    monkeypatch.chdir(tmp_path)
-    w.write_observed(tmp_path, 0)
-    digests = {}
-    for command in w.CLI_COMMANDS:
-        argv = w.cli_argv(command, 0, smoke=True)
-        assert main(argv) == EXIT_OK, argv
-        digests[f"{command}/0"] = {name: w.file_digest(tmp_path / name)
-                                   for name in w.cli_outputs(argv)}
-    assert digests == w.load_digests(smoke=True)
+    assert bench_pins.check(smoke=True) == (9, [])
