@@ -62,10 +62,6 @@ class RegionMap:
     growth: np.ndarray
     separatrix: np.ndarray
 
-    @property
-    def growth_fraction(self) -> float:
-        return float(np.mean(self.growth))
-
 
 @dataclass(frozen=True)
 class EpidemicCharacteristics:
@@ -175,15 +171,12 @@ def sweep_beta(
     horizon: float,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> List[EpidemicCharacteristics]:
-    """Characteristics per transmission rate over an ascending positive grid."""
+    """Characteristics per transmission rate over an ascending positive grid:
+    the column of sweep_control at the vaccination rate p.c1."""
     grid = [float(b) for b in beta_grid]
     if any(b <= 0.0 for b in grid) or any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta grid must be ascending and positive")
-    out = []
-    for beta in grid:
-        traj = integrate(replace(p, beta=beta), init, horizon, cfg)
-        out.append(characteristics(traj, p))
-    return out
+    return [row[0] for row in sweep_control(p, "c1", [p.c1], grid, init, horizon, cfg).cells]
 
 
 def sweep_control(

@@ -12,7 +12,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .model import (
 __all__ = [
     "CostParams",
     "AdjointTrajectory",
-    "GradientVector",
     "SAConfig",
     "OptimRun",
     "cost",
@@ -82,11 +81,6 @@ class AdjointTrajectory:
 
     times: np.ndarray
     h: np.ndarray  # shape (n_points, 5)
-
-
-class GradientVector(NamedTuple):
-    g1: float
-    g2: float
 
 
 _GRAD_STEPS = 100  # descent steps per gradient phase
@@ -298,17 +292,17 @@ def solve_adjoint(forward: Trajectory, p: ModelParams) -> AdjointTrajectory:
     return AdjointTrajectory(times=forward.times, h=out)
 
 
-def gradient(p: ModelParams, cp: CostParams, forward: Trajectory) -> GradientVector:
+def gradient(p: ModelParams, cp: CostParams, forward: Trajectory) -> Tuple[float, float]:
     """Adjoint-based gradient of the objective at the constant controls (p.c1, p.c2).
 
-    forward is the run integrate(p, init, cp.horizon, cfg).
-    g1 = k1 - k0 * int (H5 - H1) S dt, g2 = k2 - k0 * int (H4 - H3) I dt,
+    forward is the run integrate(p, init, cp.horizon, cfg). Returns the pair
+    (g1, g2): g1 = k1 - k0 * int (H5 - H1) S dt, g2 = k2 - k0 * int (H4 - H3) I dt,
     with trapezoid quadrature on the shared grid.
     """
     h = solve_adjoint(forward, p).h
     int_s = trapezoid((h[:, 4] - h[:, 0]) * forward.s, forward.dt)
     int_i = trapezoid((h[:, 3] - h[:, 2]) * forward.i, forward.dt)
-    return GradientVector(g1=cp.k1 - cp.k0 * int_s, g2=cp.k2 - cp.k0 * int_i)
+    return (cp.k1 - cp.k0 * int_s, cp.k2 - cp.k0 * int_i)
 
 
 def _accepts(r: float, delta: float, temp: float, rule: str) -> bool:

@@ -46,9 +46,6 @@ class MfePoint:
     v0: float
     denominator_d: float
 
-    def as_state_tuple(self) -> Tuple[float, float, float, float, float]:
-        return (self.s0, self.e0, self.i0, self.r0, self.v0)
-
 
 @dataclass(frozen=True)
 class ThresholdResult:
@@ -85,9 +82,6 @@ class EndemicPoint:
     ve: float
     a0: float
     a1: float
-
-    def as_state_tuple(self) -> Tuple[float, float, float, float, float]:
-        return (self.se, self.ee, self.ie, self.re, self.ve)
 
 
 @dataclass(frozen=True)

@@ -99,13 +99,13 @@ def test_criterion_04_equilibrium_residuals():
     for _ in range(1000):
         p = sample_params(rng)
         mfe = compute_mfe(p)
-        st = State(*mfe.as_state_tuple())
+        st = State(mfe.s0, mfe.e0, mfe.i0, mfe.r0, mfe.v0)
         scale = p.lam + p.mu * st.total
         worst = max(worst, max(abs(x) for x in rhs(st, p)) / scale)
         point = compute_endemic(p)
         if point is not None:
             endemic_seen += 1
-            st_e = State(*point.as_state_tuple())
+            st_e = State(point.se, point.ee, point.ie, point.re, point.ve)
             scale_e = p.lam + p.mu * st_e.total
             worst = max(worst, max(abs(x) for x in rhs(st_e, p)) / scale_e)
     print(f"[criterion 4] worst relative residual {worst:.3e} "
@@ -161,7 +161,7 @@ def test_criterion_06_adjoint_gradient_accuracy():
         c = tuple(rng.uniform(0.01, 0.5, size=2))
         g = gradient(*at(c, cp, INIT, cfg))
         h = 1e-4
-        for idx, (gi, ci) in enumerate(zip((g.g1, g.g2), c)):
+        for idx, (gi, ci) in enumerate(zip(g, c)):
             up, dn = list(c), list(c)
             up[idx] = ci * (1 + h)
             dn[idx] = ci * (1 - h)
@@ -227,7 +227,7 @@ def test_criterion_09_region_maps():
     for beta in (2e-9, 4e-9, 6e-9):
         p = replace(DEFAULT_PARAMS, beta=beta)
         rmap = region_map(p, 51)
-        fractions.append(rmap.growth_fraction)
+        fractions.append(float(np.mean(rmap.growth)))
         for i in range(0, 51, 5):
             for j in range(0, 51, 5):
                 rc = compute_rc(

@@ -118,7 +118,7 @@ def test_region_map_growth_area_increases_with_beta():
     fractions = []
     for beta in (2e-9, 4e-9, 6e-9):
         rmap = region_map(replace(DEFAULT_PARAMS, beta=beta), 51)
-        fractions.append(rmap.growth_fraction)
+        fractions.append(float(np.mean(rmap.growth)))
     assert fractions[0] < fractions[1] < fractions[2]
 
 

@@ -181,9 +181,9 @@ def test_gradient_without_infection_reduces_to_weights():
     # the control-cost weights.
     init = State(1e9, 0, 0, 0, 0)
     cp = CostParams.for_run(DEFAULT_PARAMS, init, 1.0, 0.2, 0.3, 100.0)
-    g = gradient(*at((0.2, 0.3), cp, init, CFG))
-    assert g.g2 == 0.3
-    assert g.g1 == 0.2
+    g1, g2 = gradient(*at((0.2, 0.3), cp, init, CFG))
+    assert g2 == 0.3
+    assert g1 == 0.2
 
 
 def test_gradient_matches_finite_differences():
@@ -191,7 +191,7 @@ def test_gradient_matches_finite_differences():
     for c in [(0.1, 0.1), (0.02, 0.07)]:
         g = gradient(*at(c, cp, INIT, CFG))
         h = 1e-4
-        for idx, (gi, ci) in enumerate(zip((g.g1, g.g2), c)):
+        for idx, (gi, ci) in enumerate(zip(g, c)):
             up = list(c)
             dn = list(c)
             up[idx] = ci * (1 + h)
@@ -611,6 +611,23 @@ def test_hybrid_optimize_far_start_work_count(monkeypatch):
     sa = SAConfig(t0=0.02, cooling=0.9, n_cool=3, n_perturb=6, max_outer=2, rng_seed=2024)
     hybrid_optimize(DEFAULT_PARAMS, cp, (0.9, 0.9), sa, INIT, IntegratorConfig(dt=0.5))
     assert len(runs) <= 28
+
+
+def test_hybrid_optimize_face_optimum_work_count(monkeypatch):
+    # weights (0.3, 0.1) put the optimum on the face c1 = 0, near (0, 0.0978):
+    # stepping the free coordinate by -g2 / (h^-1)_22 there makes 13 forward
+    # runs, and the unprojected -H g direction makes 21
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[0])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(control, "integrate", counted)
+    cp = CostParams.for_run(DEFAULT_PARAMS, INIT, m0=1.0, k1=0.3, k2=0.1, horizon=500.0)
+    sa = SAConfig(t0=0.02, cooling=0.9, n_cool=3, n_perturb=6, max_outer=2, rng_seed=2024)
+    hybrid_optimize(DEFAULT_PARAMS, cp, (0.5, 0.5), sa, INIT, IntegratorConfig(dt=0.5))
+    assert len(runs) <= 17
 
 
 @pytest.mark.parametrize("start", [(math.nan, 0.3), (0.3, math.inf)])

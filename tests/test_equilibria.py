@@ -77,7 +77,7 @@ def test_mfe_zeroes_the_vector_field_on_random_draws():
     for _ in range(1000):
         p = sample_params(rng)
         mfe = compute_mfe(p)
-        st = State(*mfe.as_state_tuple())
+        st = State(mfe.s0, mfe.e0, mfe.i0, mfe.r0, mfe.v0)
         res = max(abs(x) for x in rhs(st, p))
         assert res / residual_scale(p, st) < 1e-10
 
@@ -199,7 +199,7 @@ def test_endemic_structure_identities_on_random_draws():
         )
         assert lhs == pytest.approx(rhs_, rel=1e-10)
         # the point zeroes the vector field
-        st = State(*point.as_state_tuple())
+        st = State(point.se, point.ee, point.ie, point.re, point.ve)
         res = max(abs(x) for x in rhs(st, p))
         assert res / residual_scale(p, st) < 1e-9
     assert found >= 50  # the draw covers both regimes
@@ -232,7 +232,9 @@ def test_endemic_point_one_ulp_above_threshold_is_the_malware_free_point():
     assert gain == math.nextafter(loss, math.inf)
     point = compute_endemic(p)
     assert point.a0 == 0.0 and point.ie == 0.0
-    assert point.as_state_tuple() == compute_mfe(p).as_state_tuple()
+    mfe = compute_mfe(p)
+    assert (point.se, point.ee, point.ie, point.re, point.ve) == (
+        mfe.s0, mfe.e0, mfe.i0, mfe.r0, mfe.v0)
     assert not mfe_spectrum(p).stable
     assert endemic_stability(p).marginal
 
