@@ -466,8 +466,8 @@ def generate_synthetic(
     nondecreasing and nonnegative, as ObservationSeries requires.
     Deterministic per seed.
     """
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be >= 0")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma!r}")
     yhat = model_cumulative(p, beta_schedule, init, sample_times, cfg)
     rng = np.random.default_rng(seed)
     scale = noise_sigma * np.abs(yhat) if relative else noise_sigma

@@ -11,9 +11,10 @@ exit code. Solver flags left unset keep the defaults of the library call they
 feed. Tabular results go to CSV, reports to JSON; all floating-point output
 is printed with 17 significant digits so reruns are byte-identical.
 
-Exit codes: 0 success, 2 validation error (including unknown config keys),
-3 numerical failure (divergence, any ArithmeticError, a failed linear-algebra
-routine, or running out of memory).
+Exit codes follow the exception type: 0 success, 2 validation error (any
+ValueError or OSError, including unknown config keys), 3 numerical failure
+(any ArithmeticError, divergence included, a failed linear-algebra routine,
+or running out of memory).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, TextI
 import numpy as np
 
 from . import analysis, calibration, control, equilibria
-from .errors import IntegrationDivergedError, SeirvError
 from .model import (
     IntegratorConfig,
     ModelParams,
@@ -372,12 +372,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args.run(args, _build_run_config(args))
         return EXIT_OK
-    except (IntegrationDivergedError, ArithmeticError, MemoryError,
-            np.linalg.LinAlgError) as exc:  # LinAlgError before ValueError, its base
+    except (ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
+        # this clause comes first because LinAlgError is a ValueError
         detail = str(exc) or type(exc).__name__  # a bare MemoryError has no message
         print(f"seirv {args.command}: numerical failure: {detail}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (SeirvError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"seirv {args.command}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -1,14 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each a subclass of the builtin it is."""
 
-__all__ = ["SeirvError", "IntegrationDivergedError", "NoEndemicPointError",
-           "DegenerateObjectiveError"]
-
-
-class SeirvError(Exception):
-    """Base class for all package-specific errors."""
+__all__ = ["IntegrationDivergedError", "NoEndemicPointError", "DegenerateObjectiveError"]
 
 
-class IntegrationDivergedError(SeirvError):
+class IntegrationDivergedError(ArithmeticError):
     """Raised when the integrator produces a non-finite state.
 
     Carries the index and time of the first bad step.
@@ -20,9 +15,9 @@ class IntegrationDivergedError(SeirvError):
         super().__init__(f"integration diverged at step {step} (t = {time:g})")
 
 
-class NoEndemicPointError(SeirvError):
+class NoEndemicPointError(ValueError):
     """Raised when an endemic-equilibrium computation is requested below threshold."""
 
 
-class DegenerateObjectiveError(SeirvError):
+class DegenerateObjectiveError(ValueError):
     """Raised when an objective is non-finite at every initial simplex vertex."""

@@ -24,7 +24,6 @@ from .errors import IntegrationDivergedError
 __all__ = [
     "ModelParams",
     "State",
-    "StateDerivative",
     "BetaSchedule",
     "ControlSchedule",
     "IntegratorConfig",
@@ -118,14 +117,6 @@ class State:
 
     def as_tuple(self) -> Tuple[float, float, float, float, float]:
         return (self.s, self.e, self.i, self.r, self.v)
-
-
-class StateDerivative(NamedTuple):
-    ds: float
-    de: float
-    di: float
-    dr: float
-    dv: float
 
 
 @dataclass(frozen=True)
@@ -236,15 +227,20 @@ class Trajectory(NamedTuple):
         return self.states.sum(axis=1)
 
     def state_at(self, k: int) -> State:
-        s, e, i, r, v = self.states[k]
-        return State(s, e, i, r, v)
+        """Row k as a State; a negative count (below the clamp band) is an ArithmeticError."""
+        row = self.states[k]
+        for name, count in zip("SEIRV", row):
+            if count < 0.0:
+                raise ArithmeticError(f"{name} = {float(count)!r} < 0 at t = {self.times[k]:g}: "
+                                      f"dt = {self.dt:g} is too large for these rates")
+        return State(*row)
 
     def final_state(self) -> State:
         return self.state_at(-1)
 
 
-def rhs(state: State, p: ModelParams) -> StateDerivative:
-    """Right-hand side of the SEIRV system at one state.
+def rhs(state: State, p: ModelParams) -> Tuple[float, float, float, float, float]:
+    """Right-hand side of the SEIRV system at one state, as (ds, de, di, dr, dv).
 
     The five component derivatives always sum to lam - mu * N.
     """
@@ -255,7 +251,7 @@ def rhs(state: State, p: ModelParams) -> StateDerivative:
     di = p.alpha * e - p.c2 * i - p.mu * i
     dr = p.eta1 * s + p.eta2 * e + p.c2 * i - p.sigma1 * r - p.mu * r
     dv = p.c1 * s - p.sigma2 * v - p.mu * v
-    return StateDerivative(ds, de, di, dr, dv)
+    return ds, de, di, dr, dv
 
 
 def trapezoid(y: np.ndarray, dt: float) -> float:

@@ -560,9 +560,10 @@ def test_synthetic_deterministic_per_seed():
 
 
 def test_synthetic_rejects_negative_noise():
-    with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
-        generate_synthetic(DEFAULT_PARAMS, TRUE_SCHEDULE, SEED_STATE, SAMPLE_TIMES,
-                           -1.0, seed=0, cfg=CFG)
+    for noise_sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+            generate_synthetic(DEFAULT_PARAMS, TRUE_SCHEDULE, SEED_STATE, SAMPLE_TIMES,
+                               noise_sigma, seed=0, cfg=CFG)
 
 
 def test_synthetic_monotone_clamp():

@@ -200,15 +200,36 @@ def test_json_writer_refuses_types_no_command_emits(value):
         cli._json_dump({"value": value}, io.StringIO())
 
 
-def test_memory_error_exits_numerical_with_one_line(monkeypatch, capsys):
-    def out_of_memory(*args, **kwargs):
-        raise MemoryError()
+def test_package_errors_subclass_the_builtin_they_are():
+    assert issubclass(errors.IntegrationDivergedError, ArithmeticError)
+    assert issubclass(errors.NoEndemicPointError, ValueError)
+    assert issubclass(errors.DegenerateObjectiveError, ValueError)
 
-    monkeypatch.setattr(cli, "integrate", out_of_memory)
-    assert run_cli(["simulate", "--dt", "0.5", "--horizon", "10"]) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.startswith("seirv simulate: numerical failure: MemoryError")
-    assert len(err.strip().splitlines()) == 1
+
+@pytest.mark.parametrize("exc, code, err", [
+    pytest.param(MemoryError(), EXIT_NUMERICAL, "numerical failure: MemoryError",
+                 id="MemoryError"),
+    pytest.param(np.linalg.LinAlgError("Singular matrix"), EXIT_NUMERICAL,
+                 "numerical failure: Singular matrix", id="LinAlgError"),
+    pytest.param(errors.IntegrationDivergedError(3, 1.5), EXIT_NUMERICAL,
+                 "numerical failure: integration diverged at step 3 (t = 1.5)",
+                 id="IntegrationDivergedError"),
+    pytest.param(ZeroDivisionError("float division by zero"), EXIT_NUMERICAL,
+                 "numerical failure: float division by zero", id="ZeroDivisionError"),
+    pytest.param(errors.NoEndemicPointError("no endemic equilibrium"), EXIT_VALIDATION,
+                 "no endemic equilibrium", id="NoEndemicPointError"),
+    pytest.param(errors.DegenerateObjectiveError("objective is not finite"), EXIT_VALIDATION,
+                 "objective is not finite", id="DegenerateObjectiveError"),
+    pytest.param(OSError("No space left on device"), EXIT_VALIDATION,
+                 "No space left on device", id="OSError"),
+])
+def test_exit_code_follows_the_exception_type(monkeypatch, capsys, exc, code, err):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "integrate", fail)
+    assert run_cli(["simulate", "--dt", "0.5", "--horizon", "10"]) == code
+    assert capsys.readouterr().err == f"seirv simulate: {err}\n"
 
 
 def test_optimize_smoke_and_determinism(tmp_path):
@@ -336,6 +357,19 @@ def test_avert_rejects_onsets_past_horizon_or_none(tmp_path, capsys, grid):
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("seirv avert: ")
     assert not out.exists()
+
+
+def test_avert_run_below_the_clamp_band_exits_numerical(tmp_path, capsys):
+    # at dt 0.5 these rates drive E to -0.064 at t = 0.5, below the clamp band
+    code = run_cli(["avert", "--alpha", "3.06", "--eta1", "3.13", "--eta2", "0.841",
+                    "--beta", "1.23e-9", "--sigma1", "0.0229", "--sigma2", "0.0982",
+                    "--dt", "0.5", "--horizon", "100", "--c1", "0.1", "--c2", "0.1",
+                    "--onset-grid", "0.5,10", "--out", str(tmp_path / "avert.json")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("seirv avert: numerical failure: E = -0.06")
+    assert "t = 0.5" in err and "np.float64" not in err
 
 
 @pytest.mark.parametrize("grid, err", [

@@ -27,9 +27,9 @@ from seirv.model import (
 def test_rhs_no_infecteds_no_force():
     for beta in (0.0, 4e-9, 1e-6):
         p = ModelParams(**{**DEFAULT_PARAMS.__dict__, "beta": beta})
-        d = rhs(State(1e9, 0.0, 0.0, 0.0, 0.0), p)
-        assert d.de == 0.0
-        assert d.di == 0.0
+        _, de, di, _, _ = rhs(State(1e9, 0.0, 0.0, 0.0, 0.0), p)
+        assert de == 0.0
+        assert di == 0.0
 
 
 def test_rhs_sum_identity_random_states():
@@ -38,8 +38,8 @@ def test_rhs_sum_identity_random_states():
         st = State(*rng.uniform(0.0, 1e9, size=5))
         c1, c2 = rng.uniform(0, 1, size=2)
         p = DEFAULT_PARAMS.with_controls(c1, c2)
-        d = rhs(st, p)
-        total = d.ds + d.de + d.di + d.dr + d.dv
+        ds, de, di, dr, dv = rhs(st, p)
+        total = ds + de + di + dr + dv
         expected = p.lam - p.mu * st.total
         assert abs(total - expected) <= 1e-9 * max(abs(expected), p.lam)
 
@@ -47,13 +47,13 @@ def test_rhs_sum_identity_random_states():
 def test_rhs_seeded_state_term_by_term():
     # Direct arithmetic oracle, term by term, at S=1e9, I=1, controls off.
     p = DEFAULT_PARAMS
-    d = rhs(State(1e9, 0.0, 1.0, 0.0, 0.0), p)
+    ds, de, di, dr, dv = rhs(State(1e9, 0.0, 1.0, 0.0, 0.0), p)
     force = 4e-9 * 1e9 * 1.0  # = 4 exactly
-    assert d.ds == pytest.approx(p.lam - force - p.eta1 * 1e9 - p.mu * 1e9, rel=1e-14)
-    assert d.de == pytest.approx(force, rel=1e-14)
-    assert d.di == pytest.approx(-(p.c2 + p.mu) * 1.0, rel=1e-14)
-    assert d.dr == pytest.approx(p.eta1 * 1e9, rel=1e-14)
-    assert d.dv == 0.0
+    assert ds == pytest.approx(p.lam - force - p.eta1 * 1e9 - p.mu * 1e9, rel=1e-14)
+    assert de == pytest.approx(force, rel=1e-14)
+    assert di == pytest.approx(-(p.c2 + p.mu) * 1.0, rel=1e-14)
+    assert dr == pytest.approx(p.eta1 * 1e9, rel=1e-14)
+    assert dv == 0.0
 
 
 def test_state_rejects_bad_components():
@@ -63,6 +63,15 @@ def test_state_rejects_bad_components():
         State(math.nan, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         State(math.inf, 0, 0, 0, 0)
+
+
+def test_state_at_refuses_a_row_below_the_clamp_band():
+    states = np.zeros((3, 5))
+    states[1, 1] = -0.25
+    traj = Trajectory(states, 0.5)
+    with pytest.raises(ArithmeticError, match=r"^E = -0.25 < 0 at t = 0.5: dt = 0.5 "):
+        traj.state_at(1)
+    assert type(traj.final_state().s) is np.float64  # valid rows keep numpy scalars
 
 
 def test_params_validation():
