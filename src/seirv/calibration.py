@@ -17,7 +17,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateObjectiveError
 from .model import (
     BetaSchedule,
     IntegratorConfig,
@@ -33,6 +32,7 @@ __all__ = [
     "FitResult",
     "DailyOverlay",
     "AvertedCurve",
+    "DegenerateObjectiveError",
     "BETA_FIT_BOUNDS",
     "load_series",
     "model_cumulative",
@@ -204,6 +204,10 @@ def sse(
         return float(np.sum((y - yhat) ** 2))
 
 
+class DegenerateObjectiveError(ValueError):
+    """Raised when an objective is non-finite at every initial simplex vertex."""
+
+
 def nelder_mead(
     objective: Callable[[np.ndarray], float],
     start: Sequence[float],
@@ -363,6 +367,8 @@ def goodness(
 ) -> Tuple[Tuple[float, ...], float, DailyOverlay]:
     """The fit's own residuals and R^2, plus the implied daily-count overlay;
     series must be the one the fit was made to."""
+    if len(series.cumulative) < 2:
+        raise ValueError(f"goodness needs at least 2 observations, got {len(series.cumulative)}")
     if len(series.cumulative) != len(fit.fitted):
         raise ValueError("fit is not aligned with the series")
     dy = np.diff(series.cumulative)

@@ -350,7 +350,10 @@ def cmd_calibrate(args: argparse.Namespace, rc: RunConfig) -> None:
 
 
 def cmd_avert(args: argparse.Namespace, rc: RunConfig) -> None:
-    onsets = [float(tok) for tok in args.onset_grid.split(",") if tok.strip()]
+    try:
+        onsets = [float(tok) for tok in args.onset_grid.split(",")]
+    except ValueError as exc:  # float's message quotes the token
+        raise ValueError(f"--onset-grid {args.onset_grid!r}: {exc}") from None
     curve = calibration.averted_cases(rc.params, onsets, rc.init, rc.horizon, rc.integrator)
     for warning in curve.warnings:
         print(f"seirv avert: warning: {warning}", file=sys.stderr)

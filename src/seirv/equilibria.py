@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import NoEndemicPointError
 from .model import ModelParams
 
 __all__ = [
@@ -25,6 +24,7 @@ __all__ = [
     "EndemicPoint",
     "RouthHurwitzReport",
     "BifurcationBranch",
+    "NoEndemicPointError",
     "compute_mfe",
     "compute_rc",
     "mfe_spectrum",
@@ -270,6 +270,10 @@ def _routh_hurwitz_conditions(h: np.ndarray) -> Tuple[bool, bool, bool, bool, bo
     cond4 = d3 > 0.0
     cond5 = d3 * b2 - d2 * d2 * h5 > 0.0
     return (cond1, cond2, cond3, cond4, cond5)
+
+
+class NoEndemicPointError(ValueError):
+    """Raised when an endemic-equilibrium computation is requested below threshold."""
 
 
 def endemic_stability(p: ModelParams) -> RouthHurwitzReport:

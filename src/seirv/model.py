@@ -19,8 +19,6 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import IntegrationDivergedError
-
 __all__ = [
     "ModelParams",
     "State",
@@ -28,6 +26,7 @@ __all__ = [
     "ControlSchedule",
     "IntegratorConfig",
     "Trajectory",
+    "IntegrationDivergedError",
     "DEFAULT_PARAMS",
     "rhs",
     "integrate",
@@ -304,6 +303,18 @@ def _plan_segments(
          *(after if k_lo >= onset_idx else before))
         for k_lo, k_hi in zip(edges, edges[1:])
     ]
+
+
+class IntegrationDivergedError(ArithmeticError):
+    """Raised when the integrator produces a non-finite state.
+
+    Carries the index and time of the first bad step.
+    """
+
+    def __init__(self, step: int, time: float):
+        self.step = step
+        self.time = time
+        super().__init__(f"integration diverged at step {step} (t = {time:g})")
 
 
 def integrate(

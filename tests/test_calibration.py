@@ -11,6 +11,7 @@ from seirv.analysis import characteristics
 from seirv.calibration import (
     BETA_FIT_BOUNDS,
     DailyOverlay,
+    DegenerateObjectiveError,
     FitResult,
     NelderMeadConfig,
     ObservationSeries,
@@ -23,7 +24,6 @@ from seirv.calibration import (
     nelder_mead,
     sse,
 )
-from seirv.errors import DegenerateObjectiveError
 from seirv.model import (
     BetaSchedule,
     ControlSchedule,
@@ -414,6 +414,14 @@ def test_goodness_zero_variance_rejected():
     series = ObservationSeries((0.0, 1.0), (3.0, 3.0))
     with pytest.raises(ValueError, match="zero variance"):
         goodness(_fit_from_model_allow_flat(series), series)
+
+
+def test_goodness_refuses_a_single_observation():
+    # one point has no daily difference; refused before numpy sees an empty mean
+    series = ObservationSeries((5.0,), (100.0,))
+    fit = fit_beta_segments(series, DEFAULT_PARAMS, 7.0, SEED_STATE, cfg=IntegratorConfig(0.1))
+    with pytest.raises(ValueError, match="at least 2 observations, got 1"):
+        goodness(fit, series)
 
 
 def test_goodness_rejects_a_fit_of_another_series():

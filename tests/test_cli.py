@@ -15,7 +15,7 @@ import seirv
 import bench_pins
 from conftest import CLI_RUN_FLAGS, INIT_FLAGS
 from golden import TABLE, versions
-from seirv import analysis, calibration, cli, control, equilibria, errors, model
+from seirv import analysis, calibration, cli, control, equilibria, model
 from seirv.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from seirv.model import BetaSchedule, DEFAULT_PARAMS, population_closed_form
 
@@ -201,9 +201,15 @@ def test_json_writer_refuses_types_no_command_emits(value):
 
 
 def test_package_errors_subclass_the_builtin_they_are():
-    assert issubclass(errors.IntegrationDivergedError, ArithmeticError)
-    assert issubclass(errors.NoEndemicPointError, ValueError)
-    assert issubclass(errors.DegenerateObjectiveError, ValueError)
+    # each error lives in the one module that raises it, and seirv re-exports it
+    homes = [(model, "IntegrationDivergedError", ArithmeticError),
+             (equilibria, "NoEndemicPointError", ValueError),
+             (calibration, "DegenerateObjectiveError", ValueError)]
+    for home, name, base in homes:
+        exc_type = getattr(home, name)
+        assert issubclass(exc_type, base), name
+        assert exc_type.__module__ == home.__name__, name
+        assert getattr(seirv, name) is exc_type, name
 
 
 @pytest.mark.parametrize("exc, code, err", [
@@ -211,14 +217,14 @@ def test_package_errors_subclass_the_builtin_they_are():
                  id="MemoryError"),
     pytest.param(np.linalg.LinAlgError("Singular matrix"), EXIT_NUMERICAL,
                  "numerical failure: Singular matrix", id="LinAlgError"),
-    pytest.param(errors.IntegrationDivergedError(3, 1.5), EXIT_NUMERICAL,
+    pytest.param(model.IntegrationDivergedError(3, 1.5), EXIT_NUMERICAL,
                  "numerical failure: integration diverged at step 3 (t = 1.5)",
                  id="IntegrationDivergedError"),
     pytest.param(ZeroDivisionError("float division by zero"), EXIT_NUMERICAL,
                  "numerical failure: float division by zero", id="ZeroDivisionError"),
-    pytest.param(errors.NoEndemicPointError("no endemic equilibrium"), EXIT_VALIDATION,
+    pytest.param(equilibria.NoEndemicPointError("no endemic equilibrium"), EXIT_VALIDATION,
                  "no endemic equilibrium", id="NoEndemicPointError"),
-    pytest.param(errors.DegenerateObjectiveError("objective is not finite"), EXIT_VALIDATION,
+    pytest.param(calibration.DegenerateObjectiveError("objective is not finite"), EXIT_VALIDATION,
                  "objective is not finite", id="DegenerateObjectiveError"),
     pytest.param(OSError("No space left on device"), EXIT_VALIDATION,
                  "No space left on device", id="OSError"),
@@ -356,6 +362,17 @@ def test_avert_rejects_onsets_past_horizon_or_none(tmp_path, capsys, grid):
                     "--horizon", "40", "--onset-grid", grid, "--out", str(out)])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("seirv avert: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, token", [("0,abc", "abc"), ("0,,50", ""), ("0,100,", "")])
+def test_avert_names_the_grid_token_it_cannot_read(tmp_path, capsys, grid, token):
+    out = tmp_path / "avert.json"
+    code = run_cli(["avert", "--c1", "0.1", "--c2", "0.1", "--dt", "0.5",
+                    "--horizon", "400", "--onset-grid", grid, "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"seirv avert: --onset-grid {grid!r}: "
+                                       f"could not convert string to float: {token!r}\n")
     assert not out.exists()
 
 
@@ -625,7 +642,7 @@ def test_help_available_for_every_subcommand():
 def test_registries_have_one_owner():
     """seirv republishes each module's __all__, and each subcommand the
     parser registers carries its own handler."""
-    modules = (model, equilibria, analysis, control, calibration, errors)
+    modules = (model, equilibria, analysis, control, calibration)
     for module in modules:
         for name in module.__all__:
             assert getattr(seirv, name) is getattr(module, name), name

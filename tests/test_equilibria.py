@@ -11,6 +11,7 @@ import pytest
 from conftest import sample_params
 from seirv.cli import main
 from seirv.equilibria import (
+    NoEndemicPointError,
     bifurcation_scan,
     compute_endemic,
     compute_mfe,
@@ -21,7 +22,6 @@ from seirv.equilibria import (
     mfe_spectrum,
     threshold_sides,
 )
-from seirv.errors import NoEndemicPointError
 from seirv.model import (
     IntegratorConfig,
     ModelParams,

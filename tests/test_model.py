@@ -8,10 +8,10 @@ import pytest
 
 from seirv import model
 from seirv.analysis import characteristics
-from seirv.errors import IntegrationDivergedError
 from seirv.model import (
     BetaSchedule,
     ControlSchedule,
+    IntegrationDivergedError,
     IntegratorConfig,
     ModelParams,
     State,
