@@ -19,6 +19,7 @@ import numpy as np
 
 from .model import (
     BetaSchedule,
+    IntegrationDivergedError,
     IntegratorConfig,
     ModelParams,
     State,
@@ -197,10 +198,16 @@ def sse(
     init: State,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> float:
-    """Sum of squared errors between observed and model cumulative counts."""
+    """Sum of squared errors between observed and model cumulative counts.
+
+    A probe whose run fails or whose errors overflow scores inf, which
+    nelder_mead rejects."""
     y = np.asarray(series.cumulative)
-    yhat = model_cumulative(p, beta_schedule, init, series.times, cfg)
-    with np.errstate(over="ignore"):  # an overflowed probe scores inf, which nelder_mead rejects
+    try:
+        yhat = model_cumulative(p, beta_schedule, init, series.times, cfg)
+    except IntegrationDivergedError:
+        return math.inf
+    with np.errstate(over="ignore"):
         return float(np.sum((y - yhat) ** 2))
 
 

@@ -167,17 +167,12 @@ class ControlSchedule:
                 raise ValueError(f"{pair_name} controls must lie in [0, 1]^2")
 
 
-_CLAMP_REL = 1e-12  # integrate's clamp band, relative to the initial population
 MAX_STEPS = 10**7  # integrate refuses longer plans (50x dt=0.01 over horizon 2000)
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 settings: the step size dt, stored as a float.
-
-    The integrator always clamps negative undershoots inside
-    (-1e-12 * N0, 0) to zero, N0 being the initial population.
-    """
+    """Fixed-step RK4 settings: the step size dt, stored as a float."""
 
     dt: float = 0.01
 
@@ -226,13 +221,8 @@ class Trajectory(NamedTuple):
         return self.states.sum(axis=1)
 
     def state_at(self, k: int) -> State:
-        """Row k as a State; a negative count (below the clamp band) is an ArithmeticError."""
-        row = self.states[k]
-        for name, count in zip("SEIRV", row):
-            if count < 0.0:
-                raise ArithmeticError(f"{name} = {float(count)!r} < 0 at t = {self.times[k]:g}: "
-                                      f"dt = {self.dt:g} is too large for these rates")
-        return State(*row)
+        """Row k as a State; State refuses a negative count with ValueError."""
+        return State(*self.states[k])
 
     def final_state(self) -> State:
         return self.state_at(-1)
@@ -306,15 +296,19 @@ def _plan_segments(
 
 
 class IntegrationDivergedError(ArithmeticError):
-    """Raised when the integrator produces a non-finite state.
+    """Raised when an integration step leaves a negative or non-finite count.
 
-    Carries the index and time of the first bad step.
+    Carries the index and time of the step. The message names the first bad
+    compartment (or N, if only the total overflowed), its value, and dt.
     """
 
-    def __init__(self, step: int, time: float):
+    def __init__(self, step: int, dt: float, counts: Tuple[float, ...]):
         self.step = step
-        self.time = time
-        super().__init__(f"integration diverged at step {step} (t = {time:g})")
+        self.time = step * dt
+        name, value = next(((n, x) for n, x in zip("SEIRV", counts) if not x >= 0.0),
+                           ("N", sum(counts)))
+        super().__init__(f"{name} = {value!r} at t = {self.time:g} (step {step}): "
+                         f"dt = {dt:g} is too large for these rates")
 
 
 def integrate(
@@ -329,12 +323,12 @@ def integrate(
 
     Schedules, when given, override p.beta and (p.c1, p.c2) piecewise in
     time; the active values are sampled at each step's start time and held
-    constant across the RK4 substeps. After each step, components inside
-    (-1e-12 * N0, 0) are clamped to zero. The only array allocated is the
+    constant across the RK4 substeps. The only array allocated is the
     returned states, one row per grid point k * dt, k = 0..round(horizon / dt).
-    Raises IntegrationDivergedError naming the first bad step if the state
-    stops being finite, and ValueError for a plan of more than MAX_STEPS
-    steps.
+    The exact solution keeps every count nonnegative, so a step that leaves
+    one negative or non-finite means dt is too large and raises
+    IntegrationDivergedError. A plan of more than MAX_STEPS steps raises
+    ValueError.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be > 0, got {horizon!r}")
@@ -347,8 +341,6 @@ def integrate(
 
     # Python floats: numpy scalars (as final_state() returns) make each step ~3x slower
     s, e, i, r, v = map(float, init.as_tuple())
-    n0 = s + e + i + r + v
-    clamp_floor = -_CLAMP_REL * n0
 
     states = np.empty((n_steps + 1, 5))
     states[0] = s, e, i, r, v
@@ -405,14 +397,10 @@ def integrate(
             i += h6 * (di1 + 2.0 * di2 + 2.0 * di3 + di4)
             r += h6 * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
             v += h6 * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
-            if s < 0.0 and s > clamp_floor: s = 0.0
-            if e < 0.0 and e > clamp_floor: e = 0.0
-            if i < 0.0 and i > clamp_floor: i = 0.0
-            if r < 0.0 and r > clamp_floor: r = 0.0
-            if v < 0.0 and v > clamp_floor: v = 0.0
-            tot = s + e + i + r + v
-            if not (-1e308 < tot < 1e308):  # catches NaN and overflow at once
-                raise IntegrationDivergedError(idx, idx * dt)
+            # a NaN fails every comparison, and an overflow fails the total's
+            if not (s >= 0.0 and e >= 0.0 and i >= 0.0 and r >= 0.0 and v >= 0.0
+                    and s + e + i + r + v < 1e308):
+                raise IntegrationDivergedError(idx, dt, (s, e, i, r, v))
             s_arr[idx] = s; e_arr[idx] = e; i_arr[idx] = i
             r_arr[idx] = r; v_arr[idx] = v
 

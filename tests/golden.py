@@ -90,12 +90,6 @@ def _integrate_control_schedule() -> str:
     return _trajectory(integrate(DEFAULT_PARAMS, INIT, 200.0, FINE, control_schedule=sched))
 
 
-def _integrate_clamped() -> str:
-    # E and I undershoot below zero: rows 5-6 lie below the clamp band, rows 7-8 clamp.
-    p = DEFAULT_PARAMS.with_controls(1.0, 1.0)
-    return _trajectory(integrate(p, State(1e9, 1.0, 0.0, 1.0, 0.0), 50.0, IntegratorConfig(dt=2.0)))
-
-
 def _integrate_chained() -> str:
     first = integrate(DEFAULT_PARAMS, INIT, 100.0, FINE)
     second = integrate(DEFAULT_PARAMS.with_controls(0.1, 0.2), first.final_state(), 100.0, FINE)
@@ -226,7 +220,6 @@ CASES: Dict[str, Callable[[], str]] = {
     "integrate_beta_schedule": _integrate_beta_schedule,
     "integrate_control_schedule": _integrate_control_schedule,
     "integrate_chained_from_final_state": _integrate_chained,
-    "integrate_clamped": _integrate_clamped,
     "solve_adjoint_h": lambda: _adjoint(CONTROLS[0]),
     "solve_adjoint_h_f64_controls": lambda: _adjoint(CONTROLS_F64[0]),
     "cost": _cost,

@@ -133,6 +133,13 @@ def test_sse_self_consistency():
     value = sse(series, DEFAULT_PARAMS, TRUE_SCHEDULE, SEED_STATE, CFG)
     y2 = sum(y * y for y in series.cumulative)
     assert value < 1e-6 * y2
+    # a probe whose run fails scores inf: at dt 0.5, beta 1e-7 drives S below zero at t = 3
+    failed = replace(DEFAULT_PARAMS, beta=1e-7)
+    assert sse(series, failed, None, SEED_STATE, IntegratorConfig(dt=0.5)) == math.inf
+    # and so does one whose squared errors overflow: E0 = 1e200 gives counts near 1e200
+    silent = replace(DEFAULT_PARAMS, beta=0.0)
+    with np.errstate(over="raise"):
+        assert sse(series, silent, None, State(0, 1e200, 0, 0, 0), CFG) == math.inf
 
 
 def test_sse_zero_on_empty_model_and_data():

@@ -217,9 +217,9 @@ def test_package_errors_subclass_the_builtin_they_are():
                  id="MemoryError"),
     pytest.param(np.linalg.LinAlgError("Singular matrix"), EXIT_NUMERICAL,
                  "numerical failure: Singular matrix", id="LinAlgError"),
-    pytest.param(model.IntegrationDivergedError(3, 1.5), EXIT_NUMERICAL,
-                 "numerical failure: integration diverged at step 3 (t = 1.5)",
-                 id="IntegrationDivergedError"),
+    pytest.param(model.IntegrationDivergedError(3, 0.5, (1.0, -2.0, 0.0, 0.0, 0.0)),
+                 EXIT_NUMERICAL, "numerical failure: E = -2.0 at t = 1.5 (step 3): "
+                 "dt = 0.5 is too large for these rates", id="IntegrationDivergedError"),
     pytest.param(ZeroDivisionError("float division by zero"), EXIT_NUMERICAL,
                  "numerical failure: float division by zero", id="ZeroDivisionError"),
     pytest.param(equilibria.NoEndemicPointError("no endemic equilibrium"), EXIT_VALIDATION,
@@ -376,17 +376,24 @@ def test_avert_names_the_grid_token_it_cannot_read(tmp_path, capsys, grid, token
     assert not out.exists()
 
 
-def test_avert_run_below_the_clamp_band_exits_numerical(tmp_path, capsys):
-    # at dt 0.5 these rates drive E to -0.064 at t = 0.5, below the clamp band
-    code = run_cli(["avert", "--alpha", "3.06", "--eta1", "3.13", "--eta2", "0.841",
-                    "--beta", "1.23e-9", "--sigma1", "0.0229", "--sigma2", "0.0982",
-                    "--dt", "0.5", "--horizon", "100", "--c1", "0.1", "--c2", "0.1",
-                    "--onset-grid", "0.5,10", "--out", str(tmp_path / "avert.json")])
-    assert code == EXIT_NUMERICAL
+# at dt 0.5 these rates drive E to -0.064 in the first step
+UNDERSHOOT_FLAGS = ["--alpha", "3.06", "--eta1", "3.13", "--eta2", "0.841", "--beta", "1.23e-9",
+                    "--sigma1", "0.0229", "--sigma2", "0.0982", "--dt", "0.5", "--horizon", "100"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", []),
+    ("characteristics", []),
+    ("avert", ["--c1", "0.1", "--c2", "0.1", "--onset-grid", "0.5,10"]),
+], ids=["simulate", "characteristics", "avert"])
+def test_a_run_that_undershoots_zero_exits_numerical(tmp_path, capsys, command, extra):
+    out = tmp_path / "out"
+    assert run_cli([command, *UNDERSHOOT_FLAGS, *extra, "--out", str(out)]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("seirv avert: numerical failure: E = -0.06")
-    assert "t = 0.5" in err and "np.float64" not in err
+    assert err.startswith(f"seirv {command}: numerical failure: E = -0.06")
+    assert "t = 0.5" in err and "dt = 0.5" in err and "np.float64" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid, err", [

@@ -1,8 +1,9 @@
 """Property tests: threshold classification and the agreement of every
 rc-versus-1 verdict at the threshold, schedule/chained-run equality,
 float coercion of the value types and of the hot loops' inputs, population
-conservation, the optimizer's early rejection, the control-cost floor, the
-CSV writer's cell format, and the CLI's exit codes under extreme flag values."""
+conservation, nonnegative counts or a named failure from every run, the
+optimizer's early rejection, the control-cost floor, the CSV writer's cell
+format, and the CLI's exit codes under extreme flag values."""
 
 import contextlib
 import copy
@@ -33,6 +34,7 @@ from seirv.equilibria import (
 from seirv.model import (
     BetaSchedule,
     ControlSchedule,
+    IntegrationDivergedError,
     IntegratorConfig,
     ModelParams,
     State,
@@ -251,6 +253,22 @@ def test_cost_never_falls_below_control_cost(c, i0, horizon):
     cp = CostParams.for_run(DEFAULT_PARAMS, init, m0=1.0, k1=K1, k2=K2, horizon=horizon)
     j = cost(*at(c, cp, init, IntegratorConfig(dt=0.5)))
     assert j >= K1 * c[0] + K2 * c[1]
+
+
+@SMALL
+@given(seed=st.integers(0, 2**32 - 1), c=controls, dt=st.floats(0.05, 3.0),
+       n_steps=st.integers(1, 200), i0=st.floats(0.0, 1e6))
+def test_integrate_writes_only_valid_counts_or_names_the_bad_one(seed, c, dt, n_steps, i0):
+    p = sample_params(np.random.default_rng(seed)).with_controls(*c)
+    init = State(1e9, 0.0, i0, 0.0, 0.0)
+    try:
+        states = integrate(p, init, n_steps * dt, IntegratorConfig(dt=dt)).states
+    except IntegrationDivergedError as err:
+        # "<name> = <value> at t = ...": a negative or non-finite count, or an overflowed total
+        value = float(str(err).split(" at t = ")[0].split(" = ")[1])
+        assert not 0.0 <= value < 1e308, str(err)
+    else:
+        assert np.all(np.isfinite(states)) and states.min() >= 0.0
 
 
 float_cells = st.one_of(
