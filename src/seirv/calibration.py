@@ -19,7 +19,6 @@ import numpy as np
 
 from .model import (
     BetaSchedule,
-    IntegrationDivergedError,
     IntegratorConfig,
     ModelParams,
     State,
@@ -33,7 +32,6 @@ __all__ = [
     "FitResult",
     "DailyOverlay",
     "AvertedCurve",
-    "DegenerateObjectiveError",
     "BETA_FIT_BOUNDS",
     "load_series",
     "model_cumulative",
@@ -200,19 +198,11 @@ def sse(
 ) -> float:
     """Sum of squared errors between observed and model cumulative counts.
 
-    A probe whose run fails or whose errors overflow scores inf, which
-    nelder_mead rejects."""
-    y = np.asarray(series.cumulative)
-    try:
-        yhat = model_cumulative(p, beta_schedule, init, series.times, cfg)
-    except IntegrationDivergedError:
-        return math.inf
+    A run that fails raises, as in model_cumulative; squared errors that
+    overflow sum to inf."""
+    yhat = model_cumulative(p, beta_schedule, init, series.times, cfg)
     with np.errstate(over="ignore"):
-        return float(np.sum((y - yhat) ** 2))
-
-
-class DegenerateObjectiveError(ValueError):
-    """Raised when an objective is non-finite at every initial simplex vertex."""
+        return float(np.sum((np.asarray(series.cumulative) - yhat) ** 2))
 
 
 def nelder_mead(
@@ -227,27 +217,35 @@ def nelder_mead(
     returned point ever leaves it. Every simplex, the one after the last
     allowed move included, is tested against tol_x and tol_f. Returns
     (argmin, minimum, iterations, converged); converged is False exactly
-    when the simplex stopped at its cap of cfg.max_iter iterations.
+    when the simplex stopped at its cap of cfg.max_iter iterations. A probe
+    that raises ArithmeticError (a diverged run does) or returns a non-finite
+    value scores inf; when every initial vertex does, the first failure caught
+    is raised, or an ArithmeticError if none raised.
     """
     x0 = np.asarray(start, dtype=float)
-    dim = x0.size
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
+    lo, hi = np.array(bounds, dtype=float).T
     if np.any(lo >= hi):
         raise ValueError("each bound must satisfy lo < hi")
     if np.any(x0 < lo) or np.any(x0 > hi):
         raise ValueError("start must lie inside the bounds")
 
+    failure: Optional[ArithmeticError] = None  # only the first: its traceback holds a run
+
     def f(x: np.ndarray) -> float:
-        v = objective(x)
-        return float(v) if math.isfinite(v) else math.inf
+        nonlocal failure
+        try:
+            v = float(objective(x))
+        except ArithmeticError as exc:
+            failure = failure or exc
+            return math.inf
+        return v if math.isfinite(v) else math.inf
 
     def move(center: np.ndarray, x: np.ndarray, coeff: float) -> np.ndarray:
         """center + coeff * (center - x), projected into the box."""
         return np.minimum(hi, np.maximum(lo, center + coeff * (center - x)))
 
     simplex = [x0]
-    for j in range(dim):
+    for j in range(x0.size):
         step = _NM_SPREAD * (abs(x0[j]) if x0[j] != 0.0 else 1.0)
         vert = x0.copy()
         vert[j] += step
@@ -256,9 +254,7 @@ def nelder_mead(
         simplex.append(np.minimum(hi, np.maximum(lo, vert)))
     values = [f(v) for v in simplex]
     if all(math.isinf(v) for v in values):
-        raise DegenerateObjectiveError(
-            "objective is non-finite at every initial simplex vertex"
-        )
+        raise failure or ArithmeticError("objective is non-finite at every initial simplex vertex")
 
     iters = 0
     while True:
@@ -316,7 +312,8 @@ def fit_beta_segments(
     in log space over BETA_FIT_BOUNDS by minimizing the total SSE; controls
     are held at zero during fitting. Ties in SSE (within tol_f) resolve
     toward the lower beta bound, the parsimonious no-transmission reading of
-    flat data. More segments than observations is refused (ValueError).
+    flat data. More segments than observations is refused (ValueError). A
+    failed lower-bound probe raises, as nelder_mead does when no vertex runs.
     """
     if not segment_length > 0.0:
         raise ValueError("segment_length must be > 0")
@@ -455,9 +452,7 @@ def averted_cases(
             e[k:] = integrate(p, state, (n - k) * dt, cfg).e
         averted.append(baseline - p.alpha * trapezoid(e, dt))
     averted.reverse()
-    x = np.asarray(ts)
-    y = np.asarray(averted)
-    decay_fit, decay_r2, warnings = _exponential_fit(x, y)
+    decay_fit, decay_r2, warnings = _exponential_fit(np.asarray(ts), np.asarray(averted))
     return AvertedCurve(onsets=tuple(ts), averted=tuple(averted), decay_fit=decay_fit,
                         decay_r2=decay_r2, warnings=warnings)
 

@@ -244,8 +244,13 @@ def rhs(state: State, p: ModelParams) -> Tuple[float, float, float, float, float
 
 
 def trapezoid(y: np.ndarray, dt: float) -> float:
-    """Trapezoid-rule integral of samples y on a uniform grid of step dt."""
-    return dt * (float(np.sum(y)) - 0.5 * (float(y[0]) + float(y[-1])))
+    """Trapezoid-rule integral of samples y on a uniform grid of step dt;
+    OverflowError, an ArithmeticError, when the total is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        total = dt * (float(np.sum(y)) - 0.5 * (float(y[0]) + float(y[-1])))
+    if not math.isfinite(total):
+        raise OverflowError(f"time integral overflows: trapezoid total is {total!r}")
+    return total
 
 
 def population_bound(p: ModelParams, n0: float) -> float:

@@ -11,7 +11,6 @@ from seirv.analysis import characteristics
 from seirv.calibration import (
     BETA_FIT_BOUNDS,
     DailyOverlay,
-    DegenerateObjectiveError,
     FitResult,
     NelderMeadConfig,
     ObservationSeries,
@@ -30,6 +29,7 @@ from seirv.model import (
     IntegratorConfig,
     State,
     DEFAULT_PARAMS,
+    IntegrationDivergedError,
     integrate,
 )
 
@@ -133,10 +133,11 @@ def test_sse_self_consistency():
     value = sse(series, DEFAULT_PARAMS, TRUE_SCHEDULE, SEED_STATE, CFG)
     y2 = sum(y * y for y in series.cumulative)
     assert value < 1e-6 * y2
-    # a probe whose run fails scores inf: at dt 0.5, beta 1e-7 drives S below zero at t = 3
+    # a probe whose run fails raises: at dt 0.5, beta 1e-7 drives S below zero at t = 3
     failed = replace(DEFAULT_PARAMS, beta=1e-7)
-    assert sse(series, failed, None, SEED_STATE, IntegratorConfig(dt=0.5)) == math.inf
-    # and so does one whose squared errors overflow: E0 = 1e200 gives counts near 1e200
+    with pytest.raises(IntegrationDivergedError, match=r"^S = .* at t = 3 "):
+        sse(series, failed, None, SEED_STATE, IntegratorConfig(dt=0.5))
+    # one whose squared errors overflow scores inf: E0 = 1e200 gives counts near 1e200
     silent = replace(DEFAULT_PARAMS, beta=0.0)
     with np.errstate(over="raise"):
         assert sse(series, silent, None, State(0, 1e200, 0, 0, 0), CFG) == math.inf
@@ -208,10 +209,21 @@ def test_model_cumulative_runs_to_the_first_grid_point_at_or_past_the_last_time(
 # ---------------------------------------------------------------- Nelder-Mead
 
 
-def test_nelder_mead_quadratic_bowl():
+@pytest.mark.parametrize("fails_above", [math.inf, 1.5], ids=["finite", "raises-past-1.5"])
+def test_nelder_mead_quadratic_bowl(fails_above):
+    # a probe that raises ArithmeticError is no minimum; the free run probes
+    # past 1.5, so the second case rejects some of its moves
+    failures = []
+
+    def bowl(x):
+        if np.any(x > fails_above):
+            failures.append(OverflowError(f"probe {x!r} fails"))
+            raise failures[-1]
+        return float(np.sum((x - 1.0) ** 2))
+
     # tolerances chosen so the stopping rule implies 1e-6 positional accuracy
     argmin, fmin, iters, converged = nelder_mead(
-        lambda x: float(np.sum((x - 1.0) ** 2)),
+        bowl,
         start=[0.0, 0.0, 0.0],
         bounds=[(-5.0, 5.0)] * 3,
         cfg=NelderMeadConfig(tol_f=1e-16, tol_x=1e-8),
@@ -219,6 +231,7 @@ def test_nelder_mead_quadratic_bowl():
     assert np.max(np.abs(argmin - 1.0)) < 1e-6
     assert fmin < 1e-12
     assert iters > 0 and converged
+    assert bool(failures) == (fails_above < math.inf)
 
 
 def test_nelder_mead_tests_the_simplex_its_last_allowed_move_made():
@@ -286,8 +299,19 @@ def test_nelder_mead_rejects_bad_bounds_or_start(start, bounds, message):
 
 
 def test_nelder_mead_degenerate_objective():
-    with pytest.raises(DegenerateObjectiveError):
+    with pytest.raises(ArithmeticError, match="^objective is non-finite at every initial simplex vertex$"):
         nelder_mead(lambda x: math.nan, [0.5], [(0.0, 1.0)])
+    # when every initial vertex raises, the first failure caught comes back
+    failures = []
+
+    def fails(x):
+        failures.append(OverflowError(f"probe {x!r} fails"))
+        raise failures[-1]
+
+    with pytest.raises(OverflowError) as exc_info:
+        nelder_mead(fails, [0.5, 0.5], [(0.0, 1.0)] * 2)
+    assert len(failures) == 3
+    assert exc_info.value is failures[0]
 
 
 # ---------------------------------------------------------------- fitting
