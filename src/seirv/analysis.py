@@ -154,13 +154,13 @@ def region_map(p: ModelParams, resolution: int) -> RegionMap:
 
 def characteristics(traj: Trajectory, p: ModelParams) -> EpidemicCharacteristics:
     """Peak infected, time of peak (earliest grid index on ties), and
-    total infections alpha * int E dt by trapezoid on the grid."""
+    total infections alpha * int E dt, weight included, by trapezoid on the grid."""
     if len(traj.states) == 0:
         raise ValueError("trajectory is empty")
     i = traj.i
     k = int(np.argmax(i))  # argmax returns the first maximal index
     return EpidemicCharacteristics(
-        i_max=float(i[k]), t_m=k * traj.dt, i_tot=p.alpha * trapezoid(traj.e, traj.dt)
+        i_max=float(i[k]), t_m=k * traj.dt, i_tot=trapezoid(traj.e, traj.dt, p.alpha)
     )
 
 

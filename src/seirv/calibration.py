@@ -423,7 +423,7 @@ def averted_cases(
     """Total cases averted by starting the controls (p.c1, p.c2) at each onset time.
 
     averted(t0) = i_tot(never intervened) - i_tot(controls from t0 on), where
-    i_tot is EpidemicCharacteristics.i_tot, alpha * int_0^horizon E dt; the
+    i_tot is EpidemicCharacteristics.i_tot, alpha * int_0^horizon E dt by trapezoid; the
     never-intervened run is p.with_controls(0.0, 0.0). The curve is summarized
     by a least-squares exponential-decay fit. Onsets must be nonempty, strictly
     increasing and inside [0, horizon]; an onset at the horizon averts nothing.
@@ -438,7 +438,7 @@ def averted_cases(
     dt = cfg.dt
     run = integrate(p.with_controls(0.0, 0.0), init, horizon, cfg)
     e = run.e.copy()  # E over the whole grid, never intervened
-    baseline = p.alpha * trapezoid(e, dt)
+    baseline = trapezoid(e, dt, p.alpha)
     # The run with the controls on from the onset's snapped grid index k is
     # the never-intervened run up to k, continued from its state at k.
     # Latest onset first: each continuation overwrites e[k:] in place, and
@@ -450,7 +450,7 @@ def averted_cases(
     for k, state in reversed(onset_states):
         if k < n:
             e[k:] = integrate(p, state, (n - k) * dt, cfg).e
-        averted.append(baseline - p.alpha * trapezoid(e, dt))
+        averted.append(baseline - trapezoid(e, dt, p.alpha))
     averted.reverse()
     decay_fit, decay_r2, warnings = _exponential_fit(np.asarray(ts), np.asarray(averted))
     return AvertedCurve(onsets=tuple(ts), averted=tuple(averted), decay_fit=decay_fit,

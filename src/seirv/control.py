@@ -201,10 +201,10 @@ def cost(p: ModelParams, cp: CostParams, forward: Trajectory) -> float:
     """Objective J at the constant controls (p.c1, p.c2) over [0, cp.horizon].
 
     forward is the run integrate(p, init, cp.horizon, cfg). J is summed as
-    (k0 * int I + k1 * c1) + k2 * c2, so it never falls below
-    k1 * c1 + k2 * c2 while the run keeps I >= 0.
+    (k0 * int I + k1 * c1) + k2 * c2, with k0 * int I from trapezoid, so it never
+    falls below k1 * c1 + k2 * c2 while the run keeps I >= 0.
     """
-    return cp.k0 * trapezoid(forward.i, forward.dt) + cp.k1 * p.c1 + cp.k2 * p.c2
+    return trapezoid(forward.i, forward.dt, cp.k0) + cp.k1 * p.c1 + cp.k2 * p.c2
 
 
 def solve_adjoint(forward: Trajectory, p: ModelParams) -> AdjointTrajectory:
@@ -297,12 +297,11 @@ def gradient(p: ModelParams, cp: CostParams, forward: Trajectory) -> Tuple[float
 
     forward is the run integrate(p, init, cp.horizon, cfg). Returns the pair
     (g1, g2): g1 = k1 - k0 * int (H5 - H1) S dt, g2 = k2 - k0 * int (H4 - H3) I dt,
-    with trapezoid quadrature on the shared grid.
+    each k0-weighted integral taken by trapezoid on the shared grid.
     """
     h = solve_adjoint(forward, p).h
-    int_s = trapezoid((h[:, 4] - h[:, 0]) * forward.s, forward.dt)
-    int_i = trapezoid((h[:, 3] - h[:, 2]) * forward.i, forward.dt)
-    return (cp.k1 - cp.k0 * int_s, cp.k2 - cp.k0 * int_i)
+    return (cp.k1 - trapezoid((h[:, 4] - h[:, 0]) * forward.s, forward.dt, cp.k0),
+            cp.k2 - trapezoid((h[:, 3] - h[:, 2]) * forward.i, forward.dt, cp.k0))
 
 
 def _accepts(r: float, delta: float, temp: float, rule: str) -> bool:

@@ -243,11 +243,13 @@ def rhs(state: State, p: ModelParams) -> Tuple[float, float, float, float, float
     return ds, de, di, dr, dv
 
 
-def trapezoid(y: np.ndarray, dt: float) -> float:
-    """Trapezoid-rule integral of samples y on a uniform grid of step dt;
-    OverflowError, an ArithmeticError, when the total is not finite."""
+def trapezoid(y: np.ndarray, dt: float, weight: float) -> float:
+    """weight * the trapezoid-rule integral of samples y on a uniform grid of step dt, which
+    callers never scale; OverflowError, an ArithmeticError, when either is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         total = dt * (float(np.sum(y)) - 0.5 * (float(y[0]) + float(y[-1])))
+    if math.isfinite(total):  # weight a finite integral only: 0 * inf would report nan
+        total *= weight
     if not math.isfinite(total):
         raise OverflowError(f"time integral overflows: trapezoid total is {total!r}")
     return total

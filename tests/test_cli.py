@@ -454,19 +454,26 @@ def test_calibrate_from_degenerate_beta_runs_without_warnings(tmp_path, capsys, 
     assert capsys.readouterr().err == ""
 
 
+# every count stays finite, but int E dt and int I dt overflow: these once
+# wrote "i_tot": inf, null averted counts and a null j_star
+OVERFLOWING_RUN = ["--s0", "1e307", "--i0", "1e306", "--beta", "5e-307", "--dt", "0.05",
+                   "--horizon", "2000"]
+ONE_PASS = ["--n-cool", "1", "--n-perturb", "1", "--max-outer", "1"]
+
+
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would escape main
 @pytest.mark.parametrize("argv", [
-    ["characteristics"],
-    ["avert", "--onset-grid", "0,100,200"],
-    ["optimize", "--n-cool", "1", "--n-perturb", "1", "--max-outer", "1"],
-], ids=["characteristics", "avert", "optimize"])
+    ["characteristics", *OVERFLOWING_RUN],
+    ["avert", "--onset-grid", "0,100,200", *OVERFLOWING_RUN],
+    ["optimize", *ONE_PASS, *OVERFLOWING_RUN],
+    # gradient's integrals are finite but k0 * int is not: this once exited 0
+    # with the optimum (1, 1), reached by a step along (-inf, -inf)
+    ["optimize", "--beta", "1e-9", "--i0", "1e6", "--m0", "1e308", "--horizon", "100",
+     "--dt", "0.5", "--start-c1", "0", "--start-c2", "0", *ONE_PASS],
+], ids=["characteristics", "avert", "optimize", "optimize-weighted"])
 def test_overflowed_time_integral_exits_numerical_with_one_line(tmp_path, capsys, argv):
-    # every count stays finite, but alpha * int E dt and int I dt overflow:
-    # these once wrote "i_tot": inf, null averted counts and a null j_star
     out = tmp_path / "out.json"
-    flags = ["--s0", "1e307", "--i0", "1e306", "--beta", "5e-307", "--dt", "0.05",
-             "--horizon", "2000", "--out", str(out)]
-    assert run_cli([*argv, *flags]) == EXIT_NUMERICAL
+    assert run_cli([*argv, "--out", str(out)]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err == f"seirv {argv[0]}: numerical failure: time integral overflows: trapezoid total is inf\n"
     assert not out.exists()

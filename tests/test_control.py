@@ -1,6 +1,7 @@
 """Cost functional, adjoint solver, gradient and hybrid optimizer tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,6 +185,17 @@ def test_gradient_without_infection_reduces_to_weights():
     g1, g2 = gradient(*at((0.2, 0.3), cp, init, CFG))
     assert g2 == 0.3
     assert g1 == 0.2
+
+
+def test_gradient_refuses_a_weighted_integral_that_overflows():
+    # both adjoint integrals are finite, but k0 times either overflows
+    p = replace(DEFAULT_PARAMS, beta=1e-9)
+    init = State(1e9, 0, 1e6, 0, 0)
+    cp = CostParams.for_run(p, init, m0=1e308, k1=0.2, k2=0.3, horizon=100.0)
+    forward = integrate(p, init, cp.horizon, IntegratorConfig(dt=0.5))
+    assert cost(p, cp, forward) == 8.854680818793323e+306
+    with pytest.raises(OverflowError, match=r"^time integral overflows: trapezoid total is inf$"):
+        gradient(p, cp, forward)
 
 
 def test_gradient_matches_finite_differences():

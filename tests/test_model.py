@@ -290,6 +290,21 @@ def test_divergence_names_the_first_bad_compartment_or_the_total(counts, named):
     assert str(err) == f"{named} at t = 1.5 (step 3): dt = 0.5 is too large for these rates"
 
 
+@pytest.mark.parametrize("y, weight, message", [
+    (np.full(3, 1e300), 1e10, "inf"),  # the integral is finite, the weighted total is not
+    (np.array([1.0, 1e308, 1e308, 1.0]), 0.0, "inf"),  # checked unweighted: 0 * inf is no nan
+    (np.array([0.1, 0.7, 0.3, 1.9]), 1.0 / 3.0, None),
+], ids=["weighted-overflow", "overflow-at-weight-0", "finite"])
+def test_trapezoid_weights_a_finite_integral_and_refuses_any_other(y, weight, message):
+    dt = 0.05
+    if message is None:
+        expected = weight * (dt * (float(np.sum(y)) - 0.5 * (float(y[0]) + float(y[-1]))))
+        assert model.trapezoid(y, dt, weight).hex() == expected.hex()
+    else:
+        with pytest.raises(OverflowError, match=rf"^time integral overflows: trapezoid total is {message}$"):
+            model.trapezoid(y, dt, weight)
+
+
 def test_integrate_validation(init_state):
     with pytest.raises(ValueError):
         integrate(DEFAULT_PARAMS, init_state, 0.0)
