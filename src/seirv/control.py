@@ -12,7 +12,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -319,8 +319,7 @@ def _accepts(r: float, delta: float, temp: float, rule: str) -> bool:
 
 
 def _hybrid_minimize(
-    score: Callable[[Controls], Tuple[float, Any]],
-    grad_fn: Callable[[Controls, Any], Controls],
+    score: Callable[[Controls], Tuple[float, Callable[[], Controls]]],
     start: Controls,
     sa: SAConfig,
     floor_fn: Callable[[Controls], float] = lambda c: -math.inf,
@@ -328,30 +327,30 @@ def _hybrid_minimize(
     """Generic hybrid driver over [0, 1]^2; hybrid_optimize states the step
     rule and the prunes, with floor_fn as its control-cost floor.
 
-    score(c) returns (J, aux), where aux is whatever grad_fn needs besides c
-    (in hybrid_optimize, the point's (params, run)). The incumbent's aux is
-    kept next to its controls and J, and grad_fn is called only at the
-    incumbent: the gradient phase starts there, and each step it accepts
-    lowers J by more than eps_k >= 0, so it becomes the incumbent.
+    score(c) returns (J, grad), where grad() is the gradient of J at c. The
+    incumbent's grad is kept next to its controls and J, and only the
+    incumbent's grad is called: the gradient phase starts there, and each
+    step it accepts lowers J by more than eps_k >= 0, so it becomes the
+    incumbent.
 
-    The prunes are exact when score and grad_fn are pure and floor_fn(c)
-    never exceeds score(c)[0] in floating point. The default floor, -inf,
-    never prunes.
+    The prunes are exact when score and grad are pure and floor_fn(c) never
+    exceeds score(c)[0] in floating point. The default floor, -inf, never
+    prunes.
     """
     if not all(math.isfinite(x) for x in start):
         raise ValueError(f"start controls must be finite, got {start!r}")
     rng = random.Random(sa.rng_seed)
     c = _project(start)
-    j, aux = score(c)
+    j, grad = score(c)
     history: List[Tuple[float, float, float, str]] = [(c[0], c[1], j, "start")]
-    best_c, best_j, best_aux = c, j, aux
+    best_c, best_j, best_grad = c, j, grad
     stalled: Optional[Controls] = None  # incumbent where a gradient phase stopped
 
-    def record(point: Controls, value: float, point_aux: Any, phase: str) -> None:
-        nonlocal best_c, best_j, best_aux
+    def record(point: Controls, value: float, point_grad: Callable[[], Controls], phase: str) -> None:
+        nonlocal best_c, best_j, best_grad
         history.append((point[0], point[1], value, phase))
         if value < best_j:
-            best_c, best_j, best_aux = point, value, point_aux
+            best_c, best_j, best_grad = point, value, point_grad
 
     for _ in range(sa.max_outer):
         best_before = best_j
@@ -364,7 +363,7 @@ def _hybrid_minimize(
             prev = None  # (c, g) where the last descent step started
             scored = set()  # candidates scored in this phase
             for _ in range(_GRAD_STEPS):
-                g1, g2 = grad_fn(c, best_aux)  # c is the incumbent
+                g1, g2 = best_grad()  # c is the incumbent
                 if prev is not None:  # the secant pair of the last move
                     (p1, p2), (q1, q2) = prev
                     s, y = (c[0] - p1, c[1] - p2), (g1 - q1, g2 - q2)
@@ -384,11 +383,11 @@ def _hybrid_minimize(
                         # candidate scored before would fail now.
                         if (g1 * (c[0] - cand[0]) + g2 * (c[1] - cand[1]) > sa.eps_k
                                 and cand not in scored and j - floor_fn(cand) > sa.eps_k):
-                            jc, aux = score(cand)
+                            jc, grad = score(cand)
                             scored.add(cand)
                             if j - jc > sa.eps_k:
                                 c, j = cand, jc
-                                record(c, j, aux, "gradient")
+                                record(c, j, grad, "gradient")
                                 moved = True
                                 break
                         eta *= 0.5
@@ -417,7 +416,7 @@ def _hybrid_minimize(
                     r = rng.random()
                     if not _accepts(r, floor_delta, temp, sa.accept_rule):
                         continue
-                jc, aux = score(cand)
+                jc, grad = score(cand)
                 delta = jc - j
                 if delta < -sa.delta_k:
                     accept = True
@@ -427,7 +426,7 @@ def _hybrid_minimize(
                     accept = _accepts(r, delta, temp, sa.accept_rule)
                 if accept:
                     c, j = cand, jc
-                    record(c, j, aux, "anneal")
+                    record(c, j, grad, "anneal")
 
         if best_before - best_j <= sa.eps_k:
             break
@@ -484,11 +483,11 @@ def hybrid_optimize(
 
     The exact prunes. Each scored point c is integrated once, as
     pc = p.with_controls(*c), and cost and gradient read that run. Gradients
-    are taken only at the incumbent, whose (pc, run) is kept next to its J,
-    so no gradient integrates again. J >= k1 * c1 + k2 * c2 (see cost), so a
-    gradient candidate whose control cost alone already fails the eps_k
-    decrease test is rejected without being integrated, and so is an
-    annealing candidate whose control cost is no clear improvement and
+    are taken only at the incumbent, whose gradient closure holds its
+    (pc, run), so no gradient integrates again. J >= k1 * c1 + k2 * c2 (see
+    cost), so a gradient candidate whose control cost alone already fails
+    the eps_k decrease test is rejected without being integrated, and so is
+    an annealing candidate whose control cost is no clear improvement and
     already fails the acceptance draw (it takes that draw first and reuses
     it if it is scored). A gradient candidate already scored in the same
     phase, where J only falls, is not scored again. A gradient
@@ -498,19 +497,15 @@ def hybrid_optimize(
     bit as scoring every candidate; the directions and the first-order
     test are the step rule itself, and decide which candidates there are.
     """
-    def score(c: Controls) -> Tuple[float, Tuple[ModelParams, Trajectory]]:
+    def score(c: Controls) -> Tuple[float, Callable[[], Controls]]:
         pc = p.with_controls(*c)
         forward = integrate(pc, init, cp.horizon, cfg)
-        return cost(pc, cp, forward), (pc, forward)
-
-    def grad_fn(c: Controls, run: Tuple[ModelParams, Trajectory]) -> Controls:
-        pc, forward = run
-        return gradient(pc, cp, forward)
+        return cost(pc, cp, forward), lambda: gradient(pc, cp, forward)
 
     def floor_fn(c: Controls) -> float:
         return cp.k1 * c[0] + cp.k2 * c[1]
 
-    return _hybrid_minimize(score, grad_fn, start, sa, floor_fn)
+    return _hybrid_minimize(score, start, sa, floor_fn)
 
 
 def effort_split(opt: Controls) -> Tuple[float, float]:

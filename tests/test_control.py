@@ -235,90 +235,82 @@ def test_gradient_directional_derivative_identity():
 # ---------------------------------------------------------------- optimizer
 
 
+@pytest.fixture
+def no_annealing(monkeypatch):
+    """Turn the annealing phase off, so each round is a gradient phase alone."""
+    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])
+
+
 def test_gradient_phase_solves_quadratic_surrogate():
     target = np.array([0.3, 0.6])
 
     def cost_fn(c):
-        return (c[0] - target[0]) ** 2 + 2.0 * (c[1] - target[1]) ** 2, None
-
-    def grad_fn(c, aux):
-        return (2.0 * (c[0] - target[0]), 4.0 * (c[1] - target[1]))
+        return ((c[0] - target[0]) ** 2 + 2.0 * (c[1] - target[1]) ** 2,
+                lambda: (2.0 * (c[0] - target[0]), 4.0 * (c[1] - target[1])))
 
     sa = SAConfig(t0=1e-9, n_cool=1, n_perturb=1, eps_k=1e-14, delta_k=1e-14,
                   step_eta=0.25, rng_seed=1, max_outer=3)
-    run = _hybrid_minimize(cost_fn, grad_fn, (0.9, 0.05), sa)
+    run = _hybrid_minimize(cost_fn, (0.9, 0.05), sa)
     assert abs(run.optimum[0] - target[0]) < 1e-3
     assert abs(run.optimum[1] - target[1]) < 1e-3
     assert run.j_star < 1e-6
 
 
 @pytest.mark.parametrize("start", [(0.9, 0.2), (0.05, 0.95), (0.6, 0.9), (0.1, 0.1)])
-def test_gradient_phase_crosses_a_rotated_valley_in_few_moves(monkeypatch, start):
+def test_gradient_phase_crosses_a_rotated_valley_in_few_moves(no_annealing, start):
     # Hessian eigenvalues 1.5 along the valley (-0.90, 0.43) and 27 across it,
     # as criterion 7's J has near its optimum; steepest descent takes 37-68
     # accepted moves to come within 1e-4 of the minimum from these starts
-    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])  # no annealing
     norm = math.hypot(-0.90, 0.43)
     u = (-0.90 / norm, 0.43 / norm)
     w = (-u[1], u[0])
     target = (0.3, 0.5)
 
-    def along_across(c):
-        d = (c[0] - target[0], c[1] - target[1])
-        return d[0] * u[0] + d[1] * u[1], d[0] * w[0] + d[1] * w[1]
-
     def cost_fn(c):
-        a, b = along_across(c)
-        return 0.5 * (1.5 * a * a + 27.0 * b * b), None
+        d = (c[0] - target[0], c[1] - target[1])
+        a, b = d[0] * u[0] + d[1] * u[1], d[0] * w[0] + d[1] * w[1]  # along, across
+        return (0.5 * (1.5 * a * a + 27.0 * b * b),
+                lambda: (1.5 * a * u[0] + 27.0 * b * w[0], 1.5 * a * u[1] + 27.0 * b * w[1]))
 
-    def grad_fn(c, aux):
-        a, b = along_across(c)
-        return (1.5 * a * u[0] + 27.0 * b * w[0], 1.5 * a * u[1] + 27.0 * b * w[1])
-
-    run = _hybrid_minimize(cost_fn, grad_fn, start, SAConfig(eps_k=1e-12, max_outer=1))
+    run = _hybrid_minimize(cost_fn, start, SAConfig(eps_k=1e-12, max_outer=1))
     moves = [(c1, c2) for c1, c2, _, phase in run.history if phase == "gradient"]
     assert any(math.hypot(c1 - target[0], c2 - target[1]) < 1e-4 for c1, c2 in moves[:10])
 
 
-def test_failed_quasi_newton_step_falls_back_to_the_gradient(monkeypatch):
+def test_failed_quasi_newton_step_falls_back_to_the_gradient(no_annealing):
     # J is stiff in c2 and has a slope of 0.01 in c1. After the second move
     # the inverse-Hessian estimate is about 0.01 I, so the quasi-Newton step
     # along c1 predicts a decrease of about 1e-6 <= eps_k and is not scored;
     # the same descent step then moves along -g from step_eta, and the phase
     # goes on
-    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])  # no annealing
     grads = []
 
     def cost_fn(c):
-        return 50.0 * (c[1] - 0.5) ** 2 + 0.01 * c[0], None
-
-    def grad_fn(c, aux):
-        grads.append((c, (0.01, 100.0 * (c[1] - 0.5))))
-        return grads[-1][1]
+        def grad():
+            grads.append((c, (0.01, 100.0 * (c[1] - 0.5))))
+            return grads[-1][1]
+        return 50.0 * (c[1] - 0.5) ** 2 + 0.01 * c[0], grad
 
     sa = SAConfig(eps_k=1e-5, step_eta=0.5, max_outer=1)
-    run = _hybrid_minimize(cost_fn, grad_fn, (0.5, 0.52), sa)
+    run = _hybrid_minimize(cost_fn, (0.5, 0.52), sa)
     (c1, c2), (g1, g2) = grads[2]  # the incumbent after a quasi-Newton move
     assert run.history[3][:2] == (c1 - sa.step_eta * g1, c2 - sa.step_eta * g2)
     assert [phase for *_, phase in run.history[1:5]] == ["gradient"] * 4
 
 
-def test_clipped_candidate_without_first_order_decrease_does_not_end_the_step(monkeypatch):
+def test_clipped_candidate_without_first_order_decrease_does_not_end_the_step(
+        no_annealing, monkeypatch):
     # From the incumbent (0.038, 0.69), where g = (0.038, 0.19), the
     # direction d = (-1, 0.05) moves c1 downhill and c2 uphill. At eta = 1
     # the box clips c1 and the first-order decrease is negative, yet at
     # eta <= 0.038 nothing is clipped and it is 0.0285 * eta: the halving goes
     # on and moves along d, where stopping would have fallen back to -g
-    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])  # no annealing
     monkeypatch.setattr(control, "_newton_direction", lambda h, c, g1, g2: (-1.0, 0.05))
 
     def cost_fn(c):
-        return 0.5 * (c[0] ** 2 + (c[1] - 0.5) ** 2), None
+        return 0.5 * (c[0] ** 2 + (c[1] - 0.5) ** 2), lambda: (c[0], c[1] - 0.5)
 
-    def grad_fn(c, aux):
-        return (c[0], c[1] - 0.5)
-
-    run = _hybrid_minimize(cost_fn, grad_fn, (0.04, 0.7), SAConfig(max_outer=1))
+    run = _hybrid_minimize(cost_fn, (0.04, 0.7), SAConfig(max_outer=1))
     (_, c2_before, _, phase1), (_, c2_after, _, phase2) = run.history[1:3]  # -g, then d
     assert phase1 == phase2 == "gradient"
     assert c2_after > c2_before
@@ -346,23 +338,21 @@ def test_exit_step_is_where_the_step_first_leaves_the_box():
     assert control._exit_step((0.0, 1.0), (4.0, -2.0)) == pytest.approx(0.25)
 
 
-def test_quasi_newton_try_starts_at_the_exit_step_not_the_corner(monkeypatch):
+def test_quasi_newton_try_starts_at_the_exit_step_not_the_corner(no_annealing):
     # J is linear plus a tiny convex term, so the first secant pair seeds H
     # with gamma = 1 / 1e-6 and d = -H g is about -1e6 g. Projected from
     # eta = 1 it lands on the corner (0, 0); the try starts where d leaves
     # the box instead, on the face c1 = 0
-    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])  # no annealing
     scored, grads = [], []
 
     def cost_fn(c):
+        def grad():
+            grads.append((c, (0.3 + 1e-6 * c[0], 0.1 + 1e-6 * c[1])))
+            return grads[-1][1]
         scored.append(c)
-        return 0.3 * c[0] + 0.1 * c[1] + 0.5e-6 * (c[0] ** 2 + c[1] ** 2), None
+        return 0.3 * c[0] + 0.1 * c[1] + 0.5e-6 * (c[0] ** 2 + c[1] ** 2), grad
 
-    def grad_fn(c, aux):
-        grads.append((c, (0.3 + 1e-6 * c[0], 0.1 + 1e-6 * c[1])))
-        return grads[-1][1]
-
-    _hybrid_minimize(cost_fn, grad_fn, (0.5, 0.5), SAConfig(max_outer=1))
+    _hybrid_minimize(cost_fn, (0.5, 0.5), SAConfig(max_outer=1))
     (c1, c2), (g1, g2) = grads[1]  # the incumbent after one -g move
     cand = scored[2]  # the first quasi-Newton candidate
     assert cand[0] == pytest.approx(0.0, abs=1e-12)
@@ -370,21 +360,19 @@ def test_quasi_newton_try_starts_at_the_exit_step_not_the_corner(monkeypatch):
     assert cand[1] > 0.3
 
 
-def test_secant_pair_without_curvature_steps_along_the_gradient_from_step_eta(monkeypatch):
+def test_secant_pair_without_curvature_steps_along_the_gradient_from_step_eta(no_annealing):
     # J is concave in c1, so every secant pair has s . y <= 0 and no
     # inverse-Hessian estimate is formed: every step moves step_eta along -g
-    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])  # no annealing
     grads = []
 
     def cost_fn(c):
-        return 0.05 * c[1] - 0.5 * (c[0] - 0.2) ** 2, None
-
-    def grad_fn(c, aux):
-        grads.append((c, (0.2 - c[0], 0.05)))
-        return grads[-1][1]
+        def grad():
+            grads.append((c, (0.2 - c[0], 0.05)))
+            return grads[-1][1]
+        return 0.05 * c[1] - 0.5 * (c[0] - 0.2) ** 2, grad
 
     sa = SAConfig(max_outer=1)
-    run = _hybrid_minimize(cost_fn, grad_fn, (0.3, 0.9), sa)
+    run = _hybrid_minimize(cost_fn, (0.3, 0.9), sa)
     moves = [(c1, c2) for c1, c2, _, _ in run.history[1:]]
     for ((c1, c2), (g1, g2)), move in zip(grads, moves):
         assert move == control._project((c1 - sa.step_eta * g1, c2 - sa.step_eta * g2))
@@ -392,84 +380,89 @@ def test_secant_pair_without_curvature_steps_along_the_gradient_from_step_eta(mo
 
 
 @pytest.mark.parametrize("start", [(0.9, 0.05), (0.05, 0.95), (0.5, 0.5)])
-def test_gradient_phase_scores_no_candidate_without_first_order_decrease(monkeypatch, start):
-    # no annealing: every score after the start is a candidate of the last gradient
-    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])
+def test_gradient_phase_scores_no_candidate_without_first_order_decrease(no_annealing, start):
+    # every score after the start is a candidate of the last gradient
     sa = SAConfig(eps_k=1e-6, max_outer=1)
     last = {}
 
-    def grad_fn(c, aux):
-        last["c"] = c
-        last["g"] = (2 * (c[0] - 0.4) + 0.9 * math.cos(9 * c[0]), 2 * (c[1] - 0.2))
-        return last["g"]
-
     def cost_fn(c):
+        def grad():
+            last["c"] = c
+            last["g"] = (2 * (c[0] - 0.4) + 0.9 * math.cos(9 * c[0]), 2 * (c[1] - 0.2))
+            return last["g"]
         if last:  # a gradient candidate
             (g1, g2), base = last["g"], last["c"]
             assert g1 * (base[0] - c[0]) + g2 * (base[1] - c[1]) > sa.eps_k
-        return (c[0] - 0.4) ** 2 + (c[1] - 0.2) ** 2 + 0.1 * math.sin(9 * c[0]), None
+        return (c[0] - 0.4) ** 2 + (c[1] - 0.2) ** 2 + 0.1 * math.sin(9 * c[0]), grad
 
-    run = _hybrid_minimize(cost_fn, grad_fn, start, sa)
+    run = _hybrid_minimize(cost_fn, start, sa)
     assert any(phase == "gradient" for *_, phase in run.history)
 
 
-def test_gradient_phase_scores_a_projected_corner_once(monkeypatch):
+def test_gradient_phase_scores_a_projected_corner_once(no_annealing):
     # from (0.1, 0.1) the steps 8 * g, 4 * g, 2 * g and g all project onto the
     # corner (0, 0), where J is no lower; 0.5 * g reaches the minimum
-    monkeypatch.setattr(control, "temperature_schedule", lambda sa, n: [])  # no annealing
     scored = []
 
     def cost_fn(c):
         scored.append(c)
-        return (c[0] - 0.05) ** 2 + (c[1] - 0.05) ** 2, None
-
-    def grad_fn(c, aux):
-        return (2 * (c[0] - 0.05), 2 * (c[1] - 0.05))
+        return (c[0] - 0.05) ** 2 + (c[1] - 0.05) ** 2, lambda: (2 * (c[0] - 0.05), 2 * (c[1] - 0.05))
 
     sa = SAConfig(eps_k=1e-12, step_eta=8.0, max_outer=1)
-    run = _hybrid_minimize(cost_fn, grad_fn, (0.1, 0.1), sa)
+    run = _hybrid_minimize(cost_fn, (0.1, 0.1), sa)
     assert scored.count((0.0, 0.0)) == 1
     assert len(set(scored)) == len(scored)
     assert run.optimum == (0.05, 0.05)
 
 
 def test_optimizer_history_invariants():
-    def cost_fn(c):
-        return (c[0] - 0.4) ** 2 + (c[1] - 0.2) ** 2 + 0.1 * math.sin(9 * c[0]), None
+    graded = []  # the point of each gradient taken, in order
 
-    def grad_fn(c, aux):
-        return (2 * (c[0] - 0.4) + 0.9 * math.cos(9 * c[0]), 2 * (c[1] - 0.2))
+    def cost_fn(c):
+        def grad():
+            graded.append(c)
+            return (2 * (c[0] - 0.4) + 0.9 * math.cos(9 * c[0]), 2 * (c[1] - 0.2))
+        return (c[0] - 0.4) ** 2 + (c[1] - 0.2) ** 2 + 0.1 * math.sin(9 * c[0]), grad
 
     sa = SAConfig(t0=0.05, n_cool=5, n_perturb=8, rng_seed=11, max_outer=6)
-    run = _hybrid_minimize(cost_fn, grad_fn, (0.95, 0.95), sa)
-    assert run.history[0][3] == "start"
-    # projection correctness: every visited point stays in the box
-    for c1, c2, _, _ in run.history:
-        assert 0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0
-    # the incumbent is the minimum over the whole history
-    js = [j for _, _, j, _ in run.history]
-    assert run.j_star == min(js)
-    assert run.j_star <= js[-1] + 1e-12
-    # every gradient-phase acceptance strictly improves on everything before
-    for k, (*_, phase) in enumerate(run.history):
-        if phase == "gradient":
-            prior = min(js[:k])
-            assert js[k] < prior - sa.eps_k + 1e-15
+    # from (0.05, 0.95) descent stops on the face c1 = 0, annealing moves the
+    # incumbent into the lower basin, and a second gradient phase starts there
+    for start in ((0.95, 0.95), (0.05, 0.95)):
+        graded.clear()
+        run = _hybrid_minimize(cost_fn, start, sa)
+        assert run.history[0][3] == "start"
+        # projection correctness: every visited point stays in the box
+        for c1, c2, _, _ in run.history:
+            assert 0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0
+        # the incumbent is the minimum over the whole history
+        js = [j for _, _, j, _ in run.history]
+        assert run.j_star == min(js)
+        assert run.j_star <= js[-1] + 1e-12
+        # every gradient-phase acceptance strictly improves on everything before
+        for k, (*_, phase) in enumerate(run.history):
+            if phase == "gradient":
+                prior = min(js[:k])
+                assert js[k] < prior - sa.eps_k + 1e-15
+        # gradients are taken only at incumbents: the first at the start, and
+        # each at a point whose J, where it first appears, is below every J before it
+        points = [(c1, c2) for c1, c2, _, _ in run.history]
+        assert graded[0] == points[0]
+        for c in graded:
+            assert c in points
+            k = points.index(c)
+            assert k == 0 or js[k] < min(js[:k])
 
 
 def test_optimizer_deterministic_per_seed():
     def cost_fn(c):
-        return (c[0] - 0.25) ** 2 + (c[1] - 0.75) ** 2, None
-
-    def grad_fn(c, aux):
-        return (2 * (c[0] - 0.25), 2 * (c[1] - 0.75))
+        return (c[0] - 0.25) ** 2 + (c[1] - 0.75) ** 2, lambda: (2 * (c[0] - 0.25), 2 * (c[1] - 0.75))
 
     sa = SAConfig(t0=0.05, n_cool=4, n_perturb=6, rng_seed=77, max_outer=4)
-    run1 = _hybrid_minimize(cost_fn, grad_fn, (0.5, 0.5), sa)
-    run2 = _hybrid_minimize(cost_fn, grad_fn, (0.5, 0.5), sa)
+    run1 = _hybrid_minimize(cost_fn, (0.5, 0.5), sa)
+    run2 = _hybrid_minimize(cost_fn, (0.5, 0.5), sa)
     assert run1.history == run2.history
     other = _hybrid_minimize(
-        cost_fn, grad_fn, (0.5, 0.5),
+        cost_fn, (0.5, 0.5),
         SAConfig(t0=0.05, n_cool=4, n_perturb=6, rng_seed=78, max_outer=4),
     )
     assert other.history != run1.history
@@ -483,14 +476,11 @@ def test_temperature_schedule_identity():
 
 def test_classical_acceptance_rule_supported():
     def cost_fn(c):
-        return c[0] + c[1], None
-
-    def grad_fn(c, aux):
-        return (1.0, 1.0)
+        return c[0] + c[1], lambda: (1.0, 1.0)
 
     sa = SAConfig(t0=0.5, n_cool=3, n_perturb=5, rng_seed=5, max_outer=2,
                   accept_rule="classical")
-    run = _hybrid_minimize(cost_fn, grad_fn, (0.6, 0.6), sa)
+    run = _hybrid_minimize(cost_fn, (0.6, 0.6), sa)
     assert run.j_star <= 1.2
     with pytest.raises(ValueError):
         SAConfig(accept_rule="other")
@@ -591,44 +581,26 @@ def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
     assert len(set(graded)) == len(graded)
 
 
-def test_hybrid_optimize_criterion_7_start_work_count(monkeypatch):
+@pytest.mark.parametrize("weights, horizon, start, sa, max_runs, max_j", [
     # criterion 7's second start at dt 0.5: steepest descent made 238 runs
     # for J* = 0.0287550; quasi-Newton steps make 29 for J* = 0.0287512
-    runs = []
-
-    def counted(*args, **kwargs):
-        runs.append(args[0])
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(control, "integrate", counted)
-    cp = CostParams.for_run(DEFAULT_PARAMS, INIT, m0=1.0, k1=0.2, k2=0.3, horizon=2000.0)
-    sa = SAConfig(t0=0.02, cooling=0.9, n_cool=8, n_perturb=6, rng_seed=43, max_outer=12)
-    run = hybrid_optimize(DEFAULT_PARAMS, cp, (0.25, 0.2), sa, INIT, IntegratorConfig(dt=0.5))
-    assert len(runs) <= 40
-    assert run.j_star <= 0.028752
-
-
-def test_hybrid_optimize_far_start_work_count(monkeypatch):
+    pytest.param((0.2, 0.3), 2000.0, (0.25, 0.2),
+                 SAConfig(t0=0.02, cooling=0.9, n_cool=8, n_perturb=6, rng_seed=43, max_outer=12),
+                 40, 0.028752, id="criterion_7_start"),
     # the golden far start (0.9, 0.9): quasi-Newton tries from eta = 1 landed
     # on a corner and the search crawled along -g in 56 forward runs; tries
     # from the exit step make 20
-    runs = []
-
-    def counted(*args, **kwargs):
-        runs.append(args[0])
-        return integrate(*args, **kwargs)
-
-    monkeypatch.setattr(control, "integrate", counted)
-    cp = CostParams.for_run(DEFAULT_PARAMS, INIT, m0=1.0, k1=0.2, k2=0.3, horizon=500.0)
-    sa = SAConfig(t0=0.02, cooling=0.9, n_cool=3, n_perturb=6, max_outer=2, rng_seed=2024)
-    hybrid_optimize(DEFAULT_PARAMS, cp, (0.9, 0.9), sa, INIT, IntegratorConfig(dt=0.5))
-    assert len(runs) <= 28
-
-
-def test_hybrid_optimize_face_optimum_work_count(monkeypatch):
+    pytest.param((0.2, 0.3), 500.0, (0.9, 0.9),
+                 SAConfig(t0=0.02, cooling=0.9, n_cool=3, n_perturb=6, max_outer=2, rng_seed=2024),
+                 28, math.inf, id="far_start"),
     # weights (0.3, 0.1) put the optimum on the face c1 = 0, near (0, 0.0978):
     # stepping the free coordinate by -g2 / (h^-1)_22 there makes 13 forward
     # runs, and the unprojected -H g direction makes 21
+    pytest.param((0.3, 0.1), 500.0, (0.5, 0.5),
+                 SAConfig(t0=0.02, cooling=0.9, n_cool=3, n_perturb=6, max_outer=2, rng_seed=2024),
+                 17, math.inf, id="face_optimum"),
+])
+def test_hybrid_optimize_work_count(monkeypatch, weights, horizon, start, sa, max_runs, max_j):
     runs = []
 
     def counted(*args, **kwargs):
@@ -636,10 +608,10 @@ def test_hybrid_optimize_face_optimum_work_count(monkeypatch):
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(control, "integrate", counted)
-    cp = CostParams.for_run(DEFAULT_PARAMS, INIT, m0=1.0, k1=0.3, k2=0.1, horizon=500.0)
-    sa = SAConfig(t0=0.02, cooling=0.9, n_cool=3, n_perturb=6, max_outer=2, rng_seed=2024)
-    hybrid_optimize(DEFAULT_PARAMS, cp, (0.5, 0.5), sa, INIT, IntegratorConfig(dt=0.5))
-    assert len(runs) <= 17
+    cp = CostParams.for_run(DEFAULT_PARAMS, INIT, 1.0, *weights, horizon)
+    run = hybrid_optimize(DEFAULT_PARAMS, cp, start, sa, INIT, IntegratorConfig(dt=0.5))
+    assert len(runs) <= max_runs
+    assert run.j_star <= max_j
 
 
 @pytest.mark.parametrize("start", [(math.nan, 0.3), (0.3, math.inf)])

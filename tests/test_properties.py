@@ -197,10 +197,8 @@ def _floor_runs(seed, accept_rule, t0, start, sign):
     # A synthetic cost summed like control.cost: (k0 * T + k1 c1) + k2 c2, T >= 0.
     def cost_fn(c):
         events.append(("cost", c))
-        return 0.05 * (math.sin(7.0 * c[0]) * math.cos(5.0 * c[1])) ** 2 + K1 * c[0] + K2 * c[1], None
-
-    def grad_fn(c, aux):
-        return (sign * K1, sign * K2)
+        j = 0.05 * (math.sin(7.0 * c[0]) * math.cos(5.0 * c[1])) ** 2 + K1 * c[0] + K2 * c[1]
+        return j, lambda: (sign * K1, sign * K2)
 
     def floor_fn(c):
         events.append(("floor", c))
@@ -208,10 +206,10 @@ def _floor_runs(seed, accept_rule, t0, start, sign):
 
     sa = SAConfig(t0=t0, n_cool=4, n_perturb=6, max_outer=3,
                   rng_seed=seed, accept_rule=accept_rule)
-    plain = _hybrid_minimize(cost_fn, grad_fn, start, sa)
+    plain = _hybrid_minimize(cost_fn, start, sa)
     plain_events = events[:]
     events.clear()
-    pruned = _hybrid_minimize(cost_fn, grad_fn, start, sa, floor_fn)
+    pruned = _hybrid_minimize(cost_fn, start, sa, floor_fn)
     return plain, pruned, plain_events, events
 
 
