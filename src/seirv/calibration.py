@@ -88,8 +88,10 @@ class NelderMeadConfig:
     def __post_init__(self):
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not all(math.isfinite(t) and t >= 0.0 for t in (self.tol_f, self.tol_x)):
-            raise ValueError("tolerances tol_f and tol_x must be finite and >= 0")
+        for name in ("tol_f", "tol_x"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -213,21 +215,19 @@ def nelder_mead(
 ) -> Tuple[np.ndarray, float, int, bool]:
     """Minimize a scalar function over a box with the Nelder-Mead simplex.
 
-    Candidate points are projected into the box before evaluation, so no
-    returned point ever leaves it. Every simplex, the one after the last
-    allowed move included, is tested against tol_x and tol_f. Returns
-    (argmin, minimum, iterations, converged); converged is False exactly
-    when the simplex stopped at its cap of cfg.max_iter iterations. A probe
-    that raises ArithmeticError (a diverged run does) or returns a non-finite
-    value scores inf; when every initial vertex does, the first failure caught
-    is raised, or an ArithmeticError if none raised.
+    The start and every candidate point are projected into the box before
+    evaluation, so no returned point ever leaves it. Every simplex, the one
+    after the last allowed move included, is tested against tol_x and tol_f.
+    Returns (argmin, minimum, iterations, converged); converged is False
+    exactly when the simplex stopped at its cap of cfg.max_iter iterations.
+    A probe that raises ArithmeticError (a diverged run does) or returns a
+    non-finite value scores inf; when every initial vertex does, the first
+    failure caught is raised, or an ArithmeticError if none raised.
     """
-    x0 = np.asarray(start, dtype=float)
     lo, hi = np.array(bounds, dtype=float).T
     if np.any(lo >= hi):
         raise ValueError("each bound must satisfy lo < hi")
-    if np.any(x0 < lo) or np.any(x0 > hi):
-        raise ValueError("start must lie inside the bounds")
+    x0 = np.minimum(hi, np.maximum(lo, np.asarray(start, dtype=float)))
 
     failure: Optional[ArithmeticError] = None  # only the first: its traceback holds a run
 
@@ -336,13 +336,12 @@ def fit_beta_segments(
 
     p_fit = p.with_controls(0.0, 0.0)
     log_lo, log_hi = math.log10(BETA_FIT_BOUNDS[0]), math.log10(BETA_FIT_BOUNDS[1])
-    start_log = min(max(math.log10(p.beta), log_lo), log_hi) if p.beta > 0 else log_lo
 
     def objective(log_betas: np.ndarray) -> float:
         sched = BetaSchedule(breakpoints, tuple(10.0**b for b in log_betas))
         return sse(series, p_fit, sched, init, cfg)
 
-    start = np.full(n_seg, start_log)
+    start = np.full(n_seg, math.log10(p.beta) if p.beta > 0 else log_lo)
     bounds = [(log_lo, log_hi)] * n_seg
     argmin, fmin, _, converged = nelder_mead(objective, start, bounds, nm)
     if not converged:
@@ -404,9 +403,8 @@ def _exponential_fit(
     span = float(x[-1] - x[0])  # > 0: at least 2 points, strictly increasing
     ymax = float(np.max(y))
     bounds = [(0.0, 10.0 * ymax + 1.0), (-100.0 / span, 100.0 / span)]
-    start = np.array([min(max(a0, 0.0), bounds[0][1]), min(max(b0, bounds[1][0]), bounds[1][1])])
     nm = NelderMeadConfig(tol_f=1e-12, tol_x=1e-12, max_iter=800)
-    argmin, _, _, converged = nelder_mead(objective, start, bounds, nm)
+    argmin, _, _, converged = nelder_mead(objective, [a0, b0], bounds, nm)
     amp, rate = float(argmin[0]), float(argmin[1])
     warnings = () if converged else (
         f"decay fit not converged: simplex stopped at its cap of {nm.max_iter} iterations",)

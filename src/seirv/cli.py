@@ -325,8 +325,7 @@ def cmd_optimize(args: argparse.Namespace, rc: RunConfig) -> None:
     sa = control.SAConfig(rng_seed=rc.seed, **_given(args, control.SAConfig))
     run = control.hybrid_optimize(rc.params, cp, (args.start_c1, args.start_c2),
                                   sa, rc.init, rc.integrator)
-    # effort shares are undefined at the zero-effort optimum (0, 0)
-    share1, share2 = control.effort_split(run.optimum) if any(run.optimum) else (None, None)
+    share1, share2 = control.effort_split(run.optimum)  # nan, written as null, at (0, 0)
     _write_json(args.out, {
         "optimum": {"c1": run.optimum[0], "c2": run.optimum[1]},
         "j_star": run.j_star,

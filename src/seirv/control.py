@@ -112,9 +112,9 @@ class SAConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.t0) and self.t0 > 0.0):
-            raise ValueError("t0 must be finite and > 0")
+            raise ValueError(f"t0 must be finite and > 0, got {self.t0!r}")
         if not 0.0 < self.cooling < 1.0:
-            raise ValueError("cooling must lie in (0, 1)")
+            raise ValueError(f"cooling must lie in (0, 1), got {self.cooling!r}")
         for name in ("n_cool", "n_perturb", "max_outer"):
             v = getattr(self, name)
             if not isinstance(v, numbers.Integral) or v < 1:
@@ -124,11 +124,11 @@ class SAConfig:
         for name in ("eps_k", "delta_k"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0")
+                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
         if not (math.isfinite(self.step_eta) and self.step_eta > 0.0):
-            raise ValueError("step_eta must be finite and > 0")
+            raise ValueError(f"step_eta must be finite and > 0, got {self.step_eta!r}")
         if self.accept_rule not in ("scaled", "classical"):
-            raise ValueError("accept_rule must be 'scaled' or 'classical'")
+            raise ValueError(f"accept_rule must be 'scaled' or 'classical', got {self.accept_rule!r}")
         if not isinstance(self.rng_seed, numbers.Integral):  # random.Random takes no np.int64
             raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
         object.__setattr__(self, "rng_seed", int(self.rng_seed))
@@ -144,9 +144,9 @@ class OptimRun:
     j_star: float
 
 
-def temperature_schedule(sa: SAConfig, n: int) -> List[float]:
-    """Temperature before each of the first n cooling steps: t0 * cooling**k."""
-    return [sa.t0 * sa.cooling**k for k in range(n)]
+def temperature_schedule(sa: SAConfig) -> List[float]:
+    """Temperature before each of the sa.n_cool cooling steps: t0 * cooling**k."""
+    return [sa.t0 * sa.cooling**k for k in range(sa.n_cool)]
 
 
 def _project(c: Controls) -> Controls:
@@ -399,7 +399,7 @@ def _hybrid_minimize(
                     break
 
         # Simulated-annealing phase.
-        for temp in temperature_schedule(sa, sa.n_cool):
+        for temp in temperature_schedule(sa):
             for _ in range(sa.n_perturb):
                 if rng.random() < 0.5:  # re-randomize a single coordinate
                     if rng.random() < 0.5:
@@ -509,11 +509,11 @@ def hybrid_optimize(
 
 
 def effort_split(opt: Controls) -> Tuple[float, float]:
-    """Relative shares of the two controls in the total effort."""
+    """Relative shares of the two controls in the total effort; (nan, nan) at zero effort."""
     c1, c2 = opt
     total = c1 + c2
     if total <= 0.0:
-        raise ValueError("effort shares undefined: both controls are zero")
+        return (math.nan, math.nan)
     share1 = c1 / total
     # second share as the complement so the pair sums to one exactly
     return (share1, 1.0 - share1)

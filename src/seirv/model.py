@@ -342,7 +342,7 @@ def integrate(
     dt = cfg.dt
     if horizon / dt > MAX_STEPS:
         raise ValueError(f"horizon {horizon!r} at dt={dt!r} needs more than {MAX_STEPS} steps")
-    n_steps = int(round(horizon / dt))
+    n_steps = round(horizon / dt)
     if n_steps < 1:
         raise ValueError(f"horizon {horizon!r} shorter than one step dt={dt!r}")
 

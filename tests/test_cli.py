@@ -434,6 +434,8 @@ def test_overflowing_rates_exit_numerical_with_one_line(capsys, flags):
     (["equilibria", "--eta2", "1e308"], EXIT_NUMERICAL, "spectrum overflows"),
     (["equilibria", "--mu", "1e308"], EXIT_NUMERICAL, "spectrum overflows"),
     (["equilibria", "--lambda", "1e308", "--beta", "0"], EXIT_NUMERICAL, "lam = 1e+308"),
+    # an annealing setting is refused with its value
+    (["optimize", "--t0-temp", "inf"], EXIT_VALIDATION, "t0 must be finite and > 0, got inf"),
 ])
 def test_degenerate_thresholds_and_temperatures_exit_with_one_line(tmp_path, capsys,
                                                                    argv, code, message):
@@ -441,6 +443,7 @@ def test_degenerate_thresholds_and_temperatures_exit_with_one_line(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"seirv {argv[0]}: ") and message in err
     assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error")  # "overflow encountered in square" once leaked from sse
