@@ -215,9 +215,10 @@ def nelder_mead(
 ) -> Tuple[np.ndarray, float, int, bool]:
     """Minimize a scalar function over a box with the Nelder-Mead simplex.
 
-    The start and every candidate point are projected into the box before
-    evaluation, so no returned point ever leaves it. Every simplex, the one
-    after the last allowed move included, is tested against tol_x and tol_f.
+    The start needs one entry per bound (ValueError otherwise). It and every
+    candidate point are projected into the box before evaluation, so no
+    returned point ever leaves it. Every simplex, the one after the last
+    allowed move included, is tested against tol_x and tol_f.
     Returns (argmin, minimum, iterations, converged); converged is False
     exactly when the simplex stopped at its cap of cfg.max_iter iterations.
     A probe that raises ArithmeticError (a diverged run does) or returns a
@@ -227,7 +228,10 @@ def nelder_mead(
     lo, hi = np.array(bounds, dtype=float).T
     if np.any(lo >= hi):
         raise ValueError("each bound must satisfy lo < hi")
-    x0 = np.minimum(hi, np.maximum(lo, np.asarray(start, dtype=float)))
+    x0 = np.asarray(start, dtype=float)
+    if x0.shape != lo.shape:
+        raise ValueError(f"start has shape {x0.shape}, but {lo.size} bounds need shape {lo.shape}")
+    x0 = np.minimum(hi, np.maximum(lo, x0))
 
     failure: Optional[ArithmeticError] = None  # only the first: its traceback holds a run
 

@@ -287,12 +287,14 @@ def test_nelder_mead_respects_bounds():
     assert all(0.0 <= x[0] <= 1.0 for x in seen)
 
 
-@pytest.mark.parametrize("start, bounds", [
-    ([0.5], [(1.0, 1.0)]),
-    ([0.5, 0.5], [(0.0, 1.0), (2.0, -2.0)]),
-], ids=["empty-box", "reversed-bound"])
-def test_nelder_mead_rejects_bad_bounds_or_start(start, bounds):
-    with pytest.raises(ValueError, match="lo < hi"):
+@pytest.mark.parametrize("start, bounds, match", [
+    ([0.5], [(1.0, 1.0)], "lo < hi"),
+    ([0.5, 0.5], [(0.0, 1.0), (2.0, -2.0)], "lo < hi"),
+    # projection would broadcast the start to (0.5, 0.5) and fit a 2-D problem
+    ([0.5], [(0.0, 1.0), (0.0, 1.0)], r"^start has shape \(1,\), but 2 bounds need shape \(2,\)$"),
+], ids=["empty-box", "reversed-bound", "start-length"])
+def test_nelder_mead_rejects_bad_bounds_or_start(start, bounds, match):
+    with pytest.raises(ValueError, match=match):
         nelder_mead(lambda x: float(np.sum(x**2)), start, bounds)
 
 
