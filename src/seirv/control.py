@@ -374,38 +374,55 @@ def _accepts(r: float, delta: float, temp: float, rule: str) -> bool:
 
 
 def _hybrid_minimize(
-    score: Callable[[Controls], Tuple[float, Callable[[], Controls]]],
+    score: Callable[[Controls, Callable[[float], bool]],
+                    Optional[Tuple[float, Callable[[], Controls]]]],
     start: Controls,
     sa: SAConfig,
-    floor_fn: Callable[[Controls], float] = lambda c: -math.inf,
 ) -> OptimRun:
     """Generic hybrid driver over [0, 1]^2; hybrid_optimize states the step
-    rule and the prunes, with floor_fn as its control-cost floor.
+    rule and the prunes.
 
-    score(c) returns (J, grad), where grad() is the gradient of J at c. The
-    incumbent's grad is kept next to its controls and J, and only the
-    incumbent's grad is called: the gradient phase starts there, and each
-    step it accepts lowers J by more than eps_k >= 0, so it becomes the
-    incumbent.
+    score(c, accepts) returns (J, grad), where grad() is the gradient of J at
+    c and accepts(J) is the acceptance test of the phase proposing c, or None
+    once accepts fails at a lower bound of J it knows. A candidate is taken
+    exactly when score returns (J, grad) and accepts(J) passes; the start is
+    scored with a test that always passes. Only the incumbent's grad is
+    called: the gradient phase starts there, and each step it takes lowers J
+    by more than eps_k >= 0, so it becomes the incumbent.
 
-    The prunes are exact when score and grad are pure and floor_fn(c) never
-    exceeds score(c)[0] in floating point. The default floor, -inf, never
-    prunes.
+    The prunes are exact when score and grad are pure and score returns None
+    only where accepts fails at a value that never exceeds J in floating
+    point; the annealing test draws its number on first need, then reuses it.
     """
-    if not all(math.isfinite(x) for x in start):
-        raise ValueError(f"start controls must be finite, got {start!r}")
+    if len(start) != 2 or not all(math.isfinite(x) for x in start):
+        raise ValueError(f"start controls must be a finite pair, got {start!r} (length {len(start)})")
     rng = random.Random(sa.rng_seed)
     c = _project(start)
-    j, grad = score(c)
+    j, grad = score(c, lambda jc: True)
     history: List[Tuple[float, float, float, str]] = [(c[0], c[1], j, "start")]
     best_c, best_j, best_grad = c, j, grad
     stalled: Optional[Controls] = None  # incumbent where a gradient phase stopped
 
-    def record(point: Controls, value: float, point_grad: Callable[[], Controls], phase: str) -> None:
-        nonlocal best_c, best_j, best_grad
-        history.append((point[0], point[1], value, phase))
-        if value < best_j:
-            best_c, best_j, best_grad = point, value, point_grad
+    def descends(jc: float) -> bool:  # the gradient phase's acceptance test
+        return j - jc > sa.eps_k
+
+    def anneals(jc: float) -> bool:  # the annealing phase's acceptance test
+        nonlocal r
+        if jc - j < -sa.delta_k:
+            return True
+        r = rng.random() if r is None else r
+        return _accepts(r, jc - j, temp, sa.accept_rule)
+
+    def take(cand: Controls, accepts: Callable[[float], bool], phase: str) -> bool:
+        nonlocal c, j, best_c, best_j, best_grad
+        taken = score(cand, accepts)
+        if taken is None or not accepts(taken[0]):
+            return False
+        c, (j, grad) = cand, taken
+        history.append((c[0], c[1], j, phase))
+        if j < best_j:
+            best_c, best_j, best_grad = c, j, grad
+        return True
 
     for _ in range(sa.max_outer):
         best_before = best_j
@@ -433,17 +450,14 @@ def _hybrid_minimize(
                 for d1, d2, eta in tries:
                     for _ in range(_HALVINGS):
                         cand = _project((c[0] + eta * d1, c[1] + eta * d2))
-                        # Score only a first-order decrease. j - score(cand)[0] <=
-                        # j - floor, and j only falls within a phase, so a
-                        # candidate scored before would fail now.
+                        # Score only a first-order decrease, and each candidate
+                        # once: j only falls within a phase, so a candidate
+                        # refused before would be refused again.
                         if (g1 * (c[0] - cand[0]) + g2 * (c[1] - cand[1]) > sa.eps_k
-                                and cand not in scored and j - floor_fn(cand) > sa.eps_k):
-                            jc, grad = score(cand)
+                                and cand not in scored):
                             scored.add(cand)
-                            if j - jc > sa.eps_k:
-                                c, j = cand, jc
-                                record(c, j, grad, "gradient")
-                                moved = True
+                            moved = take(cand, descends, "gradient")
+                            if moved:
                                 break
                         eta *= 0.5
                     if moved:
@@ -464,24 +478,7 @@ def _hybrid_minimize(
                 else:  # re-randomize both
                     cand = (rng.random(), rng.random())
                 r = None
-                floor_delta = floor_fn(cand) - j
-                if floor_delta >= -sa.delta_k:
-                    # score(cand)[0] - j >= floor_delta: the draw alone decides,
-                    # and a draw that fails at the floor fails at the cost too.
-                    r = rng.random()
-                    if not _accepts(r, floor_delta, temp, sa.accept_rule):
-                        continue
-                jc, grad = score(cand)
-                delta = jc - j
-                if delta < -sa.delta_k:
-                    accept = True
-                else:
-                    if r is None:
-                        r = rng.random()
-                    accept = _accepts(r, delta, temp, sa.accept_rule)
-                if accept:
-                    c, j = cand, jc
-                    record(c, j, grad, "anneal")
+                take(cand, anneals, "anneal")
 
         if best_before - best_j <= sa.eps_k:
             break
@@ -502,9 +499,9 @@ def hybrid_optimize(
     Each outer round runs a gradient phase, then an annealing phase. The
     loop stops when a round improves the best J by no more than eps_k, or
     after max_outer rounds. Deterministic for a fixed rng_seed. The start
-    controls must be finite (ValueError otherwise); they are projected into
-    [0, 1]^2. p's own controls (p.c1, p.c2) are not read: the search starts
-    at start and sets the controls of each point it scores.
+    controls must be a finite pair (ValueError otherwise); they are projected
+    into [0, 1]^2. p's own controls (p.c1, p.c2) are not read: the search
+    starts at start and sets the controls of each point it scores.
 
     The step rule. A gradient phase starts at the incumbent (the best point
     so far) and takes up to _GRAD_STEPS descent steps, each from the
@@ -539,28 +536,29 @@ def hybrid_optimize(
     The exact prunes. Each scored point c is integrated once, as
     pc = p.with_controls(*c), and cost and gradient read that run. Gradients
     are taken only at the incumbent, whose gradient closure holds its
-    (pc, run), so no gradient integrates again. J >= k1 * c1 + k2 * c2 (see
-    cost), so a gradient candidate whose control cost alone already fails
-    the eps_k decrease test is rejected without being integrated, and so is
-    an annealing candidate whose control cost is no clear improvement and
-    already fails the acceptance draw (it takes that draw first and reuses
-    it if it is scored). A gradient candidate already scored in the same
-    phase, where J only falls, is not scored again. A gradient
-    phase that stalled is not run again until the incumbent moves: it draws
-    no random numbers, so it would score the same candidates and reject them
-    again. For a given seed these prunes leave the OptimRun the same to the
-    bit as scoring every candidate; the directions and the first-order
-    test are the step rule itself, and decide which candidates there are.
+    (pc, run), so no gradient integrates again. J never falls below its
+    control cost k1 * c1 + k2 * c2 (see cost), so score puts that floor to
+    the phase's acceptance test first and integrates no candidate the test
+    refuses there: a gradient candidate whose floor is no decrease beyond
+    eps_k, and an annealing candidate whose floor is no clear improvement
+    and fails the draw (which it reuses if it is integrated). A gradient
+    candidate already scored in the same phase, where J only falls, is not
+    scored again. A gradient phase that stalled is not run again until the
+    incumbent moves: it draws no random numbers, so it would score the same
+    candidates and reject them again. For a given seed these prunes leave
+    the OptimRun the same to the bit as scoring every candidate; the
+    directions and the first-order test are the step rule itself, and
+    decide which candidates there are.
     """
-    def score(c: Controls) -> Tuple[float, Callable[[], Controls]]:
+    def score(c: Controls, accepts: Callable[[float], bool]
+              ) -> Optional[Tuple[float, Callable[[], Controls]]]:
+        if not accepts(cp.k1 * c[0] + cp.k2 * c[1]):  # J's floor, the control cost
+            return None
         pc = p.with_controls(*c)
         forward = integrate(pc, init, cp.horizon, cfg)
         return cost(pc, cp, forward), lambda: gradient(pc, cp, forward)
 
-    def floor_fn(c: Controls) -> float:
-        return cp.k1 * c[0] + cp.k2 * c[1]
-
-    return _hybrid_minimize(score, start, sa, floor_fn)
+    return _hybrid_minimize(score, start, sa)
 
 
 def effort_split(opt: Controls) -> Tuple[float, float]:

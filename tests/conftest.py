@@ -79,3 +79,9 @@ def at(c, cp, init, cfg):
     """The arguments (p, cp, forward) of cost and gradient at the controls c."""
     p = DEFAULT_PARAMS.with_controls(*c)
     return p, cp, integrate(p, init, cp.horizon, cfg)
+
+
+def score_of(cost_fn, floor=None):
+    """The optimizer driver's score(c, accepts) for a cost_fn(c) -> (J, grad),
+    refusing c unscored where accepts fails at floor(c)."""
+    return lambda c, accepts: None if floor is not None and not accepts(floor(c)) else cost_fn(c)

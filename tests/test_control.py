@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import at
+from conftest import at, score_of
 from seirv import control
 from seirv.control import (
     CostParams,
@@ -285,7 +285,7 @@ def test_gradient_phase_solves_quadratic_surrogate():
 
     sa = SAConfig(t0=1e-9, n_cool=1, n_perturb=1, eps_k=1e-14, delta_k=1e-14,
                   step_eta=0.25, rng_seed=1, max_outer=3)
-    run = _hybrid_minimize(cost_fn, (0.9, 0.05), sa)
+    run = _hybrid_minimize(score_of(cost_fn), (0.9, 0.05), sa)
     assert abs(run.optimum[0] - target[0]) < 1e-3
     assert abs(run.optimum[1] - target[1]) < 1e-3
     assert run.j_star < 1e-6
@@ -307,7 +307,7 @@ def test_gradient_phase_crosses_a_rotated_valley_in_few_moves(no_annealing, star
         return (0.5 * (1.5 * a * a + 27.0 * b * b),
                 lambda: (1.5 * a * u[0] + 27.0 * b * w[0], 1.5 * a * u[1] + 27.0 * b * w[1]))
 
-    run = _hybrid_minimize(cost_fn, start, SAConfig(eps_k=1e-12, max_outer=1))
+    run = _hybrid_minimize(score_of(cost_fn), start, SAConfig(eps_k=1e-12, max_outer=1))
     moves = [(c1, c2) for c1, c2, _, phase in run.history if phase == "gradient"]
     assert any(math.hypot(c1 - target[0], c2 - target[1]) < 1e-4 for c1, c2 in moves[:10])
 
@@ -327,7 +327,7 @@ def test_failed_quasi_newton_step_falls_back_to_the_gradient(no_annealing):
         return 50.0 * (c[1] - 0.5) ** 2 + 0.01 * c[0], grad
 
     sa = SAConfig(eps_k=1e-5, step_eta=0.5, max_outer=1)
-    run = _hybrid_minimize(cost_fn, (0.5, 0.52), sa)
+    run = _hybrid_minimize(score_of(cost_fn), (0.5, 0.52), sa)
     (c1, c2), (g1, g2) = grads[2]  # the incumbent after a quasi-Newton move
     assert run.history[3][:2] == (c1 - sa.step_eta * g1, c2 - sa.step_eta * g2)
     assert [phase for *_, phase in run.history[1:5]] == ["gradient"] * 4
@@ -345,7 +345,7 @@ def test_clipped_candidate_without_first_order_decrease_does_not_end_the_step(
     def cost_fn(c):
         return 0.5 * (c[0] ** 2 + (c[1] - 0.5) ** 2), lambda: (c[0], c[1] - 0.5)
 
-    run = _hybrid_minimize(cost_fn, (0.04, 0.7), SAConfig(max_outer=1))
+    run = _hybrid_minimize(score_of(cost_fn), (0.04, 0.7), SAConfig(max_outer=1))
     (_, c2_before, _, phase1), (_, c2_after, _, phase2) = run.history[1:3]  # -g, then d
     assert phase1 == phase2 == "gradient"
     assert c2_after > c2_before
@@ -387,7 +387,7 @@ def test_quasi_newton_try_starts_at_the_exit_step_not_the_corner(no_annealing):
         scored.append(c)
         return 0.3 * c[0] + 0.1 * c[1] + 0.5e-6 * (c[0] ** 2 + c[1] ** 2), grad
 
-    _hybrid_minimize(cost_fn, (0.5, 0.5), SAConfig(max_outer=1))
+    _hybrid_minimize(score_of(cost_fn), (0.5, 0.5), SAConfig(max_outer=1))
     (c1, c2), (g1, g2) = grads[1]  # the incumbent after one -g move
     cand = scored[2]  # the first quasi-Newton candidate
     assert cand[0] == pytest.approx(0.0, abs=1e-12)
@@ -407,7 +407,7 @@ def test_secant_pair_without_curvature_steps_along_the_gradient_from_step_eta(no
         return 0.05 * c[1] - 0.5 * (c[0] - 0.2) ** 2, grad
 
     sa = SAConfig(max_outer=1)
-    run = _hybrid_minimize(cost_fn, (0.3, 0.9), sa)
+    run = _hybrid_minimize(score_of(cost_fn), (0.3, 0.9), sa)
     moves = [(c1, c2) for c1, c2, _, _ in run.history[1:]]
     for ((c1, c2), (g1, g2)), move in zip(grads, moves):
         assert move == control._project((c1 - sa.step_eta * g1, c2 - sa.step_eta * g2))
@@ -430,7 +430,7 @@ def test_gradient_phase_scores_no_candidate_without_first_order_decrease(no_anne
             assert g1 * (base[0] - c[0]) + g2 * (base[1] - c[1]) > sa.eps_k
         return (c[0] - 0.4) ** 2 + (c[1] - 0.2) ** 2 + 0.1 * math.sin(9 * c[0]), grad
 
-    run = _hybrid_minimize(cost_fn, start, sa)
+    run = _hybrid_minimize(score_of(cost_fn), start, sa)
     assert any(phase == "gradient" for *_, phase in run.history)
 
 
@@ -444,7 +444,7 @@ def test_gradient_phase_scores_a_projected_corner_once(no_annealing):
         return (c[0] - 0.05) ** 2 + (c[1] - 0.05) ** 2, lambda: (2 * (c[0] - 0.05), 2 * (c[1] - 0.05))
 
     sa = SAConfig(eps_k=1e-12, step_eta=8.0, max_outer=1)
-    run = _hybrid_minimize(cost_fn, (0.1, 0.1), sa)
+    run = _hybrid_minimize(score_of(cost_fn), (0.1, 0.1), sa)
     assert scored.count((0.0, 0.0)) == 1
     assert len(set(scored)) == len(scored)
     assert run.optimum == (0.05, 0.05)
@@ -464,7 +464,7 @@ def test_optimizer_history_invariants():
     # incumbent into the lower basin, and a second gradient phase starts there
     for start in ((0.95, 0.95), (0.05, 0.95)):
         graded.clear()
-        run = _hybrid_minimize(cost_fn, start, sa)
+        run = _hybrid_minimize(score_of(cost_fn), start, sa)
         assert run.history[0][3] == "start"
         # projection correctness: every visited point stays in the box
         for c1, c2, _, _ in run.history:
@@ -493,11 +493,11 @@ def test_optimizer_deterministic_per_seed():
         return (c[0] - 0.25) ** 2 + (c[1] - 0.75) ** 2, lambda: (2 * (c[0] - 0.25), 2 * (c[1] - 0.75))
 
     sa = SAConfig(t0=0.05, n_cool=4, n_perturb=6, rng_seed=77, max_outer=4)
-    run1 = _hybrid_minimize(cost_fn, (0.5, 0.5), sa)
-    run2 = _hybrid_minimize(cost_fn, (0.5, 0.5), sa)
+    run1 = _hybrid_minimize(score_of(cost_fn), (0.5, 0.5), sa)
+    run2 = _hybrid_minimize(score_of(cost_fn), (0.5, 0.5), sa)
     assert run1.history == run2.history
     other = _hybrid_minimize(
-        cost_fn, (0.5, 0.5),
+        score_of(cost_fn), (0.5, 0.5),
         SAConfig(t0=0.05, n_cool=4, n_perturb=6, rng_seed=78, max_outer=4),
     )
     assert other.history != run1.history
@@ -515,7 +515,7 @@ def test_classical_acceptance_rule_supported():
 
     sa = SAConfig(t0=0.5, n_cool=3, n_perturb=5, rng_seed=5, max_outer=2,
                   accept_rule="classical")
-    run = _hybrid_minimize(cost_fn, (0.6, 0.6), sa)
+    run = _hybrid_minimize(score_of(cost_fn), (0.6, 0.6), sa)
     assert run.j_star <= 1.2
     with pytest.raises(ValueError, match="^accept_rule must be 'scaled' or 'classical', got 'other'$"):
         SAConfig(accept_rule="other")
@@ -649,13 +649,14 @@ def test_hybrid_optimize_work_count(monkeypatch, weights, horizon, start, sa, ma
     assert run.j_star <= max_j
 
 
-@pytest.mark.parametrize("start", [(math.nan, 0.3), (0.3, math.inf)])
+@pytest.mark.parametrize("start", [(math.nan, 0.3), (0.3, math.inf), (0.1,), (0.1, 0.2, 0.3)])
 def test_hybrid_optimize_rejects_nonfinite_start(start):
-    # projection would turn NaN into 0 and inf into 1 and search from there
+    # projection would turn NaN into 0 and inf into 1 and search from there;
+    # it would fail on one number and drop a third
     init = State(1e9, 0, 0, 0, 0)
     cp = CostParams.for_run(DEFAULT_PARAMS, init, 1.0, 0.2, 0.3, 50.0)
     sa = SAConfig(n_cool=1, n_perturb=1, max_outer=1)
-    with pytest.raises(ValueError, match="start"):
+    with pytest.raises(ValueError, match=rf"^start controls .* \(length {len(start)}\)$"):
         hybrid_optimize(DEFAULT_PARAMS, cp, start, sa, init, IntegratorConfig(dt=0.5))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CLI_RUN_FLAGS, at, sample_params
+from conftest import CLI_RUN_FLAGS, at, sample_params, score_of
 from seirv.analysis import classify_region, region_map, separatrix_c2
 from seirv import cli
 from seirv.cli import _chunked_rows, _write_csv
@@ -206,10 +206,10 @@ def _floor_runs(seed, accept_rule, t0, start, sign):
 
     sa = SAConfig(t0=t0, n_cool=4, n_perturb=6, max_outer=3,
                   rng_seed=seed, accept_rule=accept_rule)
-    plain = _hybrid_minimize(cost_fn, start, sa)
+    plain = _hybrid_minimize(score_of(cost_fn), start, sa)
     plain_events = events[:]
     events.clear()
-    pruned = _hybrid_minimize(cost_fn, start, sa, floor_fn)
+    pruned = _hybrid_minimize(score_of(cost_fn, floor_fn), start, sa)
     return plain, pruned, plain_events, events
 
 
@@ -234,14 +234,14 @@ def test_early_rejection_changes_no_run(seed, accept_rule, t0, start, sign):
 def test_gradient_phase_skips_candidates_its_floor_rules_out():
     # At c1 = 0 the synthetic J equals its floor, so every uphill candidate's
     # floor already exceeds J: the plain run scores the first one, the run
-    # with the floor skips it.
+    # with the floor skips it. The start's floor meets a test that always passes.
     start = (0.0, 0.3)
     plain, pruned, plain_events, events = _floor_runs(1, "scaled", 0.02, start, -1.0)
     assert pruned == plain
     first = (0.0 + 0.05 * K1, 0.3 + 0.05 * K2)  # start - step_eta * gradient, inside the box
     assert plain_events[:2] == [("cost", start), ("cost", first)]
-    assert events[:2] == [("cost", start), ("floor", first)]
-    assert events[2] != ("cost", first)
+    assert events[:3] == [("floor", start), ("cost", start), ("floor", first)]
+    assert events[3] != ("cost", first)
 
 
 @SMALL
