@@ -102,9 +102,9 @@ def _run(c):
     return p, CP, integrate(p, INIT, HORIZON, COARSE)
 
 
-def _adjoint(c) -> str:
-    p, _, forward = _run(c)
-    return _digest(solve_adjoint(forward, p).h)
+def _adjoint(c, horizon=HORIZON) -> str:
+    p = DEFAULT_PARAMS.with_controls(*c)
+    return _digest(solve_adjoint(integrate(p, INIT, horizon, COARSE), p).h)
 
 
 def _cost() -> str:
@@ -222,6 +222,10 @@ CASES: Dict[str, Callable[[], str]] = {
     "integrate_chained_from_final_state": _integrate_chained,
     "solve_adjoint_h": lambda: _adjoint(CONTROLS[0]),
     "solve_adjoint_h_f64_controls": lambda: _adjoint(CONTROLS_F64[0]),
+    # at controls (0, 0) the stability guard takes 3570 single steps among 215 pairs
+    "solve_adjoint_h_guarded": lambda: _adjoint((0.0, 0.0)),
+    # 3 steps: the single terminal step, then one pair ending on row 0
+    "solve_adjoint_h_three_steps": lambda: _adjoint(CONTROLS[0], horizon=1.5),
     "cost": _cost,
     "gradient": lambda: _gradient(CONTROLS),
     "gradient_f64_controls": lambda: _gradient(CONTROLS_F64),
