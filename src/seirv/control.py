@@ -17,6 +17,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .model import (
+    MAX_STEPS,
+    IntegrationDivergedError,
     IntegratorConfig,
     ModelParams,
     State,
@@ -96,6 +98,7 @@ _PAIR_MARGIN = 2.5
 
 _GRAD_STEPS = 100  # descent steps per gradient phase
 _HALVINGS = 20  # step-size halvings per descent step before the phase stops
+_CHUNKS = 8  # chained integrate calls per scored run; each but the last yields a bound of J
 
 
 @dataclass(frozen=True)
@@ -227,9 +230,10 @@ def solve_adjoint(forward: Trajectory, p: ModelParams) -> AdjointTrajectory:
 
     The solve mostly steps over pairs of forward steps: one RK4 step of
     -2*dt from row k to row k - 2, whose stages read the stored states at
-    rows k, k - 1 and k - 2 exactly, with row k - 1 filled by the cubic
-    Hermite midpoint (H_k + H_{k-2}) / 2 - (dt / 4) (F_k - F_{k-2}), where
-    F = dH/dt. A row is a single RK4 step of -dt instead, reading the
+    rows k, k - 1 and k - 2 exactly. Row k - 1 is filled after the sweep by
+    the cubic Hermite midpoint (H_k + H_{k-2}) / 2 - (dt / 4) (F_k - F_{k-2}),
+    where F = dH/dt is the first stage of the step from each row, stored as
+    the sweep goes. A row is a single RK4 step of -dt instead, reading the
     states linearly interpolated at its half-step, in three places: row
     n - 1 (the terminal step), row 0 when the pairs leave one step over,
     and wherever a pair could leave RK4's stability region. A pair is taken
@@ -272,13 +276,14 @@ def solve_adjoint(forward: Trajectory, p: ModelParams) -> AdjointTrajectory:
 
     out = np.empty((n + 1, 5))
     out[n] = 0.0
+    f = np.empty((n + 1, 5))  # F = dH/dt at each row a step starts from
     o1, o2, o3, o4, o5 = map(memoryview, out.T)  # in-place stores, as in integrate
+    f1, f2, f3, f4, f5 = map(memoryview, f.T)
+    mids = []  # the middle row of each pair
     h1 = h2 = h3 = h4 = h5 = 0.0
     # (step, half step, RK4 weight) of a single step and of a pair
     step1, half1, w1 = -dt, -0.5 * dt, -dt / 6.0
     step2, half2, w2 = -2.0 * dt, -dt, -dt / 3.0
-    q = -0.25 * dt  # the Hermite midpoint's derivative weight
-    mid = False  # whether row k + 1 waits for its Hermite midpoint
     k = n
     # a step's last stage and the next step's first read one grid point: carry it
     bi = beta * i_arr[n]; bs = beta * s_arr[n]
@@ -289,20 +294,15 @@ def solve_adjoint(forward: Trajectory, p: ModelParams) -> AdjointTrajectory:
         a3 = bs * (h1 - h2) + ci * h3 - c2 * h4 + 1.0
         a4 = nsig1 * h1 + sr * h4
         a5 = nsig2 * h1 + vr * h5
-        if mid:
-            o1[k + 1] = m1 + 0.5 * h1 - q * a1; o2[k + 1] = m2 + 0.5 * h2 - q * a2
-            o3[k + 1] = m3 + 0.5 * h3 - q * a3; o4[k + 1] = m4 + 0.5 * h4 - q * a4
-            o5[k + 1] = m5 + 0.5 * h5 - q * a5
+        f1[k] = a1; f2[k] = a2; f3[k] = a3; f4[k] = a4; f5[k] = a5
         if k == 0:
             break
 
-        mid = pair[k]
-        if mid:  # a step of -2*dt whose half-step is row k - 1
+        if pair[k]:  # a step of -2*dt whose half-step is row k - 1
             j = k - 2
+            mids.append(k - 1)
             bi = beta * i_arr[k - 1]; bs = beta * s_arr[k - 1]
             step = step2; hh = half2; w = w2
-            m1 = 0.5 * h1 + q * a1; m2 = 0.5 * h2 + q * a2; m3 = 0.5 * h3 + q * a3
-            m4 = 0.5 * h4 + q * a4; m5 = 0.5 * h5 + q * a5
         else:  # a step of -dt, (S, I) linearly interpolated at its half-step
             j = k - 1
             bi = beta * (0.5 * (i_arr[k] + i_arr[j])); bs = beta * (0.5 * (s_arr[k] + s_arr[j]))
@@ -344,6 +344,9 @@ def solve_adjoint(forward: Trajectory, p: ModelParams) -> AdjointTrajectory:
         o4[j] = h4; o5[j] = h5
         k = j
 
+    r = np.array(mids, dtype=int)
+    q = -0.25 * dt  # the Hermite midpoint's derivative weight
+    out[r] = 0.5 * out[r + 1] + q * f[r + 1] + 0.5 * out[r - 1] - q * f[r - 1]
     return AdjointTrajectory(times=forward.times, h=out)
 
 
@@ -533,29 +536,66 @@ def hybrid_optimize(
     improvements beyond delta_k and otherwise accepting against a uniform
     draw with the configured temperature rule.
 
-    The exact prunes. Each scored point c is integrated once, as
+    The exact prunes. Each scored point c is integrated at most once, as
     pc = p.with_controls(*c), and cost and gradient read that run. Gradients
     are taken only at the incumbent, whose gradient closure holds its
-    (pc, run), so no gradient integrates again. J never falls below its
-    control cost k1 * c1 + k2 * c2 (see cost), so score puts that floor to
-    the phase's acceptance test first and integrates no candidate the test
-    refuses there: a gradient candidate whose floor is no decrease beyond
-    eps_k, and an annealing candidate whose floor is no clear improvement
-    and fails the draw (which it reuses if it is integrated). A gradient
-    candidate already scored in the same phase, where J only falls, is not
-    scored again. A gradient phase that stalled is not run again until the
-    incumbent moves: it draws no random numbers, so it would score the same
-    candidates and reject them again. For a given seed these prunes leave
-    the OptimRun the same to the bit as scoring every candidate; the
-    directions and the first-order test are the step rule itself, and
-    decide which candidates there are.
+    (pc, run), so no gradient integrates again. score puts lower bounds of J
+    to the phase's acceptance test and refuses c at the first one the test
+    fails: a gradient candidate whose bound is no decrease beyond eps_k, or
+    an annealing candidate whose bound is no clear improvement and fails
+    the draw (which later bounds and J reuse). The first bound is the
+    control cost k1 * c1 + k2 * c2, below which J never falls (see cost), so
+    a candidate refused there is never integrated. Otherwise score runs the
+    horizon as _CHUNKS chained integrate calls, copied into one array
+    byte-equal to a single run, and after each but the last it bounds J by
+    the infected integral so far: I >= 0 on every row and the rows not yet
+    run add at least I_n / 2, so k0 * dt * (sum of I so far - I_0 / 2) *
+    (1 - 1e-9), with the control cost added as cost adds it, never exceeds
+    J in floating point. An infinite bound is not tested, so an overflowing
+    run reaches cost's OverflowError. A run that diverges is run again
+    whole, so its error names the run's own step and time. A candidate
+    refused part-way through is not checked for divergence or overflow
+    beyond that point, just as a candidate its control cost refuses is
+    never integrated. A gradient candidate already scored in the same
+    phase, where J only falls, is not scored again. A gradient phase that
+    stalled is not run again until the incumbent moves: it draws no random
+    numbers, so it would score the same candidates and reject them again.
+    For a given seed these prunes leave the OptimRun the same to the bit as
+    scoring every candidate; the directions and the first-order test are
+    the step rule itself, and decide which candidates there are.
     """
+    dt = cfg.dt
+    n = round(cp.horizon / dt)  # integrate's step count
+    edges = sorted({n * k // _CHUNKS for k in range(_CHUNKS + 1)})
+    refused = cp.horizon / dt > MAX_STEPS or n < 1  # a plan integrate refuses
+    half_i0 = 0.5 * float(init.i)
+
     def score(c: Controls, accepts: Callable[[float], bool]
               ) -> Optional[Tuple[float, Callable[[], Controls]]]:
         if not accepts(cp.k1 * c[0] + cp.k2 * c[1]):  # J's floor, the control cost
             return None
         pc = p.with_controls(*c)
-        forward = integrate(pc, init, cp.horizon, cfg)
+        if refused:  # let integrate say why
+            integrate(pc, init, cp.horizon, cfg)
+        states = np.empty((n + 1, 5))
+        row = init
+        for lo, hi in zip(edges, edges[1:]):
+            try:
+                states[lo:hi + 1] = integrate(pc, row, (hi - lo) * dt, cfg).states
+            except IntegrationDivergedError:  # raise it again, named at the run's own step
+                integrate(pc, init, cp.horizon, cfg)
+                raise
+            if hi == n:
+                break
+            with np.errstate(over="ignore"):  # an infinite sum bounds nothing; cost reports it
+                partial = float(np.sum(states[:hi + 1, 2]))
+            bound = (cp.k0 * (dt * (partial - half_i0) * (1 - 1e-9))
+                     + cp.k1 * c[0]) + cp.k2 * c[1]
+            if math.isfinite(bound) and not accepts(bound):
+                return None
+            # Python floats: bench/tracing.py counts a numpy-scalar start as f64 steps
+            row = State(*states[hi].tolist())
+        forward = Trajectory(states=states, dt=dt)
         return cost(pc, cp, forward), lambda: gradient(pc, cp, forward)
 
     return _hybrid_minimize(score, start, sa)

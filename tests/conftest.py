@@ -85,3 +85,14 @@ def score_of(cost_fn, floor=None):
     """The optimizer driver's score(c, accepts) for a cost_fn(c) -> (J, grad),
     refusing c unscored where accepts fails at floor(c)."""
     return lambda c, accepts: None if floor is not None and not accepts(floor(c)) else cost_fn(c)
+
+
+def optimizer_score(p, cp, init, cfg):
+    """The score(c, accepts) that hybrid_optimize hands its driver."""
+    from seirv import control
+
+    scores = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(control, "_hybrid_minimize", lambda score, start, sa: scores.append(score))
+        control.hybrid_optimize(p, cp, (0.0, 0.0), control.SAConfig(), init, cfg)
+    return scores[0]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import at, score_of
+from conftest import at, optimizer_score, score_of
 from seirv import control
 from seirv.control import (
     CostParams,
@@ -21,6 +21,7 @@ from seirv.control import (
     temperature_schedule,
 )
 from seirv.model import (
+    IntegrationDivergedError,
     IntegratorConfig,
     ModelParams,
     State,
@@ -583,24 +584,29 @@ def test_hybrid_optimize_on_short_horizon_moves_downhill():
 
 
 def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
-    # every gradient is taken at the incumbent and reads the run integrated
-    # at its controls, and a gradient phase that stalled is not replayed from
-    # the same incumbent
+    # each point's run starts once (score runs the horizon in chunks, and a
+    # run is counted by its first, which starts from INIT), every gradient is
+    # taken at the incumbent and reads the run cost read there, and a
+    # gradient phase that stalled is not replayed from the same incumbent
     calls = {"integrate": 0, "cost": 0, "gradient": 0}
-    runs = {}  # (c1, c2) -> the run integrate returned there
-    integrated, graded = [], []
+    costed = {}  # (c1, c2) -> the run cost read there
+    started, graded = [], []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
             out = fn(*args, **kwargs)
             if name == "integrate":
-                integrated.append((args[0].c1, args[0].c2))
-                runs[integrated[-1]] = out
-            if name == "gradient":
+                if args[1] is not INIT:  # a later chunk of a run
+                    return out
+                started.append((args[0].c1, args[0].c2))
+            else:
                 p, _, forward = args
-                graded.append((p.c1, p.c2))
-                assert forward is runs[graded[-1]]
+                if name == "cost":
+                    costed[(p.c1, p.c2)] = forward
+                else:
+                    graded.append((p.c1, p.c2))
+                    assert forward is costed[graded[-1]]
+            calls[name] += 1
             return out
         return wrapper
 
@@ -610,9 +616,10 @@ def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
     sa = SAConfig(n_cool=3, n_perturb=4, rng_seed=9, max_outer=2)
     hybrid_optimize(DEFAULT_PARAMS, cp, (0.1, 0.35), sa, INIT, IntegratorConfig(dt=0.5))
     assert calls["cost"] > 0 and calls["gradient"] > 0
-    assert calls["integrate"] == calls["cost"]
-    assert all(isinstance(runs[c], Trajectory) for c in graded)
-    assert len(set(integrated)) == len(integrated)
+    assert calls["integrate"] >= calls["cost"]
+    assert all(isinstance(costed[c], Trajectory) for c in graded)
+    assert len(set(started)) == len(started)
+    assert set(costed) <= set(started)
     assert len(set(graded)) == len(graded)
 
 
@@ -636,16 +643,21 @@ def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
                  17, math.inf, id="face_optimum"),
 ])
 def test_hybrid_optimize_work_count(monkeypatch, weights, horizon, start, sa, max_runs, max_j):
-    runs = []
+    runs, steps = [], []
 
     def counted(*args, **kwargs):
-        runs.append(args[0])
-        return integrate(*args, **kwargs)
+        out = integrate(*args, **kwargs)
+        if args[1] is INIT:  # a run's first chunk
+            runs.append(args[0])
+        steps.append(len(out.states) - 1)
+        return out
 
     monkeypatch.setattr(control, "integrate", counted)
     cp = CostParams.for_run(DEFAULT_PARAMS, INIT, 1.0, *weights, horizon)
     run = hybrid_optimize(DEFAULT_PARAMS, cp, start, sa, INIT, IntegratorConfig(dt=0.5))
     assert len(runs) <= max_runs
+    # some candidates are refused part-way through their run
+    assert sum(steps) < len(runs) * round(horizon / 0.5)
     assert run.j_star <= max_j
 
 
@@ -658,6 +670,49 @@ def test_hybrid_optimize_rejects_nonfinite_start(start):
     sa = SAConfig(n_cool=1, n_perturb=1, max_outer=1)
     with pytest.raises(ValueError, match=rf"^start controls .* \(length {len(start)}\)$"):
         hybrid_optimize(DEFAULT_PARAMS, cp, start, sa, init, IntegratorConfig(dt=0.5))
+
+
+def test_hybrid_optimize_names_a_divergence_at_the_run_s_own_step():
+    # at dt 1 and controls (0, 0) the run diverges at step 644, in the third
+    # of its chunks: the error names the step and time of the whole run
+    cfg = IntegratorConfig(dt=1.0)
+    with pytest.raises(IntegrationDivergedError) as whole:
+        integrate(DEFAULT_PARAMS.with_controls(0.0, 0.0), INIT, 2000.0, cfg)
+    cp = CostParams.for_run(DEFAULT_PARAMS, INIT, 1.0, 0.2, 0.3, 2000.0)
+    sa = SAConfig(n_cool=1, n_perturb=1, max_outer=1)
+    with pytest.raises(IntegrationDivergedError, match=r"\(step 644\)") as err:
+        hybrid_optimize(DEFAULT_PARAMS, cp, (0.0, 0.0), sa, INIT, cfg)
+    assert str(err.value) == str(whole.value)
+
+
+@pytest.mark.filterwarnings("error")  # the overflowing sum warns nothing
+def test_hybrid_optimize_puts_no_infinite_bound_to_its_test():
+    # the sum of I overflows part-way through the run: score puts only finite
+    # bounds to the test, so the run reaches cost, which reports the overflow
+    p = replace(DEFAULT_PARAMS, beta=5e-307)
+    init = State(1e307, 0.0, 1e306, 0.0, 0.0)
+    cp = CostParams.for_run(p, init, 1e6, 0.2, 0.3, 10.0)
+    score = optimizer_score(p, cp, init, IntegratorConfig(dt=0.05))
+    bounds = []
+    with pytest.raises(OverflowError, match="trapezoid total is inf"):
+        score((0.0, 0.0), lambda bound: bounds.append(bound) or math.isfinite(bound))
+    assert 1 < len(bounds) < control._CHUNKS and all(map(math.isfinite, bounds))
+
+
+@pytest.mark.parametrize("horizon, dt, message", [
+    # 1.3e7 steps: over integrate's cap, though each chunk would be under it
+    (2000.0, 1.5e-4, "needs more than"),
+    (0.2, 0.5, "shorter than one step"),
+])
+def test_hybrid_optimize_keeps_integrate_refusals_of_its_plan(monkeypatch, horizon, dt, message):
+    def allocate(*args, **kwargs):
+        raise AssertionError("a refused plan reached allocation")
+
+    monkeypatch.setattr(np, "empty", allocate)
+    cp = CostParams.for_run(DEFAULT_PARAMS, INIT, 1.0, 0.2, 0.3, horizon)
+    sa = SAConfig(n_cool=1, n_perturb=1, max_outer=1)
+    with pytest.raises(ValueError, match=message):
+        hybrid_optimize(DEFAULT_PARAMS, cp, (0.1, 0.2), sa, INIT, IntegratorConfig(dt=dt))
 
 
 # ---------------------------------------------------------------- effort split

@@ -2,8 +2,9 @@
 rc-versus-1 verdict at the threshold, schedule/chained-run equality,
 float coercion of the value types and of the hot loops' inputs, population
 conservation, nonnegative counts or a named failure from every run, the
-optimizer's early rejection, the control-cost floor, the CSV writer's cell
-format, and the CLI's exit codes under extreme flag values."""
+optimizer's early rejection, the control-cost floor and the bounds of J
+a scored run puts to its test, the CSV writer's cell format, and the CLI's
+exit codes under extreme flag values."""
 
 import contextlib
 import copy
@@ -18,11 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CLI_RUN_FLAGS, at, sample_params, score_of
+from conftest import CLI_RUN_FLAGS, at, optimizer_score, sample_params, score_of
 from seirv.analysis import classify_region, region_map, separatrix_c2
-from seirv import cli
+from seirv import cli, control
 from seirv.cli import _chunked_rows, _write_csv
-from seirv.control import CostParams, SAConfig, _hybrid_minimize, cost
+from seirv.control import CostParams, SAConfig, _hybrid_minimize, cost, gradient, hybrid_optimize
 from seirv.equilibria import (
     bifurcation_scan,
     compute_endemic,
@@ -229,6 +230,51 @@ def test_early_rejection_changes_no_run(seed, accept_rule, t0, start, sign):
                   if kind == "floor" and events[k + 1:k + 2] != [("cost", c)])
     calls = sum(1 for kind, _ in events if kind == "cost")
     assert calls == len(plain_events) - skipped
+
+
+@SMALL
+@given(
+    beta=st.floats(1e-9, 8e-9),
+    weights=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+    start=controls,
+    seed=st.integers(0, 2**31 - 1),
+    accept_rule=st.sampled_from(["scaled", "classical"]),
+)
+def test_refusal_part_way_through_a_run_changes_no_run(beta, weights, start, seed, accept_rule):
+    # hybrid_optimize refuses a candidate at its control cost or part-way
+    # through its run; the reference applies the same floor, then integrates
+    # every candidate in full
+    p = replace(DEFAULT_PARAMS, beta=beta)
+    init = State(1e9, 0.0, 1.0, 0.0, 0.0)
+    cfg = IntegratorConfig(dt=0.5)
+    cp = CostParams.for_run(p, init, 1.0, *weights, 200.0)
+    sa = SAConfig(n_cool=3, n_perturb=4, max_outer=2, rng_seed=seed, accept_rule=accept_rule)
+
+    def cost_fn(c):
+        pc = p.with_controls(*c)
+        forward = integrate(pc, init, cp.horizon, cfg)
+        return cost(pc, cp, forward), lambda: gradient(pc, cp, forward)
+
+    reference = _hybrid_minimize(score_of(cost_fn, lambda c: cp.k1 * c[0] + cp.k2 * c[1]),
+                                 start, sa)
+    run = hybrid_optimize(p, cp, start, sa, init, cfg)
+    assert (run.history, run.optimum, run.j_star) == (
+        reference.history, reference.optimum, reference.j_star)
+
+
+@SMALL
+@given(beta=st.floats(1e-9, 8e-9), weights=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+       c=controls, i0=st.floats(0.0, 1e6))
+def test_bounds_a_scored_run_puts_to_its_test_never_exceed_j(beta, weights, c, i0):
+    p = replace(DEFAULT_PARAMS, beta=beta)
+    init = State(1e9, 0.0, i0, 0.0, 0.0)
+    cp = CostParams.for_run(p, init, 1.0, *weights, 200.0)
+    score = optimizer_score(p, cp, init, IntegratorConfig(dt=0.5))
+    bounds = []
+    j, _ = score(c, lambda bound: bounds.append(bound) or True)
+    assert len(bounds) == control._CHUNKS  # the control cost, then one per chunk but the last
+    assert bounds[0] == cp.k1 * c[0] + cp.k2 * c[1]
+    assert max(bounds) <= j
 
 
 def test_gradient_phase_skips_candidates_its_floor_rules_out():
