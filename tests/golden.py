@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -115,15 +116,28 @@ def _gradient(controls) -> str:
     return _digest(*(g for c in controls for g in gradient(*_run(c))))
 
 
+def _optim_run(run) -> str:
+    moves = [x for c1, c2, j, _ in run.history for x in (c1, c2, j)]
+    phases = [phase for *_, phase in run.history]
+    return _digest(*moves, *phases, *run.optimum, run.j_star)
+
+
 def _optimize(accept_rule: str, start=CONTROLS[0]) -> Callable[[], str]:
     def case() -> str:
         sa = SAConfig(t0=0.02, cooling=0.9, n_cool=3, n_perturb=6, max_outer=2,
                       rng_seed=2024, accept_rule=accept_rule)
-        run = hybrid_optimize(DEFAULT_PARAMS, OPT_CP, start, sa, INIT, COARSE)
-        moves = [x for c1, c2, j, _ in run.history for x in (c1, c2, j)]
-        phases = [phase for *_, phase in run.history]
-        return _digest(*moves, *phases, *run.optimum, run.j_star)
+        return _optim_run(hybrid_optimize(DEFAULT_PARAMS, OPT_CP, start, sa, INIT, COARSE))
     return case
+
+
+def _optimize_bench_start() -> str:
+    """The first start of the bench optimize workload at seed 1, drawn as
+    bench/workloads.py build_optimize draws it: horizon 2000 at dt 0.5."""
+    rng = random.Random(1)
+    start = (rng.uniform(0.08, 0.12), rng.uniform(0.33, 0.37))
+    sa = SAConfig(t0=0.02, cooling=0.9, n_cool=8, n_perturb=6, max_outer=12,
+                  rng_seed=rng.randrange(2**31))
+    return _optim_run(hybrid_optimize(DEFAULT_PARAMS, CP, start, sa, INIT, COARSE))
 
 
 def _fit_goodness() -> str:
@@ -234,6 +248,8 @@ CASES: Dict[str, Callable[[], str]] = {
     # From the far corner the quasi-Newton steps hold coordinates at a bound
     # and fall back to -g, which the start (0.1, 0.35) never does.
     "hybrid_optimize_far_start": _optimize("scaled", start=(0.9, 0.9)),
+    # the bench's own size: 8 chunks of 500 steps, 8 cooling steps, 12 rounds
+    "hybrid_optimize_bench_start": _optimize_bench_start,
     "fit_beta_segments_goodness": _fit_goodness,
     "averted_cases": _averted,
     "region_map": _region_map,
