@@ -17,7 +17,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .model import (
-    MAX_STEPS,
     IntegrationDivergedError,
     IntegratorConfig,
     ModelParams,
@@ -25,6 +24,7 @@ from .model import (
     Trajectory,
     integrate,
     population_bound,
+    step_count,
     trapezoid,
 )
 
@@ -225,7 +225,7 @@ def solve_adjoint(forward: Trajectory, p: ModelParams) -> AdjointTrajectory:
     """Solve the adjoint system backward from H(T) = 0 along the forward run.
 
     dH/dt = -A(t)^T H + (0, 0, 1, 0, 0)^T, where A is the system Jacobian at
-    the controls (p.c1, p.c2); its state-dependent entries (beta*I, beta*S)
+    the controls (p.c1, p.c2); its state-dependent terms (beta*I, beta*S)
     are read off the forward trajectory.
 
     The solve mostly steps over pairs of forward steps: one RK4 step of
@@ -427,6 +427,20 @@ def _hybrid_minimize(
             best_c, best_j, best_grad = c, j, grad
         return True
 
+    def search(d: Controls, eta: float) -> bool:
+        """One descent step from the incumbent c: try P(c + eta * d), halving
+        eta up to _HALVINGS times, until the phase takes a candidate. Score
+        only a first-order decrease under (g1, g2), and each candidate once:
+        j only falls within a phase, so a rejected one would fail again."""
+        for _ in range(_HALVINGS):
+            cand = _project((c[0] + eta * d[0], c[1] + eta * d[1]))
+            if g1 * (c[0] - cand[0]) + g2 * (c[1] - cand[1]) > sa.eps_k and cand not in scored:
+                scored.add(cand)
+                if take(cand, descends, "gradient"):
+                    return True
+            eta *= 0.5
+        return False
+
     for _ in range(sa.max_outer):
         best_before = best_j
 
@@ -445,28 +459,12 @@ def _hybrid_minimize(
                     if s[0] * y[0] + s[1] * y[1] > 0.0:
                         h = _bfgs_update(h, s, y)
                 prev = (c, (g1, g2))
-                tries = [(-g1, -g2, sa.step_eta)]
                 if h is not None:
                     d = _newton_direction(h, c, g1, g2)
-                    tries.insert(0, d + (min(1.0, _exit_step(c, d)),))
-                moved = False
-                for d1, d2, eta in tries:
-                    for _ in range(_HALVINGS):
-                        cand = _project((c[0] + eta * d1, c[1] + eta * d2))
-                        # Score only a first-order decrease, and each candidate
-                        # once: j only falls within a phase, so a candidate
-                        # refused before would be refused again.
-                        if (g1 * (c[0] - cand[0]) + g2 * (c[1] - cand[1]) > sa.eps_k
-                                and cand not in scored):
-                            scored.add(cand)
-                            moved = take(cand, descends, "gradient")
-                            if moved:
-                                break
-                        eta *= 0.5
-                    if moved:
-                        break
+                    if search(d, min(1.0, _exit_step(c, d))):
+                        continue
                     h = None  # the quasi-Newton step failed: retry along -g
-                if not moved:
+                if not search((-g1, -g2), sa.step_eta):
                     stalled = c
                     break
 
@@ -501,15 +499,16 @@ def hybrid_optimize(
 
     Each outer round runs a gradient phase, then an annealing phase. The
     loop stops when a round improves the best J by no more than eps_k, or
-    after max_outer rounds. Deterministic for a fixed rng_seed. The start
-    controls must be a finite pair (ValueError otherwise); they are projected
-    into [0, 1]^2. p's own controls (p.c1, p.c2) are not read: the search
-    starts at start and sets the controls of each point it scores.
+    after max_outer rounds. Deterministic for a fixed rng_seed. ValueError
+    is raised first for a plan integrate refuses (see step_count), then for
+    a start that is no finite pair; the start is projected into [0, 1]^2,
+    and each scored point sets the controls, so p's own are never read.
 
     The step rule. A gradient phase starts at the incumbent (the best point
     so far) and takes up to _GRAD_STEPS descent steps, each from the
-    incumbent c with the gradient g there. A descent step tries a direction
-    d from a first eta, halving eta up to _HALVINGS times until the
+    incumbent c with the gradient g there. A descent step is one line search
+    along a direction d (projected backtracking, Nocedal & Wright, ch. 3):
+    from a first eta, it halves eta up to _HALVINGS times until the
     projected candidate cand = P(c + eta * d) lowers J by more than eps_k.
     A candidate without first-order decrease, g . (c - cand) <= eps_k (an
     Armijo-style test on the linear model), is skipped unscored.
@@ -518,17 +517,17 @@ def hybrid_optimize(
       y = g_new - g_old. From the first pair with s . y > 0 on, the phase
       keeps an inverse-Hessian estimate H, seeded (s . y / y . y) * I and
       BFGS-updated by every pair with s . y > 0 (Nocedal & Wright, ch. 6).
-    - While it has H, a step tries the projected quasi-Newton direction
-      d = -H g (Bertsekas, SIAM J. Control Optim. 20, 1982): a coordinate
-      held at a bound by an outward gradient takes its diagonal step,
-      which the projection cancels, and the other its Newton step along
-      that bound. The try starts at eta = min(1, exit step), where the
-      exit step is the largest eta with c + eta * d in the box in every
-      coordinate that moves (the first breakpoint of the projected path,
-      as in L-BFGS-B): where J is nearly linear, H is huge and every
-      halving of a unit step would project to the same corner. If this
-      finds no decrease, the same step drops H and retries d = -g from
-      eta = step_eta.
+    - While it has H, a step first searches along the projected
+      quasi-Newton direction d = -H g (Bertsekas, SIAM J. Control Optim.
+      20, 1982): a coordinate held at a bound by an outward gradient takes
+      its diagonal step, which the projection cancels, and the other its
+      Newton step along that bound. That search starts at eta = min(1,
+      exit step), where the exit step is the largest eta with c + eta * d
+      in the box in every coordinate that moves (the first breakpoint of
+      the projected path, as in L-BFGS-B): where J is nearly linear, H is
+      huge and every halving of a unit step would project to the same
+      corner. If it finds no decrease, the same step drops H and searches
+      along d = -g from eta = step_eta.
     - A step that finds no decrease along -g ends the phase.
 
     The annealing phase re-randomizes one or both control coordinates
@@ -545,53 +544,45 @@ def hybrid_optimize(
     an annealing candidate whose bound is no clear improvement and fails
     the draw (which later bounds and J reuse). The first bound is the
     control cost k1 * c1 + k2 * c2, below which J never falls (see cost), so
-    a candidate refused there is never integrated. Otherwise score runs the
+    a candidate rejected there is never integrated. Otherwise score runs the
     horizon as _CHUNKS chained integrate calls, copied into one array
     byte-equal to a single run, and after each but the last it bounds J by
-    the infected integral so far: I >= 0 on every row and the rows not yet
-    run add at least I_n / 2, so k0 * dt * (sum of I so far - I_0 / 2) *
-    (1 - 1e-9), with the control cost added as cost adds it, never exceeds
-    J in floating point. An infinite bound is not tested, so an overflowing
-    run reaches cost's OverflowError. A run that diverges is run again
-    whole, so its error names the run's own step and time. A candidate
-    refused part-way through is not checked for divergence or overflow
-    beyond that point, just as a candidate its control cost refuses is
-    never integrated. A gradient candidate already scored in the same
-    phase, where J only falls, is not scored again. A gradient phase that
-    stalled is not run again until the incumbent moves: it draws no random
-    numbers, so it would score the same candidates and reject them again.
-    For a given seed these prunes leave the OptimRun the same to the bit as
-    scoring every candidate; the directions and the first-order test are
-    the step rule itself, and decide which candidates there are.
+    the trapezoid of I over the rows so far, weighted k0 * (1 - 1e-9), plus
+    the control cost as cost adds it: I >= 0 on every row, so the prefix
+    never exceeds the run's integral, and the margin absorbs the rounding of
+    another summation order. trapezoid reports an integral that overflows
+    where it overflows; a chunk that diverges raises again at its step
+    counted from the run's start, naming the run's own step and time. A
+    candidate rejected part-way through is not checked for divergence or
+    overflow beyond that point, just as a candidate its control cost
+    refuses is never integrated. A gradient candidate already scored in the
+    same phase, where J only falls, is not scored again. A gradient phase
+    that stalled is not run again until the incumbent moves: it draws no
+    random numbers, so it would score the same candidates and reject them
+    again. For a given seed these prunes leave the OptimRun the same to the
+    bit as scoring every candidate; the directions and the first-order test
+    are the step rule itself, and decide which candidates there are.
     """
     dt = cfg.dt
-    n = round(cp.horizon / dt)  # integrate's step count
+    n = step_count(cp.horizon, dt)
     edges = sorted({n * k // _CHUNKS for k in range(_CHUNKS + 1)})
-    refused = cp.horizon / dt > MAX_STEPS or n < 1  # a plan integrate refuses
-    half_i0 = 0.5 * float(init.i)
 
     def score(c: Controls, accepts: Callable[[float], bool]
               ) -> Optional[Tuple[float, Callable[[], Controls]]]:
         if not accepts(cp.k1 * c[0] + cp.k2 * c[1]):  # J's floor, the control cost
             return None
         pc = p.with_controls(*c)
-        if refused:  # let integrate say why
-            integrate(pc, init, cp.horizon, cfg)
         states = np.empty((n + 1, 5))
         row = init
         for lo, hi in zip(edges, edges[1:]):
             try:
                 states[lo:hi + 1] = integrate(pc, row, (hi - lo) * dt, cfg).states
-            except IntegrationDivergedError:  # raise it again, named at the run's own step
-                integrate(pc, init, cp.horizon, cfg)
-                raise
+            except IntegrationDivergedError as err:  # named at the run's own step
+                raise IntegrationDivergedError(lo + err.step, dt, err.counts) from None
             if hi == n:
                 break
-            with np.errstate(over="ignore"):  # an infinite sum bounds nothing; cost reports it
-                partial = float(np.sum(states[:hi + 1, 2]))
-            bound = (cp.k0 * (dt * (partial - half_i0) * (1 - 1e-9))
-                     + cp.k1 * c[0]) + cp.k2 * c[1]
-            if math.isfinite(bound) and not accepts(bound):
+            if not accepts((trapezoid(states[:hi + 1, 2], dt, cp.k0 * (1 - 1e-9))
+                            + cp.k1 * c[0]) + cp.k2 * c[1]):
                 return None
             # Python floats: bench/tracing.py counts a numpy-scalar start as f64 steps
             row = State(*states[hi].tolist())

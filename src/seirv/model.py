@@ -305,17 +305,31 @@ def _plan_segments(
 class IntegrationDivergedError(ArithmeticError):
     """Raised when an integration step leaves a negative or non-finite count.
 
-    Carries the index and time of the step. The message names the first bad
-    compartment (or N, if only the total overflowed), its value, and dt.
+    Carries the step's index, time and counts. The message names the first
+    bad compartment (or N, if only the total overflowed), its value, and dt.
     """
 
     def __init__(self, step: int, dt: float, counts: Tuple[float, ...]):
         self.step = step
         self.time = step * dt
+        self.counts = counts
         name, value = next(((n, x) for n, x in zip("SEIRV", counts) if not x >= 0.0),
                            ("N", sum(counts)))
         super().__init__(f"{name} = {value!r} at t = {self.time:g} (step {step}): "
                          f"dt = {dt:g} is too large for these rates")
+
+
+def step_count(horizon: float, dt: float) -> int:
+    """round(horizon / dt), the steps integrate takes over [0, horizon]; ValueError for a
+    horizon that is not finite and > 0, or a plan of no step or of over MAX_STEPS steps."""
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be > 0, got {horizon!r}")
+    if horizon / dt > MAX_STEPS:
+        raise ValueError(f"horizon {horizon!r} at dt={dt!r} needs more than {MAX_STEPS} steps")
+    n_steps = round(horizon / dt)
+    if n_steps < 1:
+        raise ValueError(f"horizon {horizon!r} shorter than one step dt={dt!r}")
+    return n_steps
 
 
 def integrate(
@@ -334,17 +348,10 @@ def integrate(
     returned states, one row per grid point k * dt, k = 0..round(horizon / dt).
     The exact solution keeps every count nonnegative, so a step that leaves
     one negative or non-finite means dt is too large and raises
-    IntegrationDivergedError. A plan of more than MAX_STEPS steps raises
-    ValueError.
+    IntegrationDivergedError. step_count states which plans raise ValueError.
     """
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be > 0, got {horizon!r}")
     dt = cfg.dt
-    if horizon / dt > MAX_STEPS:
-        raise ValueError(f"horizon {horizon!r} at dt={dt!r} needs more than {MAX_STEPS} steps")
-    n_steps = round(horizon / dt)
-    if n_steps < 1:
-        raise ValueError(f"horizon {horizon!r} shorter than one step dt={dt!r}")
+    n_steps = step_count(horizon, dt)
 
     # Python floats: numpy scalars (as final_state() returns) make each step ~3x slower
     s, e, i, r, v = map(float, init.as_tuple())

@@ -682,13 +682,14 @@ def test_hybrid_optimize_names_a_divergence_at_the_run_s_own_step():
     sa = SAConfig(n_cool=1, n_perturb=1, max_outer=1)
     with pytest.raises(IntegrationDivergedError, match=r"\(step 644\)") as err:
         hybrid_optimize(DEFAULT_PARAMS, cp, (0.0, 0.0), sa, INIT, cfg)
-    assert str(err.value) == str(whole.value)
+    assert (str(err.value), err.value.step, err.value.time, err.value.counts) == (
+        str(whole.value), whole.value.step, whole.value.time, whole.value.counts)
 
 
 @pytest.mark.filterwarnings("error")  # the overflowing sum warns nothing
 def test_hybrid_optimize_puts_no_infinite_bound_to_its_test():
-    # the sum of I overflows part-way through the run: score puts only finite
-    # bounds to the test, so the run reaches cost, which reports the overflow
+    # the sum of I overflows part-way through the run: trapezoid reports it
+    # at the first bound past that point, which never reaches the test
     p = replace(DEFAULT_PARAMS, beta=5e-307)
     init = State(1e307, 0.0, 1e306, 0.0, 0.0)
     cp = CostParams.for_run(p, init, 1e6, 0.2, 0.3, 10.0)
@@ -705,10 +706,15 @@ def test_hybrid_optimize_puts_no_infinite_bound_to_its_test():
     (0.2, 0.5, "shorter than one step"),
 ])
 def test_hybrid_optimize_keeps_integrate_refusals_of_its_plan(monkeypatch, horizon, dt, message):
+    # the plan is refused before the search starts, so no start is scored
     def allocate(*args, **kwargs):
         raise AssertionError("a refused plan reached allocation")
 
+    def search(*args, **kwargs):
+        raise AssertionError("a refused plan reached the search")
+
     monkeypatch.setattr(np, "empty", allocate)
+    monkeypatch.setattr(control, "_hybrid_minimize", search)
     cp = CostParams.for_run(DEFAULT_PARAMS, INIT, 1.0, 0.2, 0.3, horizon)
     sa = SAConfig(n_cool=1, n_perturb=1, max_outer=1)
     with pytest.raises(ValueError, match=message):

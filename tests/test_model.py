@@ -288,6 +288,7 @@ def test_divergence_reports_first_bad_step():
 def test_divergence_names_the_first_bad_compartment_or_the_total(counts, named):
     err = IntegrationDivergedError(3, 0.5, counts)
     assert str(err) == f"{named} at t = 1.5 (step 3): dt = 0.5 is too large for these rates"
+    assert err.counts == counts
 
 
 @pytest.mark.parametrize("y, weight, message", [

@@ -2,7 +2,8 @@
 rc-versus-1 verdict at the threshold, schedule/chained-run equality,
 float coercion of the value types and of the hot loops' inputs, population
 conservation, nonnegative counts or a named failure from every run, the
-optimizer's early rejection, the control-cost floor and the bounds of J
+same failure from a scored run as from a whole one, the optimizer's early
+rejection, the control-cost floor and the bounds of J
 a scored run puts to its test, the CSV writer's cell format, and the CLI's
 exit codes under extreme flag values."""
 
@@ -17,7 +18,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import CLI_RUN_FLAGS, at, optimizer_score, sample_params, score_of
 from seirv.analysis import classify_region, region_map, separatrix_c2
@@ -313,6 +314,30 @@ def test_integrate_writes_only_valid_counts_or_names_the_bad_one(seed, c, dt, n_
         assert not 0.0 <= value < 1e308, str(err)
     else:
         assert np.all(np.isfinite(states)) and states.min() >= 0.0
+
+
+@SMALL
+@given(beta=st.floats(2e-8, 8e-8), c=controls, dt=st.floats(1.5, 3.0), share=st.floats(0.1, 1.0))
+def test_a_scored_run_names_a_divergence_as_the_whole_run_does(beta, c, dt, share):
+    # a run that diverges at step k, over k / share steps: the optimizer runs
+    # it in chunks, and k falls in any of them as share varies
+    p = replace(DEFAULT_PARAMS, beta=beta)
+    init = State(1e9, 0.0, 1.0, 0.0, 0.0)
+    cfg = IntegratorConfig(dt=dt)
+    try:
+        integrate(p.with_controls(*c), init, 200 * dt, cfg)
+    except IntegrationDivergedError as err:
+        k = err.step
+    else:
+        assume(False)  # no divergence within 200 steps
+    horizon = math.ceil(k / share) * dt
+    with pytest.raises(IntegrationDivergedError) as whole:  # at step k again
+        integrate(p.with_controls(*c), init, horizon, cfg)
+    cp = CostParams.for_run(p, init, 1.0, K1, K2, horizon)
+    with pytest.raises(IntegrationDivergedError) as scored:
+        optimizer_score(p, cp, init, cfg)(c, lambda j: True)
+    assert (str(scored.value), scored.value.step, scored.value.time, scored.value.counts) == (
+        str(whole.value), whole.value.step, whole.value.time, whole.value.counts)
 
 
 float_cells = st.one_of(
