@@ -81,10 +81,9 @@ class CostParams:
 class AdjointTrajectory:
     """Adjoint solution on the forward grid; h[-1] is identically zero.
 
-    Row n - 1 is a single RK4 step from row n. Below it, rows are mostly
-    pair ends, every second row, with a Hermite midpoint between each two;
-    single steps fill the rows where a pair would be unstable, and row 0
-    when the pairs leave one step over (solve_adjoint states the rule).
+    Row n - 1 is a single RK4 step from row n. Below it, rows are pair
+    ends with a Hermite midpoint between each two, or single steps, as
+    solve_adjoint's rule for a pair step decides.
     """
 
     times: np.ndarray
@@ -268,10 +267,10 @@ def solve_adjoint(forward: Trajectory, p: ModelParams) -> AdjointTrajectory:
     lim = _PAIR_MARGIN / (2.0 * dt)
     ok = ((2.0 * (beta * forward.i + eta1 + c1) + mu <= lim)
           & (ae + eta2 + alpha / d <= lim)
-          & (ci + d * (two_bs + c2) <= lim))
+          & (ci + d * (two_bs + c2) <= lim)
+          & (2.0 * max(sig1, sig2) + mu <= lim))
     pair = np.zeros(n + 1, dtype=bool)
-    if 2.0 * max(sig1, sig2) + mu <= lim:
-        pair[2:n] = ok[2:n] & ok[1:n - 1] & ok[:n - 2]
+    pair[2:n] = ok[2:n] & ok[1:n - 1] & ok[:n - 2]
     pair = pair.tolist()
 
     out = np.empty((n + 1, 5))

@@ -330,8 +330,9 @@ def bifurcation_scan(
     """Endemic infection level I^e over an ascending beta grid.
 
     ie is exactly 0 unless rc > 1. Stability flags are "stable" /
-    "unstable" / "marginal": where there is no endemic point they describe
-    the malware-free equilibrium, elsewhere the endemic point.
+    "unstable" / "marginal" for the endemic point, and where there is none
+    mfe_spectrum's verdict on the malware-free one (ArithmeticError where
+    that spectrum overflows).
     """
     if not isinstance(n_points, numbers.Integral) or n_points < 2:
         raise ValueError(f"n_points must be an integer >= 2, got {n_points!r}")
@@ -347,8 +348,7 @@ def bifurcation_scan(
         rc_values[idx] = compute_rc(pb).rc
         point = compute_endemic(pb)
         if point is None:  # ie stays 0
-            gain, loss = threshold_sides(pb, compute_mfe(pb).s0, pb.c2)
-            flags.append("stable" if gain < loss else "marginal")
+            flags.append("stable" if mfe_spectrum(pb).stable else "marginal")
         else:
             ie_values[idx] = point.ie
             report = endemic_stability(pb)

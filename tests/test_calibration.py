@@ -1,6 +1,7 @@
 """Series ingestion, SSE, Nelder-Mead, segment fitting and averted-cases tests."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -421,6 +422,31 @@ def test_fit_capped_at_its_own_convergence_count_does_not_warn(monkeypatch):
         f"not converged: simplex stopped at its cap of {iters - 1} iterations",)
 
 
+def _counted_runs(monkeypatch):
+    """The forward steps of each integrate call calibration makes from now on."""
+    steps = []
+
+    def counted(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        steps.append(len(out.states) - 1)
+        return out
+
+    monkeypatch.setattr(calibration, "integrate", counted)
+    return steps
+
+
+def test_fit_of_a_bench_series_stays_within_its_work_budget(monkeypatch):
+    # the first series of the calibrate benchmark at seed 1 (1% relative
+    # noise, dt 0.02) measured 372 runs of 1050 steps, 390,600 forward steps;
+    # budget 400 runs
+    series = generate_synthetic(DEFAULT_PARAMS, TRUE_SCHEDULE, SEED_STATE, SAMPLE_TIMES, 0.01,
+                                seed=random.Random(1).randrange(2**31), relative=True, cfg=CFG)
+    steps = _counted_runs(monkeypatch)
+    fit_beta_segments(series, DEFAULT_PARAMS, 7.0, SEED_STATE, NelderMeadConfig(), CFG)
+    assert len(steps) <= 400
+    assert sum(steps) <= 400 * 1050
+
+
 # ---------------------------------------------------------------- goodness
 
 
@@ -577,6 +603,15 @@ def test_averted_reports_a_decay_fit_stopped_at_its_cap(onsets, warnings):
     curve = averted_cases(DEFAULT_PARAMS.with_controls(0.1, 0.1), onsets,
                           State(1e9, 0.0, 1.0, 0.0, 0.0), 400.0, IntegratorConfig(dt=0.5))
     assert curve.warnings == warnings
+
+
+def test_averted_cases_makes_one_run_per_onset_before_the_horizon(monkeypatch):
+    # the README avert line at dt 0.5: the never-intervened run (4000 steps)
+    # and one continuation per onset, 4000 + 3800 + 3600 + 3200 + 2400 steps
+    steps = _counted_runs(monkeypatch)
+    averted_cases(DEFAULT_PARAMS.with_controls(0.1, 0.1), [0.0, 100.0, 200.0, 400.0, 800.0],
+                  State(1e9, 0.0, 1.0, 0.0, 0.0), 2000.0, IntegratorConfig(dt=0.5))
+    assert (len(steps), sum(steps)) == (6, 21_000)
 
 
 def test_averted_validation():

@@ -165,6 +165,18 @@ def test_adjoint_self_convergence_on_varying_trajectory():
     assert err[0.05] >= 4.0 * err[0.025]
 
 
+def test_adjoint_takes_no_pair_where_the_r_and_v_columns_break_the_bound(monkeypatch):
+    # sigma1 = 3 at dt 0.5: the R column sum 2*sigma1 + mu = 6.0004 exceeds
+    # _PAIR_MARGIN / (2*dt) = 2.5 on every row, and the forward run stays
+    # finite. Without that column in the bound some rows pair and h differs.
+    p = replace(DEFAULT_PARAMS, sigma1=3.0).with_controls(0.0165, 0.0796)
+    forward = integrate(p, INIT, 200.0, IntegratorConfig(dt=0.5))
+    assert np.all(np.isfinite(forward.states))
+    h = solve_adjoint(forward, p).h
+    monkeypatch.setattr(control, "_PAIR_MARGIN", 0.0)  # single steps only
+    assert h.tobytes() == solve_adjoint(forward, p).h.tobytes()
+
+
 # ---------------------------------------------------------------- gradient
 
 
@@ -659,6 +671,29 @@ def test_hybrid_optimize_work_count(monkeypatch, weights, horizon, start, sa, ma
     # some candidates are refused part-way through their run
     assert sum(steps) < len(runs) * round(horizon / 0.5)
     assert run.j_star <= max_j
+
+
+def test_readme_optimize_line_stays_within_its_work_budget(monkeypatch):
+    # the README optimize line (start (0.1, 0.1), SA defaults, seed 1) at
+    # dt 0.5: measured 159,500 forward steps and 10 adjoints; budget 175,000
+    # steps and 12 adjoints
+    steps, adjoints = [], []
+
+    def counted(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        steps.append(len(out.states) - 1)
+        return out
+
+    def counted_gradient(*args):
+        adjoints.append(args)
+        return gradient(*args)
+
+    monkeypatch.setattr(control, "integrate", counted)
+    monkeypatch.setattr(control, "gradient", counted_gradient)
+    hybrid_optimize(DEFAULT_PARAMS, reference_cost_params(), (0.1, 0.1), SAConfig(rng_seed=1),
+                    INIT, IntegratorConfig(dt=0.5))
+    assert sum(steps) <= 175_000
+    assert len(adjoints) <= 12
 
 
 @pytest.mark.parametrize("start", [(math.nan, 0.3), (0.3, math.inf), (0.1,), (0.1, 0.2, 0.3)])

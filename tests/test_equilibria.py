@@ -403,6 +403,15 @@ def test_bifurcation_refuses_a_non_integer_point_count():
     assert branch.beta_grid.shape == (3,)
 
 
+@pytest.mark.parametrize("name", ["eta1", "eta2", "mu"])
+def test_bifurcation_raises_where_the_malware_free_spectrum_overflows(name):
+    # below threshold the scan's verdict is mfe_spectrum's, as in seirv
+    # equilibria: a spectrum that overflows is a failure, not "stable"
+    p = replace(DEFAULT_PARAMS, **{name: 1e308})
+    with pytest.raises(ArithmeticError, match="malware-free spectrum overflows"):
+        bifurcation_scan(p, (0.0, 1e-8), 3)
+
+
 @pytest.mark.parametrize("name", ["lam", "alpha"])
 def test_critical_beta_refuses_a_threshold_that_is_zero_for_every_beta(name):
     p = replace(DEFAULT_PARAMS, **{name: 0.0})
