@@ -19,6 +19,7 @@ import numpy as np
 
 from .model import (
     BetaSchedule,
+    IntegrationDivergedError,
     IntegratorConfig,
     ModelParams,
     State,
@@ -429,6 +430,8 @@ def averted_cases(
     never-intervened run is p.with_controls(0.0, 0.0). The curve is summarized
     by a least-squares exponential-decay fit. Onsets must be nonempty, strictly
     increasing and inside [0, horizon]; an onset at the horizon averts nothing.
+    A continuation that diverges raises at the step and time of the whole
+    run, as the scheduled run from t = 0 would.
     """
     ts = [float(t) for t in onsets]
     if not ts:
@@ -451,7 +454,10 @@ def averted_cases(
     averted = []
     for k, state in reversed(onset_states):
         if k < n:
-            e[k:] = integrate(p, state, (n - k) * dt, cfg).e
+            try:
+                e[k:] = integrate(p, state, (n - k) * dt, cfg).e
+            except IntegrationDivergedError as err:  # named at the whole run's step
+                raise IntegrationDivergedError(k + err.step, dt, err.counts) from None
         averted.append(baseline - trapezoid(e, dt, p.alpha))
     averted.reverse()
     decay_fit, decay_r2, warnings = _exponential_fit(np.asarray(ts), np.asarray(averted))

@@ -458,12 +458,12 @@ def _hybrid_minimize(
                     if s[0] * y[0] + s[1] * y[1] > 0.0:
                         h = _bfgs_update(h, s, y)
                 prev = (c, (g1, g2))
-                if h is not None:
+                if h is None:
+                    d, eta = (-g1, -g2), sa.step_eta
+                else:
                     d = _newton_direction(h, c, g1, g2)
-                    if search(d, min(1.0, _exit_step(c, d))):
-                        continue
-                    h = None  # the quasi-Newton step failed: retry along -g
-                if not search((-g1, -g2), sa.step_eta):
+                    eta = min(1.0, _exit_step(c, d))
+                if not search(d, eta):
                     stalled = c
                     break
 
@@ -511,23 +511,22 @@ def hybrid_optimize(
     projected candidate cand = P(c + eta * d) lowers J by more than eps_k.
     A candidate without first-order decrease, g . (c - cand) <= eps_k (an
     Armijo-style test on the linear model), is skipped unscored.
-    - The phase starts with steepest descent, d = -g from eta = step_eta.
+    - Until the phase has H, a step searches along steepest descent,
+      d = -g, from eta = step_eta.
     - Each accepted move gives a secant pair s = c_new - c_old,
       y = g_new - g_old. From the first pair with s . y > 0 on, the phase
       keeps an inverse-Hessian estimate H, seeded (s . y / y . y) * I and
       BFGS-updated by every pair with s . y > 0 (Nocedal & Wright, ch. 6).
-    - While it has H, a step first searches along the projected
-      quasi-Newton direction d = -H g (Bertsekas, SIAM J. Control Optim.
-      20, 1982): a coordinate held at a bound by an outward gradient takes
-      its diagonal step, which the projection cancels, and the other its
-      Newton step along that bound. That search starts at eta = min(1,
-      exit step), where the exit step is the largest eta with c + eta * d
-      in the box in every coordinate that moves (the first breakpoint of
-      the projected path, as in L-BFGS-B): where J is nearly linear, H is
-      huge and every halving of a unit step would project to the same
-      corner. If it finds no decrease, the same step drops H and searches
-      along d = -g from eta = step_eta.
-    - A step that finds no decrease along -g ends the phase.
+    - Once it has H, a step searches along the projected quasi-Newton
+      direction d = -H g instead (Bertsekas, SIAM J. Control Optim. 20,
+      1982): a coordinate held at a bound by an outward gradient takes its
+      diagonal step, which the projection cancels, and the other its Newton
+      step along that bound. That search starts at eta = min(1, exit step),
+      where the exit step is the largest eta with c + eta * d in the box in
+      every coordinate that moves (the first breakpoint of the projected
+      path, as in L-BFGS-B): where J is nearly linear, H is huge and every
+      halving of a unit step would project to the same corner.
+    - A step that finds no decrease ends the phase.
 
     The annealing phase re-randomizes one or both control coordinates
     uniformly in [0, 1] for n_perturb draws per cooling step, accepting

@@ -245,8 +245,8 @@ CASES: Dict[str, Callable[[], str]] = {
     "gradient_f64_controls": lambda: _gradient(CONTROLS_F64),
     "hybrid_optimize_scaled": _optimize("scaled"),
     "hybrid_optimize_classical": _optimize("classical"),
-    # From the far corner the quasi-Newton steps hold coordinates at a bound
-    # and fall back to -g, which the start (0.1, 0.35) never does.
+    # From the far corner some quasi-Newton steps hold a coordinate at a
+    # bound, which no step from the start (0.1, 0.35) does.
     "hybrid_optimize_far_start": _optimize("scaled", start=(0.9, 0.9)),
     # the bench's own size: 8 chunks of 500 steps, 8 cooling steps, 12 rounds
     "hybrid_optimize_bench_start": _optimize_bench_start,

@@ -594,6 +594,21 @@ def test_averted_continuations_match_scheduled_runs_to_the_bit(dt, horizon, onse
     ]
 
 
+def test_averted_names_a_diverged_continuation_at_the_whole_run_s_step():
+    # at dt 1.05 the controls (1, 0) diverge after onset 200 (grid index 190):
+    # the error is the one the scheduled run from t = 0 raises
+    init = State(1e9, 0.0, 1.0, 0.0, 0.0)
+    cfg = IntegratorConfig(dt=1.05)
+    with pytest.raises(IntegrationDivergedError) as whole:
+        integrate(DEFAULT_PARAMS.with_controls(0.0, 0.0), init, 400.0, cfg,
+                  control_schedule=ControlSchedule(200.0, (0.0, 0.0), (1.0, 0.0)))
+    with pytest.raises(IntegrationDivergedError, match=r"\(step 381\)") as err:
+        averted_cases(DEFAULT_PARAMS.with_controls(1.0, 0.0), [0.0, 100.0, 200.0], init, 400.0,
+                      cfg)
+    assert (str(err.value), err.value.step, err.value.time, err.value.counts) == (
+        str(whole.value), whole.value.step, whole.value.time, whole.value.counts)
+
+
 @pytest.mark.parametrize("onsets, warnings", [
     ([0.0, 100.0, 200.0], ()),
     ([0.0, 50.0, 100.0, 200.0, 400.0],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import golden
 from conftest import at, optimizer_score, score_of
 from seirv import control
 from seirv.control import (
@@ -325,25 +326,29 @@ def test_gradient_phase_crosses_a_rotated_valley_in_few_moves(no_annealing, star
     assert any(math.hypot(c1 - target[0], c2 - target[1]) < 1e-4 for c1, c2 in moves[:10])
 
 
-def test_failed_quasi_newton_step_falls_back_to_the_gradient(no_annealing):
+def test_failed_quasi_newton_step_ends_the_gradient_phase(no_annealing):
     # J is stiff in c2 and has a slope of 0.01 in c1. After the second move
     # the inverse-Hessian estimate is about 0.01 I, so the quasi-Newton step
-    # along c1 predicts a decrease of about 1e-6 <= eps_k and is not scored;
-    # the same descent step then moves along -g from step_eta, and the phase
-    # goes on
-    grads = []
+    # along c1 predicts a decrease of about 1e-6 <= eps_k and is not scored.
+    # That descent step finds no decrease and ends the phase: no -g candidate
+    # is scored from that incumbent
+    scored, grads = [], []
 
     def cost_fn(c):
         def grad():
             grads.append((c, (0.01, 100.0 * (c[1] - 0.5))))
             return grads[-1][1]
+        scored.append(c)
         return 50.0 * (c[1] - 0.5) ** 2 + 0.01 * c[0], grad
 
     sa = SAConfig(eps_k=1e-5, step_eta=0.5, max_outer=1)
     run = _hybrid_minimize(score_of(cost_fn), (0.5, 0.52), sa)
-    (c1, c2), (g1, g2) = grads[2]  # the incumbent after a quasi-Newton move
-    assert run.history[3][:2] == (c1 - sa.step_eta * g1, c2 - sa.step_eta * g2)
-    assert [phase for *_, phase in run.history[1:5]] == ["gradient"] * 4
+    (c1, c2), (g1, g2) = grads[-1]  # where the quasi-Newton search failed
+    assert [phase for *_, phase in run.history] == ["start", "gradient", "gradient"]
+    assert run.history[-1][:2] == run.optimum == (c1, c2)
+    assert control._project((c1 - sa.step_eta * g1, c2 - sa.step_eta * g2)) not in scored
+    # the start, six candidates of the first step (-g) and one of the second
+    assert len(scored) == 8
 
 
 def test_clipped_candidate_without_first_order_decrease_does_not_end_the_step(
@@ -352,7 +357,8 @@ def test_clipped_candidate_without_first_order_decrease_does_not_end_the_step(
     # direction d = (-1, 0.05) moves c1 downhill and c2 uphill. At eta = 1
     # the box clips c1 and the first-order decrease is negative, yet at
     # eta <= 0.038 nothing is clipped and it is 0.0285 * eta: the halving goes
-    # on and moves along d, where stopping would have fallen back to -g
+    # on and moves along d, where stopping at the clipped one would have ended
+    # the phase
     monkeypatch.setattr(control, "_newton_direction", lambda h, c, g1, g2: (-1.0, 0.05))
 
     def cost_fn(c):
@@ -635,6 +641,28 @@ def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
     assert len(set(graded)) == len(graded)
 
 
+def _counted_work(monkeypatch, init):
+    """Runs started from init, forward steps and adjoints that control makes
+    from now on: each scored run is chained integrate calls, and only its
+    first starts from init."""
+    runs, steps, adjoints = [], [], []
+
+    def counted(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        if args[1] is init:
+            runs.append(args[0])
+        steps.append(len(out.states) - 1)
+        return out
+
+    def counted_gradient(*args):
+        adjoints.append(args)
+        return gradient(*args)
+
+    monkeypatch.setattr(control, "integrate", counted)
+    monkeypatch.setattr(control, "gradient", counted_gradient)
+    return runs, steps, adjoints
+
+
 @pytest.mark.parametrize("weights, horizon, start, sa, max_runs, max_j", [
     # criterion 7's second start at dt 0.5: steepest descent made 238 runs
     # for J* = 0.0287550; quasi-Newton steps make 13 for J* = 0.0287514
@@ -648,23 +676,14 @@ def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
                  SAConfig(t0=0.02, cooling=0.9, n_cool=3, n_perturb=6, max_outer=2, rng_seed=2024),
                  28, math.inf, id="far_start"),
     # weights (0.3, 0.1) put the optimum on the face c1 = 0, near (0, 0.0978):
-    # stepping the free coordinate by -g2 / (h^-1)_22 there makes 13 forward
+    # stepping the free coordinate by -g2 / (h^-1)_22 there makes 12 forward
     # runs, and the unprojected -H g direction makes 21
     pytest.param((0.3, 0.1), 500.0, (0.5, 0.5),
                  SAConfig(t0=0.02, cooling=0.9, n_cool=3, n_perturb=6, max_outer=2, rng_seed=2024),
                  17, math.inf, id="face_optimum"),
 ])
 def test_hybrid_optimize_work_count(monkeypatch, weights, horizon, start, sa, max_runs, max_j):
-    runs, steps = [], []
-
-    def counted(*args, **kwargs):
-        out = integrate(*args, **kwargs)
-        if args[1] is INIT:  # a run's first chunk
-            runs.append(args[0])
-        steps.append(len(out.states) - 1)
-        return out
-
-    monkeypatch.setattr(control, "integrate", counted)
+    runs, steps, _ = _counted_work(monkeypatch, INIT)
     cp = CostParams.for_run(DEFAULT_PARAMS, INIT, 1.0, *weights, horizon)
     run = hybrid_optimize(DEFAULT_PARAMS, cp, start, sa, INIT, IntegratorConfig(dt=0.5))
     assert len(runs) <= max_runs
@@ -675,25 +694,24 @@ def test_hybrid_optimize_work_count(monkeypatch, weights, horizon, start, sa, ma
 
 def test_readme_optimize_line_stays_within_its_work_budget(monkeypatch):
     # the README optimize line (start (0.1, 0.1), SA defaults, seed 1) at
-    # dt 0.5: measured 159,500 forward steps and 10 adjoints; budget 175,000
+    # dt 0.5: measured 151,500 forward steps and 10 adjoints; budget 175,000
     # steps and 12 adjoints
-    steps, adjoints = [], []
-
-    def counted(*args, **kwargs):
-        out = integrate(*args, **kwargs)
-        steps.append(len(out.states) - 1)
-        return out
-
-    def counted_gradient(*args):
-        adjoints.append(args)
-        return gradient(*args)
-
-    monkeypatch.setattr(control, "integrate", counted)
-    monkeypatch.setattr(control, "gradient", counted_gradient)
+    _, steps, adjoints = _counted_work(monkeypatch, INIT)
     hybrid_optimize(DEFAULT_PARAMS, reference_cost_params(), (0.1, 0.1), SAConfig(rng_seed=1),
                     INIT, IntegratorConfig(dt=0.5))
     assert sum(steps) <= 175_000
     assert len(adjoints) <= 12
+
+
+def test_golden_bench_start_stays_within_its_work_budget(monkeypatch):
+    # the golden case hybrid_optimize_bench_start, the first start of the
+    # bench optimize workload at seed 1: measured 13 runs, 46,500 forward
+    # steps and 8 adjoints
+    runs, steps, adjoints = _counted_work(monkeypatch, golden.INIT)
+    golden.CASES["hybrid_optimize_bench_start"]()
+    assert len(runs) <= 13
+    assert sum(steps) <= 46_500
+    assert len(adjoints) <= 8
 
 
 @pytest.mark.parametrize("start", [(math.nan, 0.3), (0.3, math.inf), (0.1,), (0.1, 0.2, 0.3)])
