@@ -19,10 +19,10 @@ import numpy as np
 
 from .model import (
     BetaSchedule,
-    IntegrationDivergedError,
     IntegratorConfig,
     ModelParams,
     State,
+    continue_run,
     integrate,
     trapezoid,
 )
@@ -430,8 +430,8 @@ def averted_cases(
     never-intervened run is p.with_controls(0.0, 0.0). The curve is summarized
     by a least-squares exponential-decay fit. Onsets must be nonempty, strictly
     increasing and inside [0, horizon]; an onset at the horizon averts nothing.
-    A continuation that diverges raises at the step and time of the whole
-    run, as the scheduled run from t = 0 would.
+    Each continuation is model.continue_run's, which raises a divergence at the
+    step and time of the whole run, as the scheduled run from t = 0 would.
     """
     ts = [float(t) for t in onsets]
     if not ts:
@@ -440,25 +440,18 @@ def averted_cases(
         raise ValueError("onsets must be strictly increasing")
     if not all(0.0 <= t <= horizon for t in ts):
         raise ValueError(f"onsets must lie in [0, horizon={horizon!r}], got {ts!r}")
-    dt = cfg.dt
     run = integrate(p.with_controls(0.0, 0.0), init, horizon, cfg)
-    e = run.e.copy()  # E over the whole grid, never intervened
-    baseline = trapezoid(e, dt, p.alpha)
+    baseline = trapezoid(run.e, cfg.dt, p.alpha)
     # The run with the controls on from the onset's snapped grid index k is
     # the never-intervened run up to k, continued from its state at k.
-    # Latest onset first: each continuation overwrites e[k:] in place, and
-    # the earlier onsets need only e[:k].
-    n = len(e) - 1
-    onset_states = [(k, run.state_at(k)) for k in (round(t / dt) for t in ts)]
-    del run
+    # Latest onset first: each continuation rewrites rows k on in place and
+    # keeps row k, and the earlier onsets need only the rows up to theirs.
+    n = len(run.states) - 1
     averted = []
-    for k, state in reversed(onset_states):
+    for k in reversed([round(t / cfg.dt) for t in ts]):
         if k < n:
-            try:
-                e[k:] = integrate(p, state, (n - k) * dt, cfg).e
-            except IntegrationDivergedError as err:  # named at the whole run's step
-                raise IntegrationDivergedError(k + err.step, dt, err.counts) from None
-        averted.append(baseline - trapezoid(e, dt, p.alpha))
+            continue_run(p, run.states, k, n, cfg)
+        averted.append(baseline - trapezoid(run.e, cfg.dt, p.alpha))
     averted.reverse()
     decay_fit, decay_r2, warnings = _exponential_fit(np.asarray(ts), np.asarray(averted))
     return AvertedCurve(onsets=tuple(ts), averted=tuple(averted), decay_fit=decay_fit,

@@ -17,12 +17,11 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .model import (
-    IntegrationDivergedError,
     IntegratorConfig,
     ModelParams,
     State,
     Trajectory,
-    integrate,
+    continue_run,
     population_bound,
     step_count,
     trapezoid,
@@ -97,7 +96,7 @@ _PAIR_MARGIN = 2.5
 
 _GRAD_STEPS = 100  # descent steps per gradient phase
 _HALVINGS = 20  # step-size halvings per descent step before the phase stops
-_CHUNKS = 8  # chained integrate calls per scored run; each but the last yields a bound of J
+_CHUNKS = 8  # continue_run calls per scored run; each but the last yields a bound of J
 
 
 @dataclass(frozen=True)
@@ -543,15 +542,15 @@ def hybrid_optimize(
     the draw (which later bounds and J reuse). The first bound is the
     control cost k1 * c1 + k2 * c2, below which J never falls (see cost), so
     a candidate rejected there is never integrated. Otherwise score runs the
-    horizon as _CHUNKS chained integrate calls, copied into one array
-    byte-equal to a single run, and after each but the last it bounds J by
-    the trapezoid of I over the rows so far, weighted k0 * (1 - 1e-9), plus
-    the control cost as cost adds it: I >= 0 on every row, so the prefix
-    never exceeds the run's integral, and the margin absorbs the rounding of
-    another summation order. trapezoid reports an integral that overflows
-    where it overflows; a chunk that diverges raises again at its step
-    counted from the run's start, naming the run's own step and time. A
-    candidate rejected part-way through is not checked for divergence or
+    horizon as _CHUNKS chunks, each continued by model.continue_run from the
+    last row before it, into one array byte-equal to a single run; after
+    each but the last it bounds J by the trapezoid of I over the rows so
+    far, weighted k0 * (1 - 1e-9), plus the control cost as cost adds it:
+    I >= 0 on every row, so the prefix never exceeds the run's integral,
+    and the margin absorbs the rounding of another summation order.
+    trapezoid reports an integral that overflows where it overflows, and
+    continue_run names a chunk's divergence at the run's own step and time.
+    A candidate rejected part-way through is not checked for divergence or
     overflow beyond that point, just as a candidate its control cost
     refuses is never integrated. A gradient candidate already scored in the
     same phase, where J only falls, is not scored again. A gradient phase
@@ -571,19 +570,12 @@ def hybrid_optimize(
             return None
         pc = p.with_controls(*c)
         states = np.empty((n + 1, 5))
-        row = init
+        states[0] = init.as_tuple()
         for lo, hi in zip(edges, edges[1:]):
-            try:
-                states[lo:hi + 1] = integrate(pc, row, (hi - lo) * dt, cfg).states
-            except IntegrationDivergedError as err:  # named at the run's own step
-                raise IntegrationDivergedError(lo + err.step, dt, err.counts) from None
-            if hi == n:
-                break
-            if not accepts((trapezoid(states[:hi + 1, 2], dt, cp.k0 * (1 - 1e-9))
-                            + cp.k1 * c[0]) + cp.k2 * c[1]):
+            continue_run(pc, states, lo, hi, cfg)
+            if hi < n and not accepts((trapezoid(states[:hi + 1, 2], dt, cp.k0 * (1 - 1e-9))
+                                       + cp.k1 * c[0]) + cp.k2 * c[1]):
                 return None
-            # Python floats: bench/tracing.py counts a numpy-scalar start as f64 steps
-            row = State(*states[hi].tolist())
         forward = Trajectory(states=states, dt=dt)
         return cost(pc, cp, forward), lambda: gradient(pc, cp, forward)
 

@@ -419,3 +419,16 @@ def integrate(
             r_arr[idx] = r; v_arr[idx] = v
 
     return Trajectory(states=states, dt=dt)
+
+
+def continue_run(p: ModelParams, states: np.ndarray, lo: int, hi: int,
+                 cfg: IntegratorConfig) -> None:
+    """Integrate rows lo..hi of states in place at p's constant rates from row lo, which
+    keeps its value; a divergence raises IntegrationDivergedError at its step counted
+    from row 0, as the run integrated from row 0 would."""
+    # Python floats: bench/tracing.py counts a numpy-scalar start as f64 steps
+    start = State(*states[lo].tolist())
+    try:
+        states[lo:hi + 1] = integrate(p, start, (hi - lo) * cfg.dt, cfg).states
+    except IntegrationDivergedError as err:
+        raise IntegrationDivergedError(lo + err.step, cfg.dt, err.counts) from None

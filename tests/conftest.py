@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from seirv import calibration, model
 from seirv.model import IntegratorConfig, State, DEFAULT_PARAMS, integrate
 
 _ACCEPTANCE_RESULTS = {}
@@ -96,3 +97,22 @@ def optimizer_score(p, cp, init, cfg):
         mp.setattr(control, "_hybrid_minimize", lambda score, start, sa: scores.append(score))
         control.hybrid_optimize(p, cp, (0.0, 0.0), control.SAConfig(), init, cfg)
     return scores[0]
+
+
+def counted_integrate(monkeypatch, init=None):
+    """(runs, steps) of the integrate calls made from now on: runs holds the
+    params of each call that starts from a state equal to init, steps each
+    call's forward steps. Wraps model.integrate, which continue_run calls,
+    and calibration's own import, which its direct calls use."""
+    runs, steps = [], []
+
+    def counted(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        if args[1] == init:
+            runs.append(args[0])
+        steps.append(len(out.states) - 1)
+        return out
+
+    for module in (model, calibration):
+        monkeypatch.setattr(module, "integrate", counted)
+    return runs, steps

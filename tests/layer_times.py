@@ -18,8 +18,8 @@ Timings are the best of REPEAT runs:
 - import seirv.cli in a fresh interpreter.
 
 Work counts are deterministic, each with the SHA-256 of the results it
-produced. They count by wrapping control.integrate, control.gradient and
-calibration.sse:
+produced. They count by wrapping model.integrate (which continue_run calls),
+control.gradient and calibration.sse:
 - the 48 starts of the benchmark's optimize workload at seeds 1-12, drawn
   as tests/golden.py _optimize_bench_start draws the first (runs started,
   forward steps, adjoints, SHA-256 of the pickled OptimRuns);
@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from seirv import calibration, cli, control
+from seirv import calibration, cli, control, model
 from seirv.calibration import NelderMeadConfig, fit_beta_segments, generate_synthetic, sse
 from seirv.control import CostParams, SAConfig, cost, gradient, hybrid_optimize, solve_adjoint
 from seirv.model import DEFAULT_PARAMS, BetaSchedule, IntegratorConfig, State, integrate
@@ -158,7 +158,7 @@ def work() -> dict:
         return {"runs": len(runs), "forward_steps": sum(steps), "adjoints": len(adjoints)}
 
     out = {}
-    with counted(control, "integrate", on_integrate), \
+    with counted(model, "integrate", on_integrate), \
             counted(control, "gradient", lambda args, g: adjoints.append(g)):
         t = time.perf_counter()
         optim = [hybrid_optimize(DEFAULT_PARAMS, CP, start, sa, INIT, COARSE)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import counted_integrate
 from seirv import calibration
 from seirv.analysis import characteristics
 from seirv.calibration import (
@@ -422,29 +423,16 @@ def test_fit_capped_at_its_own_convergence_count_does_not_warn(monkeypatch):
         f"not converged: simplex stopped at its cap of {iters - 1} iterations",)
 
 
-def _counted_runs(monkeypatch):
-    """The forward steps of each integrate call calibration makes from now on."""
-    steps = []
-
-    def counted(*args, **kwargs):
-        out = integrate(*args, **kwargs)
-        steps.append(len(out.states) - 1)
-        return out
-
-    monkeypatch.setattr(calibration, "integrate", counted)
-    return steps
-
-
 def test_fit_of_a_bench_series_stays_within_its_work_budget(monkeypatch):
     # the first series of the calibrate benchmark at seed 1 (1% relative
     # noise, dt 0.02) measured 372 runs of 1050 steps, 390,600 forward steps;
     # budget 400 runs
     series = generate_synthetic(DEFAULT_PARAMS, TRUE_SCHEDULE, SEED_STATE, SAMPLE_TIMES, 0.01,
                                 seed=random.Random(1).randrange(2**31), relative=True, cfg=CFG)
-    steps = _counted_runs(monkeypatch)
+    _, steps = counted_integrate(monkeypatch)
     fit_beta_segments(series, DEFAULT_PARAMS, 7.0, SEED_STATE, NelderMeadConfig(), CFG)
-    assert len(steps) <= 400
-    assert sum(steps) <= 400 * 1050
+    assert 0 < len(steps) <= 400
+    assert 0 < sum(steps) <= 400 * 1050
 
 
 # ---------------------------------------------------------------- goodness
@@ -571,6 +559,9 @@ def test_averted_exponential_decay_in_growth_regime():
 
 @pytest.mark.parametrize("dt, horizon, onsets, alpha", [
     pytest.param(0.5, 400.0, [0.0, 50.0, 120.25, 399.9, 400.0], 0.25, id="0.5-400.0-onsets0"),
+    # 50.0 and 50.2 snap to grid index 100: the continuation from 50.2 must
+    # leave row 100 at its never-intervened value for the one from 50.0
+    pytest.param(0.5, 400.0, [0.0, 50.0, 50.2, 300.0], 0.25, id="0.5-400.0-shared-index"),
     # the horizon is no multiple of dt
     pytest.param(0.2, 100.3, [0.0, 10.05, 33.3, 100.3], 0.25, id="0.2-100.3-onsets1"),
     # alpha no power of two: alpha * (dt * sum) and (alpha * dt) * sum differ
@@ -623,7 +614,7 @@ def test_averted_reports_a_decay_fit_stopped_at_its_cap(onsets, warnings):
 def test_averted_cases_makes_one_run_per_onset_before_the_horizon(monkeypatch):
     # the README avert line at dt 0.5: the never-intervened run (4000 steps)
     # and one continuation per onset, 4000 + 3800 + 3600 + 3200 + 2400 steps
-    steps = _counted_runs(monkeypatch)
+    _, steps = counted_integrate(monkeypatch)
     averted_cases(DEFAULT_PARAMS.with_controls(0.1, 0.1), [0.0, 100.0, 200.0, 400.0, 800.0],
                   State(1e9, 0.0, 1.0, 0.0, 0.0), 2000.0, IntegratorConfig(dt=0.5))
     assert (len(steps), sum(steps)) == (6, 21_000)

@@ -8,8 +8,8 @@ import pytest
 import scipy.linalg
 
 import golden
-from conftest import at, optimizer_score, score_of
-from seirv import control
+from conftest import at, counted_integrate, optimizer_score, score_of
+from seirv import control, model
 from seirv.control import (
     CostParams,
     SAConfig,
@@ -603,9 +603,10 @@ def test_hybrid_optimize_on_short_horizon_moves_downhill():
 
 def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
     # each point's run starts once (score runs the horizon in chunks, and a
-    # run is counted by its first, which starts from INIT), every gradient is
-    # taken at the incumbent and reads the run cost read there, and a
-    # gradient phase that stalled is not replayed from the same incumbent
+    # run is counted by its first, which starts from a state equal to INIT),
+    # every gradient is taken at the incumbent and reads the run cost read
+    # there, and a gradient phase that stalled is not replayed from the same
+    # incumbent
     calls = {"integrate": 0, "cost": 0, "gradient": 0}
     costed = {}  # (c1, c2) -> the run cost read there
     started, graded = [], []
@@ -614,7 +615,7 @@ def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
             if name == "integrate":
-                if args[1] is not INIT:  # a later chunk of a run
+                if args[1] != INIT:  # a later chunk of a run
                     return out
                 started.append((args[0].c1, args[0].c2))
             else:
@@ -628,8 +629,8 @@ def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
             return out
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(control, name, counted(name, getattr(control, name)))
+    for module, name in ((model, "integrate"), (control, "cost"), (control, "gradient")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     cp = CostParams.for_run(DEFAULT_PARAMS, INIT, 1.0, 0.2, 0.3, 200.0)
     sa = SAConfig(n_cool=3, n_perturb=4, rng_seed=9, max_outer=2)
     hybrid_optimize(DEFAULT_PARAMS, cp, (0.1, 0.35), sa, INIT, IntegratorConfig(dt=0.5))
@@ -642,23 +643,16 @@ def test_hybrid_optimize_integrates_once_per_scored_point(monkeypatch):
 
 
 def _counted_work(monkeypatch, init):
-    """Runs started from init, forward steps and adjoints that control makes
-    from now on: each scored run is chained integrate calls, and only its
-    first starts from init."""
-    runs, steps, adjoints = [], [], []
-
-    def counted(*args, **kwargs):
-        out = integrate(*args, **kwargs)
-        if args[1] is init:
-            runs.append(args[0])
-        steps.append(len(out.states) - 1)
-        return out
+    """Runs started from init, forward steps and adjoints made from now on:
+    each scored run is continue_run calls, and only its first starts from a
+    state equal to init."""
+    runs, steps = counted_integrate(monkeypatch, init)
+    adjoints = []
 
     def counted_gradient(*args):
         adjoints.append(args)
         return gradient(*args)
 
-    monkeypatch.setattr(control, "integrate", counted)
     monkeypatch.setattr(control, "gradient", counted_gradient)
     return runs, steps, adjoints
 
@@ -686,7 +680,7 @@ def test_hybrid_optimize_work_count(monkeypatch, weights, horizon, start, sa, ma
     runs, steps, _ = _counted_work(monkeypatch, INIT)
     cp = CostParams.for_run(DEFAULT_PARAMS, INIT, 1.0, *weights, horizon)
     run = hybrid_optimize(DEFAULT_PARAMS, cp, start, sa, INIT, IntegratorConfig(dt=0.5))
-    assert len(runs) <= max_runs
+    assert 0 < len(runs) <= max_runs
     # some candidates are refused part-way through their run
     assert sum(steps) < len(runs) * round(horizon / 0.5)
     assert run.j_star <= max_j
@@ -696,11 +690,12 @@ def test_readme_optimize_line_stays_within_its_work_budget(monkeypatch):
     # the README optimize line (start (0.1, 0.1), SA defaults, seed 1) at
     # dt 0.5: measured 151,500 forward steps and 10 adjoints; budget 175,000
     # steps and 12 adjoints
-    _, steps, adjoints = _counted_work(monkeypatch, INIT)
+    runs, steps, adjoints = _counted_work(monkeypatch, INIT)
     hybrid_optimize(DEFAULT_PARAMS, reference_cost_params(), (0.1, 0.1), SAConfig(rng_seed=1),
                     INIT, IntegratorConfig(dt=0.5))
-    assert sum(steps) <= 175_000
-    assert len(adjoints) <= 12
+    assert runs
+    assert 0 < sum(steps) <= 175_000
+    assert 0 < len(adjoints) <= 12
 
 
 def test_golden_bench_start_stays_within_its_work_budget(monkeypatch):
@@ -709,9 +704,9 @@ def test_golden_bench_start_stays_within_its_work_budget(monkeypatch):
     # steps and 8 adjoints
     runs, steps, adjoints = _counted_work(monkeypatch, golden.INIT)
     golden.CASES["hybrid_optimize_bench_start"]()
-    assert len(runs) <= 13
-    assert sum(steps) <= 46_500
-    assert len(adjoints) <= 8
+    assert 0 < len(runs) <= 13
+    assert 0 < sum(steps) <= 46_500
+    assert 0 < len(adjoints) <= 8
 
 
 @pytest.mark.parametrize("start", [(math.nan, 0.3), (0.3, math.inf), (0.1,), (0.1, 0.2, 0.3)])
