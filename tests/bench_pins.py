@@ -13,6 +13,7 @@ and Python builds that tests/golden_digests.json names.
 from __future__ import annotations
 
 import contextlib
+import functools
 import importlib.util
 import io
 import os
@@ -26,9 +27,10 @@ from seirv.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
+@functools.cache
 def load_workloads():
-    """bench/workloads.py as the module bench_workloads, registered in
-    sys.modules because its dataclasses look their module up."""
+    """bench/workloads.py as the module bench_workloads, loaded once and
+    registered in sys.modules because its dataclasses look their module up."""
     spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
     w = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = w

@@ -116,3 +116,16 @@ def counted_integrate(monkeypatch, init=None):
     for module in (model, calibration):
         monkeypatch.setattr(module, "integrate", counted)
     return runs, steps
+
+
+def recorded(monkeypatch, module, name):
+    """The results of the calls of module.name made from now on, in order."""
+    results = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return results

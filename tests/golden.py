@@ -23,15 +23,17 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
-import random
 import sys
 import tempfile
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
+import pytest
 
-from seirv import analysis, calibration, cli, equilibria
+from bench_pins import load_workloads
+from conftest import recorded
+from seirv import analysis, calibration, cli, control, equilibria
 from seirv.control import CostParams, SAConfig, cost, gradient, hybrid_optimize, solve_adjoint
 from seirv.model import (
     BetaSchedule,
@@ -131,13 +133,13 @@ def _optimize(accept_rule: str, start=CONTROLS[0]) -> Callable[[], str]:
 
 
 def _optimize_bench_start() -> str:
-    """The first start of the bench optimize workload at seed 1, drawn as
-    bench/workloads.py build_optimize draws it: horizon 2000 at dt 0.5."""
-    rng = random.Random(1)
-    start = (rng.uniform(0.08, 0.12), rng.uniform(0.33, 0.37))
-    sa = SAConfig(t0=0.02, cooling=0.9, n_cool=8, n_perturb=6, max_outer=12,
-                  rng_seed=rng.randrange(2**31))
-    return _optim_run(hybrid_optimize(DEFAULT_PARAMS, CP, start, sa, INIT, COARSE))
+    """The OptimRun of the first job of the bench optimize workload at seed 1,
+    as bench/workloads.py build_optimize builds it: horizon 2000 at dt 0.5."""
+    job = load_workloads().build_optimize(1, False).jobs[0][1]
+    with pytest.MonkeyPatch.context() as mp:
+        runs = recorded(mp, control, "hybrid_optimize")
+        job()
+    return _optim_run(runs[0])
 
 
 def _fit_goodness() -> str:

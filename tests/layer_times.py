@@ -9,23 +9,26 @@ library only; the end-to-end metrics are the benchmark's.
 
 Timings are the best of REPEAT runs:
 - integrate, in us per step: at the README optimum (0.0165, 0.0796) at
-  dt 0.5 over horizon 2000, and on the calibrate truth schedule at dt 0.02
-  over 21 days;
+  dt 0.5 over horizon 2000, and on the calibrate workload's truth schedule
+  at dt 0.02 over its 21 days;
 - solve_adjoint in us per forward step, and cost and gradient in seconds,
   each given the dt-0.5 forward run;
-- one sse of the first seed-1 calibrate series at the truth schedule;
+- one sse of a calibrate workload series at the truth schedule;
 - cli._write_csv in us per float, for simulate's columns at dt 0.1;
 - import seirv.cli in a fresh interpreter.
 
-Work counts are deterministic, each with the SHA-256 of the results it
-produced. They count by wrapping model.integrate (which continue_run calls),
-control.gradient and calibration.sse:
-- the 48 starts of the benchmark's optimize workload at seeds 1-12, drawn
-  as tests/golden.py _optimize_bench_start draws the first (runs started,
-  forward steps, adjoints, SHA-256 of the pickled OptimRuns);
-- the 12 calibrate fits of seed 1 (sse calls);
-- the README optimize line (runs, forward steps, adjoints, SHA-256 of its
-  optimum.json).
+Work counts are deterministic, each with the SHA-256 of the results. They
+come from the benchmark's own jobs (bench/workloads.py, loaded through
+tests/bench_pins.py), each followed by its gate, and from README lines run
+in-process. tests/conftest.py counted_integrate counts forward runs and
+steps, and recorded keeps the results of control.gradient and
+hybrid_optimize and of calibration.fit_beta_segments, nelder_mead and sse:
+- optimize_48_starts: the optimize jobs of seeds 1-12;
+- calibrate_12_fits: the calibrate jobs of seed 1, with the seconds of the
+  jobs per simplex iteration;
+- readme_optimize and readme_avert: the README lines, avert at its default
+  dt 0.01.
+It exits 1, naming the entry, when a count it prints is 0.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import json
 import os
 import pickle
 import platform
-import random
 import subprocess
 import sys
 import tempfile
@@ -45,24 +47,24 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from seirv import calibration, cli, control, model
-from seirv.calibration import NelderMeadConfig, fit_beta_segments, generate_synthetic, sse
-from seirv.control import CostParams, SAConfig, cost, gradient, hybrid_optimize, solve_adjoint
-from seirv.model import DEFAULT_PARAMS, BetaSchedule, IntegratorConfig, State, integrate
+from bench_pins import load_workloads
+from conftest import counted_integrate, recorded
+from seirv import calibration, cli, control
+from seirv.calibration import sse
+from seirv.control import CostParams, cost, gradient, solve_adjoint
+from seirv.model import DEFAULT_PARAMS, IntegratorConfig, integrate
 
 REPEAT = 7
-INIT = State(1e9, 0.0, 1.0, 0.0, 0.0)
 HORIZON = 2000.0
 COARSE = IntegratorConfig(dt=0.5)
-CP = CostParams.for_run(DEFAULT_PARAMS, INIT, m0=1.0, k1=0.2, k2=0.3, horizon=HORIZON)
 OPTIMUM = (0.0165, 0.0796)
-# the calibrate workload: criterion-10 truth, 1% relative noise, dt 0.02
-CAL_TRUTH = BetaSchedule((7.0, 14.0), (2e-9, 6e-9, 3.5e-9))
-CAL_INIT = State(1e9, 0.0, 1e4, 0.0, 0.0)
-CAL_TIMES = tuple(float(t) for t in range(22))
-CAL_CFG = IntegratorConfig(dt=0.02)
-README_OPTIMIZE = ["optimize", "--dt", "0.05", "--horizon", "2000", "--seed", "1"]
+CAL_CFG = IntegratorConfig(dt=0.02)  # the calibrate workload's step
+README_OPTIMIZE = ["optimize", "--dt", "0.05", "--horizon", "2000", "--seed", "1",
+                   "--out", "optimum.json"]
+README_AVERT = ["avert", "--c1", "0.1", "--c2", "0.1", "--onset-grid", "0,100,200,400,800",
+                "--out", "averted.json", "--csv-out", "averted.csv"]
 
 
 def best(fn) -> float:
@@ -75,51 +77,17 @@ def best(fn) -> float:
     return min(times)
 
 
-def calibrate_series(seed: int):
-    """The 12 series of the calibrate workload at this seed."""
-    rng = random.Random(seed)
-    return [generate_synthetic(DEFAULT_PARAMS, CAL_TRUTH, CAL_INIT, CAL_TIMES, 0.01,
-                               seed=rng.randrange(2**31), relative=True, cfg=CAL_CFG)
-            for _ in range(12)]
-
-
-def optimize_starts(seed: int):
-    """(start, SAConfig) of the 4 starts of the optimize workload at this seed."""
-    rng = random.Random(seed)
-    starts = []
-    for _ in range(4):
-        start = (rng.uniform(0.08, 0.12), rng.uniform(0.33, 0.37))
-        starts.append((start, SAConfig(t0=0.02, cooling=0.9, n_cool=8, n_perturb=6,
-                                       max_outer=12, rng_seed=rng.randrange(2**31))))
-    return starts
-
-
-@contextlib.contextmanager
-def counted(module, name: str, record):
-    """Replace module.name by a wrapper that calls record(args, result)."""
-    original = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        out = original(*args, **kwargs)
-        record(args, out)
-        return out
-
-    setattr(module, name, wrapper)
-    try:
-        yield
-    finally:
-        setattr(module, name, original)
-
-
 def timings() -> dict:
+    w = load_workloads()
     p = DEFAULT_PARAMS.with_controls(*OPTIMUM)
-    forward = integrate(p, INIT, HORIZON, COARSE)
+    forward = integrate(p, w.INIT, HORIZON, COARSE)
     n = len(forward.states) - 1
+    cp = CostParams.for_run(DEFAULT_PARAMS, w.INIT, m0=1.0, k1=0.2, k2=0.3, horizon=HORIZON)
     p_fit = DEFAULT_PARAMS.with_controls(0.0, 0.0)
-    cal_steps = len(integrate(p_fit, CAL_INIT, CAL_TIMES[-1], CAL_CFG).states) - 1
-    series = calibrate_series(1)[0]
+    cal_steps = len(integrate(p_fit, w.CAL_INIT, w.CAL_TIMES[-1], CAL_CFG).states) - 1
+    series = w.synthetic_series(1)  # a probe's cost does not depend on the noise
 
-    sim = integrate(DEFAULT_PARAMS, INIT, HORIZON, IntegratorConfig(dt=0.1))
+    sim = integrate(DEFAULT_PARAMS, w.INIT, HORIZON, IntegratorConfig(dt=0.1))
     columns = (sim.times, sim.s, sim.e, sim.i, sim.r, sim.v, sim.n)
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "traj.csv")
@@ -133,61 +101,85 @@ def timings() -> dict:
                for _ in range(REPEAT)]
 
     return {
-        "integrate_us_per_step_dt0.5": 1e6 * best(lambda: integrate(p, INIT, HORIZON, COARSE)) / n,
+        "integrate_us_per_step_dt0.5":
+            1e6 * best(lambda: integrate(p, w.INIT, HORIZON, COARSE)) / n,
         "integrate_us_per_step_calibrate": 1e6 * best(
-            lambda: integrate(p_fit, CAL_INIT, CAL_TIMES[-1], CAL_CFG, beta_schedule=CAL_TRUTH)
+            lambda: integrate(p_fit, w.CAL_INIT, w.CAL_TIMES[-1], CAL_CFG,
+                              beta_schedule=w.CAL_TRUTH)
         ) / cal_steps,
         "solve_adjoint_us_per_step": 1e6 * best(lambda: solve_adjoint(forward, p)) / n,
-        "cost_s": best(lambda: cost(p, CP, forward)),
-        "gradient_s": best(lambda: gradient(p, CP, forward)),
-        "sse_s": best(lambda: sse(series, p_fit, CAL_TRUTH, CAL_INIT, CAL_CFG)),
+        "cost_s": best(lambda: cost(p, cp, forward)),
+        "gradient_s": best(lambda: gradient(p, cp, forward)),
+        "sse_s": best(lambda: sse(series, p_fit, w.CAL_TRUTH, w.CAL_INIT, CAL_CFG)),
         "write_csv_us_per_float": 1e6 * write_csv / (len(sim.states) * len(columns)),
         "import_seirv_cli_s": min(imports),
     }
 
 
+def run_jobs(passes) -> None:
+    """Run every job of the benchmark passes, each followed by its gate."""
+    for study in passes:
+        for _, job in study.jobs:
+            job()()
+
+
+def readme_line(argv) -> str:
+    """Run seirv argv in-process in a temporary directory; the SHA-256 of its --out file."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        if cli.main(argv) != 0:
+            raise SystemExit(f"seirv {' '.join(argv)} failed")
+        return hashlib.sha256(Path(argv[argv.index("--out") + 1]).read_bytes()).hexdigest()
+
+
 def work() -> dict:
-    runs, steps, adjoints, sse_calls = [], [], [], []
-
-    def on_integrate(args, out):
-        if args[1] == INIT:  # a run's first chunk; the CLI builds its own INIT
-            runs.append(args[0])
-        steps.append(len(out.states) - 1)
-
-    def tally() -> dict:
-        return {"runs": len(runs), "forward_steps": sum(steps), "adjoints": len(adjoints)}
-
+    w = load_workloads()
     out = {}
-    with counted(model, "integrate", on_integrate), \
-            counted(control, "gradient", lambda args, g: adjoints.append(g)):
-        t = time.perf_counter()
-        optim = [hybrid_optimize(DEFAULT_PARAMS, CP, start, sa, INIT, COARSE)
-                 for seed in range(1, 13) for start, sa in optimize_starts(seed)]
+    with pytest.MonkeyPatch.context() as mp:
+        runs, steps = counted_integrate(mp, w.INIT)
+        adjoints = recorded(mp, control, "gradient")
+        optims = recorded(mp, control, "hybrid_optimize")
+        fits = recorded(mp, calibration, "fit_beta_segments")
+        simplexes = recorded(mp, calibration, "nelder_mead")
+        sse_calls = recorded(mp, calibration, "sse")
+
+        def timed(run):
+            """(run()'s result, its seconds), counted from empty tallies."""
+            for tally in (runs, steps, adjoints, optims, fits, simplexes, sse_calls):
+                tally.clear()
+            t = time.perf_counter()
+            result = run()
+            return result, time.perf_counter() - t
+
+        def forward_work() -> dict:
+            return {"runs": len(runs), "forward_steps": sum(steps), "adjoints": len(adjoints)}
+
+        _, seconds = timed(lambda: run_jobs(w.build_optimize(s, False) for s in range(1, 13)))
         out["optimize_48_starts"] = {
-            **tally(), "worst_j_star": max(r.j_star for r in optim),
-            "sha256": hashlib.sha256(pickle.dumps(optim)).hexdigest(),
-            "seconds": time.perf_counter() - t,
+            **forward_work(), "worst_j_star": max(r.j_star for r in optims),
+            "sha256": hashlib.sha256(pickle.dumps(optims)).hexdigest(), "seconds": seconds,
         }
 
-        del runs[:], steps[:], adjoints[:]
-        t = time.perf_counter()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "optimum.json"
-            if cli.main([*README_OPTIMIZE, "--out", str(path)]) != 0:
-                raise SystemExit("the README optimize line failed")
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        out["readme_optimize"] = {**tally(), "sha256": digest, "seconds": time.perf_counter() - t}
+        digest, seconds = timed(lambda: readme_line(README_OPTIMIZE))
+        out["readme_optimize"] = {**forward_work(), "sha256": digest, "seconds": seconds}
 
-    t = time.perf_counter()
-    with counted(calibration, "sse", lambda args, f: sse_calls.append(f)):
-        fits = [fit_beta_segments(s, DEFAULT_PARAMS, 7.0, CAL_INIT, NelderMeadConfig(), CAL_CFG)
-                for s in calibrate_series(1)]
-    h = hashlib.sha256()
-    for fit in fits:
-        h.update(" ".join(map(float.hex, (*fit.beta_segments.values, fit.sse))).encode() + b"\n")
-    out["calibrate_12_fits"] = {
-        "sse_calls": len(sse_calls), "sha256": h.hexdigest(), "seconds": time.perf_counter() - t,
-    }
+        _, seconds = timed(lambda: run_jobs([w.build_calibrate(1, False)]))
+        iterations = sum(result[2] for result in simplexes)
+        h = hashlib.sha256()
+        for fit in fits:
+            values = (*fit.beta_segments.values, fit.sse)
+            h.update(" ".join(map(float.hex, values)).encode() + b"\n")
+        out["calibrate_12_fits"] = {
+            "sse_calls": len(sse_calls), "iterations": iterations,
+            "s_per_iteration": seconds / iterations if iterations else None,
+            "sha256": h.hexdigest(), "seconds": seconds,
+        }
+
+        digest, seconds = timed(lambda: readme_line(README_AVERT))
+        out["readme_avert"] = {
+            "integrate_calls": len(steps), "forward_steps": sum(steps),
+            "iterations": sum(result[2] for result in simplexes),
+            "sha256": digest, "seconds": seconds,
+        }
     return out
 
 
@@ -207,6 +199,10 @@ def main() -> None:
         report["work"] = work()
     report["machine"]["loadavg_after"] = os.getloadavg()[0]
     print(json.dumps(report, indent=2))
+    missed = [f"{entry} {key}" for entry, counts in report.get("work", {}).items()
+              for key, value in counts.items() if value == 0]
+    if missed:
+        sys.exit(f"layer_times: counted no work in {', '.join(missed)}")
 
 
 if __name__ == "__main__":

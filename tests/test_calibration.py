@@ -1,13 +1,13 @@
 """Series ingestion, SSE, Nelder-Mead, segment fitting and averted-cases tests."""
 
 import math
-import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import counted_integrate
+from bench_pins import load_workloads
+from conftest import counted_integrate, recorded
 from seirv import calibration
 from seirv.analysis import characteristics
 from seirv.calibration import (
@@ -404,16 +404,9 @@ def test_fit_capped_at_its_own_convergence_count_does_not_warn(monkeypatch):
     cfg = IntegratorConfig(dt=0.1)
     series = generate_synthetic(DEFAULT_PARAMS, TRUE_SCHEDULE, SEED_STATE, SAMPLE_TIMES,
                                 0.01, seed=7, relative=True, cfg=cfg)
-    counts = []
-
-    def counted(*args):
-        result = nelder_mead(*args)
-        counts.append(result[2])
-        return result
-
-    monkeypatch.setattr(calibration, "nelder_mead", counted)
+    simplexes = recorded(monkeypatch, calibration, "nelder_mead")
     free = fit_beta_segments(series, DEFAULT_PARAMS, 7.0, SEED_STATE, NelderMeadConfig(), cfg)
-    (iters,) = counts
+    ((_, _, iters, _),) = simplexes
     at_cap = fit_beta_segments(series, DEFAULT_PARAMS, 7.0, SEED_STATE,
                                NelderMeadConfig(max_iter=iters), cfg)
     assert at_cap == free and at_cap.warnings == ()
@@ -424,13 +417,12 @@ def test_fit_capped_at_its_own_convergence_count_does_not_warn(monkeypatch):
 
 
 def test_fit_of_a_bench_series_stays_within_its_work_budget(monkeypatch):
-    # the first series of the calibrate benchmark at seed 1 (1% relative
-    # noise, dt 0.02) measured 372 runs of 1050 steps, 390,600 forward steps;
-    # budget 400 runs
-    series = generate_synthetic(DEFAULT_PARAMS, TRUE_SCHEDULE, SEED_STATE, SAMPLE_TIMES, 0.01,
-                                seed=random.Random(1).randrange(2**31), relative=True, cfg=CFG)
+    # the first job of the calibrate benchmark at seed 1, as bench/workloads.py
+    # builds it (1% relative noise, dt 0.02), fit and gate: measured 372 runs
+    # of 1050 steps, 390,600 forward steps; budget 400 runs
+    job = load_workloads().build_calibrate(1, False).jobs[0][1]
     _, steps = counted_integrate(monkeypatch)
-    fit_beta_segments(series, DEFAULT_PARAMS, 7.0, SEED_STATE, NelderMeadConfig(), CFG)
+    job()()
     assert 0 < len(steps) <= 400
     assert 0 < sum(steps) <= 400 * 1050
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import golden
-from conftest import at, counted_integrate, optimizer_score, score_of
+from conftest import at, counted_integrate, optimizer_score, recorded, score_of
 from seirv import control, model
 from seirv.control import (
     CostParams,
@@ -647,14 +647,7 @@ def _counted_work(monkeypatch, init):
     each scored run is continue_run calls, and only its first starts from a
     state equal to init."""
     runs, steps = counted_integrate(monkeypatch, init)
-    adjoints = []
-
-    def counted_gradient(*args):
-        adjoints.append(args)
-        return gradient(*args)
-
-    monkeypatch.setattr(control, "gradient", counted_gradient)
-    return runs, steps, adjoints
+    return runs, steps, recorded(monkeypatch, control, "gradient")
 
 
 @pytest.mark.parametrize("weights, horizon, start, sa, max_runs, max_j", [

@@ -224,6 +224,20 @@ def test_two_segment_schedule_matches_chained_runs(init_state):
     assert np.array_equal(whole.states[200:], second.states)
 
 
+def test_continue_run_rewrites_only_rows_lo_to_hi(init_state):
+    cfg = IntegratorConfig(dt=0.5)
+    before = integrate(DEFAULT_PARAMS, init_state, 100.0, cfg).states
+    states = before.copy()
+    p, lo, hi = DEFAULT_PARAMS.with_controls(0.1, 0.2), 60, 140
+    model.continue_run(p, states, lo, hi, cfg)
+    from_lo = integrate(p, State(*before[lo].tolist()), (hi - lo) * cfg.dt, cfg).states
+    assert states[lo].tobytes() == before[lo].tobytes()
+    assert states[lo:hi + 1].tobytes() == from_lo.tobytes()
+    assert states[:lo].tobytes() == before[:lo].tobytes()
+    assert states[hi + 1:].tobytes() == before[hi + 1:].tobytes()
+    assert not np.array_equal(states[hi], before[hi])  # the controls changed the rows
+
+
 def test_breakpoints_snap_to_grid(init_state):
     cfg = IntegratorConfig(dt=0.1)
     on_grid = integrate(
